@@ -4,8 +4,8 @@
 Run from the root of a source checkout:
 
     python3 hbench/run.py --workload job --seed 1 --seconds 60 --trace 0
-    python3 hbench/run.py --steadiness --runs 10 --seconds 60
-    python3 hbench/run.py --noise --runs 10
+    python3 hbench/run.py --steadiness --seconds 60
+    python3 hbench/run.py --noise
 
 The first form builds hbench/hbench.exe from source with dune, then runs
 samples of the workload, one fresh process each, until --seconds have
@@ -15,11 +15,11 @@ samples. --trace 0 reports the end-to-end metrics with tracing off;
 --trace 1 alternates untraced and traced samples and reports the
 per-layer metrics of the traced ones.
 
---steadiness runs every workload as two sets of --runs runs with distinct
+--steadiness runs every workload as two sets of ten runs with distinct
 seeds and prints, per (workload, metric), each set's median and spread
 (quartile distance over median) and the between-set difference against
 the metric's bound. --noise times a register-only loop and a 13.5 MB
-streaming loop in fresh processes: the host's noise floor.
+streaming loop in ten fresh processes: the host's noise floor.
 """
 
 import argparse
@@ -34,6 +34,7 @@ import time
 EXE = os.path.join("_build", "default", "hbench", "hbench.exe")
 WORK = ".hbench"
 SAMPLE_TIMEOUT = 170
+RUNS = 10  # runs per set in --steadiness, processes in --noise
 
 
 def log(msg):
@@ -93,6 +94,38 @@ def median(values):
     return statistics.median(values) if values else None
 
 
+def timed_metrics(results):
+    """The timed end-to-end metrics of a run, from every repetition of
+    its samples, per input: the summary regions summed over the inputs,
+    the data regions as rows over seconds.
+
+    A region a sample repeats takes the fastest quarter of the run's
+    repetitions, because the host's other tenants only ever slow a
+    repetition down; a region a sample runs once (job's multi-second
+    summaries) takes the median over the samples."""
+    if not results:
+        return {}
+
+    def low(region):
+        per_input = {}
+        for r in results:
+            for i, ts in enumerate(r["times"][region]):
+                per_input.setdefault(i, []).append(ts)
+        lows = []
+        for i in sorted(per_input):
+            pooled = sorted(t for ts in per_input[i] for t in ts)
+            if all(len(ts) == 1 for ts in per_input[i]):
+                lows.append(statistics.median(pooled))
+            else:
+                lows.append(pooled[(len(pooled) - 1) // 4])
+        return lows
+
+    out = {"summary_s": sum(low("summary")), "resummary_s": sum(low("resummary"))}
+    for region in ("materialize", "supply", "query"):
+        out[region + "_mrows_s"] = results[0]["rows"][region] / low(region)[0] / 1e6
+    return out
+
+
 def measure(workload, seed, seconds, trace):
     """Samples until the time is up; the aggregated result object."""
     spec = load_spec()
@@ -110,8 +143,9 @@ def measure(workload, seed, seconds, trace):
             res = run_sample(workload, seed, traced, scratch)
             samples.append((traced, res))
             if res is not None and res["metrics"]:
+                values = dict(res["metrics"], **timed_metrics([res]))
                 log("hbench: sample %d%s: %s" % (len(samples), " traced" if traced else "",
-                    json.dumps({m["name"]: res["metrics"].get(m["name"])
+                    json.dumps({m["name"]: values.get(m["name"])
                                 for m in spec["end_to_end"]})))
             longest = max(longest, time.monotonic() - t0)
             enough = len(samples) >= (2 if trace else 1)
@@ -133,21 +167,24 @@ def measure(workload, seed, seconds, trace):
             continue
         attempted += len(res["checks"])
         failed += sum(1 for _, ok in res["checks"] if not ok)
-    good = [(t, r["metrics"]) for t, r in samples if r is not None and r["metrics"]]
-    plain = [m for t, m in good if not t]
-    traced = [m for t, m in good if t]
+    good = [(t, r) for t, r in samples if r is not None and r["metrics"]]
+    plain = [r for t, r in good if not t]
+    traced = [r for t, r in good if t]
 
     wanted = spec["per_layer"] if trace else spec["end_to_end"]
     source = traced if trace else plain
+    pooled = timed_metrics(source)
     metrics = {}
     for m in wanted:
         name = m["name"]
         if name == "obs.overhead_ratio":
-            a = median([s["summary_s"] for s in traced])
-            b = median([s["summary_s"] for s in plain])
+            a = timed_metrics(traced).get("summary_s")
+            b = timed_metrics(plain).get("summary_s")
             value = a / b if a is not None and b else None
+        elif name in pooled:
+            value = pooled[name]
         else:
-            value = median([s[name] for s in source if name in s])
+            value = median([s["metrics"][name] for s in source if name in s["metrics"]])
         if value is not None:
             metrics[name] = {"value": value, "unit": m["unit"]}
     correct = failed == 0 and len(metrics) == len(wanted)
@@ -164,16 +201,16 @@ def spread(values):
     return (q3 - q1) / statistics.median(values)
 
 
-def steadiness(runs, seconds, workloads):
+def steadiness(seconds):
     spec = load_spec()
     here = os.path.abspath(__file__)
     record = {}
-    for w in workloads:
+    for w in [w["name"] for w in spec["workloads"]]:
         sets = []
         for s in range(2):
             results = []
-            for i in range(runs):
-                seed = s * runs + i + 1
+            for i in range(RUNS):
+                seed = s * RUNS + i + 1
                 proc = subprocess.run(
                     [sys.executable, here, "--workload", w, "--seed", str(seed),
                      "--seconds", str(seconds), "--trace", "0"],
@@ -206,9 +243,9 @@ def steadiness(runs, seconds, workloads):
         json.dump(record, f, indent=1)
 
 
-def noise(runs):
+def noise():
     vals = {"register_s": [], "stream_s": []}
-    for _ in range(runs):
+    for _ in range(RUNS):
         out = subprocess.run([EXE, "noise"], stdout=subprocess.PIPE, text=True).stdout
         res = json.loads(out.strip().splitlines()[-1])
         for k in vals:
@@ -227,16 +264,12 @@ def main():
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--steadiness", action="store_true")
     ap.add_argument("--noise", action="store_true")
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--workloads", default="")
     args = ap.parse_args()
     build()
     if args.noise:
-        noise(args.runs)
+        noise()
     elif args.steadiness:
-        names = args.workloads.split(",") if args.workloads else [
-            w["name"] for w in load_spec()["workloads"]]
-        steadiness(args.runs, args.seconds, names)
+        steadiness(args.seconds)
     else:
         if not args.workload:
             ap.error("--workload is required")

@@ -12,8 +12,9 @@ let check name cond =
 
 let close a b = Float.abs (a -. b) < 1e-9
 
-let sp ?(run = "r") id parent name start stop =
-  { id; parent; name; start; stop; run }
+let sp id parent name start stop =
+  { Hydra_obs.Obs.sp_id = id; sp_parent = parent; sp_name = name;
+    sp_start = start; sp_end = stop; sp_attrs = [] }
 
 let () =
   (* union of intervals: overlaps count once, clipping to the window *)
@@ -27,44 +28,45 @@ let () =
 let () =
   (* self time = duration minus the union of the children's intervals *)
   let root = sp 0 (-1) "region" 0. 10. in
-  let spans =
-    [
-      root;
-      sp 1 0 "a" 1. 4.;
-      sp 2 0 "b" 3. 6.;  (* overlaps a: [1,6] covered once *)
-      sp 3 1 "c" 1.5 2.5;  (* grandchild: not the root's child *)
-      sp 4 0 "d" 9. 12.;  (* runs past the root: clipped to [9,10] *)
-      sp ~run:"other" 5 0 "x" 0. 10.;  (* another sample's span *)
-    ]
-  in
-  check "self root" (close (self_time spans root) 4.);
-  check "self a" (close (self_time spans (List.nth spans 1)) 2.);
-  check "self leaf" (close (self_time spans (List.nth spans 3)) 1.);
-  check "descendants" (List.length (descendants spans root) = 4)
+  let a = sp 1 0 "a" 1. 4. in
+  let b = sp 2 0 "b" 3. 6. in  (* overlaps a: [1,6] covered once *)
+  let d = sp 4 0 "d" 9. 12. in  (* runs past the root: clipped to [9,10] *)
+  let c = sp 3 1 "c" 1.5 2.5 in
+  check "self root" (close (self_time root [ a; b; d ]) 4.);
+  check "self a" (close (self_time a [ c ]) 2.);
+  check "self leaf" (close (self_time c []) 1.)
 
 let () =
-  (* residual = end-to-end minus the named layers' self times; on a
-     properly nested tree it is the root's own self time *)
+  (* residual = end-to-end minus the named layers' self times *)
   check "residual" (close (residual ~total:10. [ 2.; 3.; 0.5 ]) 4.5);
+  (* a region whose public-call span [Call] holds program layers; the
+     call's own self time and the region's are not explained *)
   let root = sp 0 (-1) "region" 0. 10. in
   let spans =
     [
       root;
-      sp 1 0 "call" 0.5 9.5;
+      sp 1 0 "Call" 0.5 9.5;
       sp 2 1 "solve" 1. 8.;
       sp 3 2 "inner" 2. 3.;
       sp 4 1 "assemble" 8. 9.;
+      sp 5 (-1) "elsewhere" 0. 10.;  (* not under the region *)
     ]
   in
-  let a = attribute spans root in
+  let program n = match n.[0] with 'a' .. 'z' -> true | _ -> false in
+  let a = attribute ~layer:program spans root in
   check "attribute total" (close a.total 10.);
-  check "attribute residual" (close a.unattributed (self_time spans root));
-  check "attribute residual value" (close a.unattributed 1.);
-  check "attribute frac" (close (attributed_frac a) 0.9);
   check "attribute layers"
-    (List.map fst a.layers = [ "assemble"; "call"; "inner"; "solve" ]);
-  check "attribute call self" (close (List.assoc "call" a.layers) 1.);
-  check "attribute solve self" (close (List.assoc "solve" a.layers) 6.)
+    (List.map fst a.layers = [ "Call"; "assemble"; "inner"; "solve" ]);
+  check "attribute call self" (close (List.assoc "Call" a.layers) 1.);
+  check "attribute solve self" (close (List.assoc "solve" a.layers) 6.);
+  (* 10 - (6 + 1 + 1): the root's 1 s and the call's 1 s stay unexplained *)
+  check "attribute residual" (close a.unattributed 2.);
+  check "attribute frac" (close (attributed_frac a) 0.8);
+  let all = attribute ~layer:(fun _ -> true) spans root in
+  check "attribute every layer" (close all.unattributed 1.);
+  let none = attribute ~layer:(fun _ -> false) spans root in
+  check "attribute no layer" (close none.unattributed 10.);
+  check "attribute frac zero" (close (attributed_frac none) 0.)
 
 let () =
   (* metric-name grammar *)
@@ -75,28 +77,6 @@ let () =
     (fun n -> check ("invalid " ^ n) (not (valid_name n)))
     [ ""; "_x"; ".x"; "a b"; "a/b"; "lp:s"; String.make 65 'a' ];
   check "valid 64" (valid_name (String.make 64 'a'))
-
-let () =
-  (* recorder: nesting, and foreign spans mapped under the open span *)
-  let t = ref 0. in
-  let clock () =
-    t := !t +. 1.;
-    !t
-  in
-  let r = recorder ~run:"s1" ~clock in
-  with_span r "outer" (fun () ->
-      with_span r "call" (fun () ->
-          (* the foreign child closes before its foreign parent *)
-          import r ~id:7 ~parent:6 ~name:"leaf" ~start:3.1 ~stop:3.2;
-          import r ~id:6 ~parent:(-1) ~name:"prog" ~start:3. ~stop:3.5));
-  let all = spans r in
-  let find n = List.find (fun s -> s.name = n) all in
-  check "recorder count" (List.length all = 4);
-  check "recorder nest" ((find "call").parent = (find "outer").id);
-  check "import root under open span" ((find "prog").parent = (find "call").id);
-  check "import foreign parent" ((find "leaf").parent = (find "prog").id);
-  check "recorder run id" (List.for_all (fun s -> s.run = "s1") all);
-  check "recorder outer root" ((find "outer").parent = -1)
 
 let () =
   if !failures > 0 then exit 1;

@@ -1,20 +1,12 @@
-(* Spans recorded by the benchmark around its calls into the program,
-   kept in memory and written out when the sample ends, plus the
-   arithmetic the traced run reports: a layer's self time is its span's
-   duration minus the part of that interval its child spans cover, and a
-   region's residual is its end-to-end time minus the self time of every
-   named layer under it. *)
+(* The arithmetic the benchmark's traced run reports over the spans it
+   collects: a layer's self time is its span's duration minus the part of
+   that interval its child spans cover, and a region's residual is its
+   end-to-end time minus the self time of every span under it that
+   belongs to a named layer. *)
 
-type span = {
-  id : int;
-  parent : int;  (** [-1] for a root *)
-  name : string;
-  start : float;
-  stop : float;
-  run : string;  (** spans of one sample share this id *)
-}
+open Hydra_obs.Obs
 
-let duration s = s.stop -. s.start
+let duration s = s.sp_end -. s.sp_start
 
 (* Length of the union of [intervals], each clipped to [lo, hi]. *)
 let covered ~lo ~hi intervals =
@@ -37,16 +29,11 @@ let covered ~lo ~hi intervals =
   in
   match open_ with None -> total | Some (a, b) -> total +. (b -. a)
 
-let children spans s =
-  List.filter (fun c -> c.parent = s.id && c.run = s.run) spans
-
-let self_time spans s =
+(* [s]'s duration minus the union of its [children]'s intervals. *)
+let self_time s children =
   duration s
-  -. covered ~lo:s.start ~hi:s.stop
-       (List.map (fun c -> (c.start, c.stop)) (children spans s))
-
-let rec descendants spans s =
-  List.concat_map (fun c -> c :: descendants spans c) (children spans s)
+  -. covered ~lo:s.sp_start ~hi:s.sp_end
+       (List.map (fun c -> (c.sp_start, c.sp_end)) children)
 
 let residual ~total layer_self_times =
   total -. List.fold_left ( +. ) 0.0 layer_self_times
@@ -54,23 +41,34 @@ let residual ~total layer_self_times =
 type attribution = {
   total : float;  (** the region's end-to-end seconds *)
   layers : (string * float) list;
-      (** self seconds per layer name, summed over the region, sorted *)
-  unattributed : float;  (** {!residual} of the region *)
+      (** self seconds per span name under the region, summed, sorted *)
+  unattributed : float;
+      (** {!residual} of the region over the spans [layer] accepts *)
 }
 
-let attribute spans root =
-  let below = descendants spans root in
+(* Attribution of the region spanned by [root]: every span below it is
+   charged its self time, and only the names [layer] accepts count as
+   explained. *)
+let attribute ~layer spans root =
+  let kids = Hashtbl.create 256 in
+  List.iter (fun s -> Hashtbl.add kids s.sp_parent s) spans;
+  let children s = Hashtbl.find_all kids s.sp_id in
   let by_name = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      let prev = Option.value ~default:0.0 (Hashtbl.find_opt by_name s.name) in
-      Hashtbl.replace by_name s.name (prev +. self_time spans s))
-    below;
+  let rec walk s =
+    List.iter
+      (fun c ->
+        let prev = Option.value ~default:0.0 (Hashtbl.find_opt by_name c.sp_name) in
+        Hashtbl.replace by_name c.sp_name (prev +. self_time c (children c));
+        walk c)
+      (children s)
+  in
+  walk root;
   let layers =
     List.sort compare (Hashtbl.fold (fun n t acc -> (n, t) :: acc) by_name [])
   in
   let total = duration root in
-  { total; layers; unattributed = residual ~total (List.map snd layers) }
+  let explained = List.filter_map (fun (n, t) -> if layer n then Some t else None) layers in
+  { total; layers; unattributed = residual ~total explained }
 
 let attributed_frac a =
   if a.total <= 0.0 then 0.0 else 1.0 -. (a.unattributed /. a.total)
@@ -88,72 +86,3 @@ let valid_name s =
      | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' -> true
      | _ -> false)
   && String.for_all ok_char s
-
-(* ---- recorder ---- *)
-
-type recorder = {
-  run_id : string;
-  clock : unit -> float;
-  mutable next_id : int;
-  mutable stack : int list;  (** open spans, innermost first *)
-  mutable closed : span list;
-  foreign : (int, int) Hashtbl.t;  (** imported span id -> own id *)
-}
-
-let recorder ~run ~clock =
-  {
-    run_id = run;
-    clock;
-    next_id = 0;
-    stack = [];
-    closed = [];
-    foreign = Hashtbl.create 64;
-  }
-
-let fresh_id r =
-  let id = r.next_id in
-  r.next_id <- id + 1;
-  id
-
-let with_span r name f =
-  let id = fresh_id r in
-  let parent = match r.stack with p :: _ -> p | [] -> -1 in
-  r.stack <- id :: r.stack;
-  let start = r.clock () in
-  Fun.protect
-    ~finally:(fun () ->
-      let stop = r.clock () in
-      r.stack <- List.tl r.stack;
-      r.closed <- { id; parent; name; start; stop; run = r.run_id } :: r.closed)
-    f
-
-(* A span closed by another tracer (the program's own spans, delivered
-   at close time). Its foreign ids are mapped onto this recorder's; a
-   foreign root nests under the innermost span open here. *)
-let import r ~id ~parent ~name ~start ~stop =
-  let own ext =
-    match Hashtbl.find_opt r.foreign ext with
-    | Some x -> x
-    | None ->
-        let x = fresh_id r in
-        Hashtbl.add r.foreign ext x;
-        x
-  in
-  let parent =
-    if parent >= 0 then own parent
-    else match r.stack with p :: _ -> p | [] -> -1
-  in
-  r.closed <- { id = own id; parent; name; start; stop; run = r.run_id } :: r.closed
-
-let spans r = List.rev r.closed
-
-let to_json s =
-  Printf.sprintf
-    {|{"run":%S,"id":%d,"parent":%d,"name":%S,"start":%.9f,"end":%.9f}|}
-    s.run s.id s.parent s.name s.start s.stop
-
-let write r path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> List.iter (fun s -> output_string oc (to_json s ^ "\n")) (spans r))
