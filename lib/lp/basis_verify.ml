@@ -3,27 +3,27 @@ module Obs = Hydra_obs.Obs
 
 let m_verify_repairs = Obs.counter "simplex.verify_repairs"
 
-(* Exact verification of a candidate basis (from the float shadow or a
-   cache warm-start): reconstruct the basis inverse in Rat, check primal
-   feasibility exactly, and finish the solve from that state with exact
-   pivots. From a basis that is in fact optimal, finishing costs one
-   pricing pass per phase and zero pivots; any pivots performed are a
-   repair. *)
+(* Exact verification of a candidate basis (from the float instance or
+   a cache warm-start): reconstruct the basis inverse in Rat, check
+   primal feasibility exactly, and resume the exact instance of the
+   simplex engine from that state. From a basis that is in fact optimal,
+   finishing costs one pricing pass per phase and zero pivots; any
+   pivots performed are a repair. *)
 
 (* Gauss-Jordan inversion of the m x m matrix whose columns are
    [t.cols.(basis.(j))]; None when the candidate is singular (or refers
    to columns that do not exist — a corrupt cached basis). *)
 let factorize t basis =
-  let m = t.Simplex.m in
+  let m = t.Pivot.m in
   if Array.length basis <> m then None
-  else if Array.exists (fun j -> j < 0 || j >= t.Simplex.n) basis then None
+  else if Array.exists (fun j -> j < 0 || j >= t.Pivot.n) basis then None
   else begin
     let bmat = Array.make_matrix m m Rat.zero in
     Array.iteri
       (fun j bj ->
         List.iter
           (fun (i, k) -> bmat.(i).(j) <- Rat.add bmat.(i).(j) k)
-          t.Simplex.cols.(bj))
+          t.Pivot.cols.(bj))
       basis;
     let binv =
       Array.init m (fun i ->
@@ -71,16 +71,14 @@ let factorize t basis =
     with Exit -> None
   end
 
-type attempt =
-  | Verified of Simplex.status * int * int array
-      (** status, repair pivot count, terminal basis *)
-  | Reject  (** singular / not primal feasible: try the next rung *)
-
+(* [Some (status, terminal basis)] when [cand] factorizes to a primal
+   feasible basis; [None] (try the next rung) when it is singular or
+   infeasible *)
 let verify_from ~budget t ~objective ~nvars iter_count cand =
   match factorize t cand with
-  | None -> Reject
+  | None -> None
   | Some binv ->
-      let m = t.Simplex.m in
+      let m = t.Pivot.m in
       let basis = Array.copy cand in
       let xb = Array.make m Rat.zero in
       for i = 0 to m - 1 do
@@ -88,80 +86,40 @@ let verify_from ~budget t ~objective ~nvars iter_count cand =
         let acc = ref Rat.zero in
         for j = 0 to m - 1 do
           if not (Rat.is_zero row.(j)) then
-            acc := Rat.add !acc (Rat.mul row.(j) t.Simplex.b.(j))
+            acc := Rat.add !acc (Rat.mul row.(j) t.Pivot.b.(j))
         done;
         xb.(i) <- !acc
       done;
-      if Array.exists (fun v -> Rat.sign v < 0) xb then Reject
+      if Array.exists (fun v -> Rat.sign v < 0) xb then None
       else begin
         let pivots = ref 0 in
         let st =
           Simplex.run_phases ~pivots ~budget t binv basis xb ~objective
             ~nvars iter_count
         in
-        Verified (st, !pivots, basis)
+        if !pivots > 0 then Obs.incr m_verify_repairs 1;
+        Some (st, basis)
       end
 
+(* the rungs before the cold exact run: the warm basis, then the float
+   instance's terminal basis *)
 let solve ?objective ?deadline ?max_iters ?warm_basis ?basis_out lp =
-  let budget = { Simplex.deadline; max_iters } in
-  let t, basis0 = Simplex.build_tableau lp in
-  if t.Simplex.m = 0 then
-    (* no constraints: nothing to shadow or verify *)
-    Simplex.solve ?objective ?deadline ?max_iters ?basis_out lp
-  else begin
-    let nvars = Lp.num_vars lp in
-    let iter_count = ref 0 in
-    Simplex.note_solve ~rows:t.Simplex.m ~cols:t.Simplex.n;
-    let finish st terminal =
-      (match (basis_out, st) with
-      | Some r, Simplex.Feasible _ -> r := Some terminal
-      | _ -> ());
-      Simplex.note_done ~iters:!iter_count ~rows:t.Simplex.m
-        ~cols:t.Simplex.n;
-      st
-    in
-    (* last rung: the pre-existing all-exact path *)
-    let exact_cold () =
-      let m = t.Simplex.m in
-      let binv =
-        Array.init m (fun i ->
-            Array.init m (fun j -> if i = j then Rat.one else Rat.zero))
-      in
-      let basis = Array.copy basis0 in
-      let xb = Array.copy t.Simplex.b in
-      let st =
-        Simplex.run_phases ~budget t binv basis xb ~objective ~nvars
-          iter_count
-      in
-      finish st (Array.copy basis)
-    in
-    let try_basis cand =
-      match verify_from ~budget t ~objective ~nvars iter_count cand with
-      | Reject -> None
-      | Verified (st, pivots, terminal) ->
-          if pivots > 0 then Obs.incr m_verify_repairs 1;
-          Some (finish st terminal)
-    in
-    let float_cold () =
-      match
-        Simplex_f.run ~budget t (Array.copy basis0) ~objective ~nvars
-          iter_count
-      with
-      | Simplex_f.Terminal cand -> (
-          match try_basis cand with
-          | Some st -> st
-          | None -> exact_cold ())
-      | Simplex_f.Ambiguous -> exact_cold ()
-      | Simplex_f.Timeout_f ->
-          (* re-run exactly under the same budget so the verdict
-             (Timeout or not) matches what exact mode would report *)
-          exact_cold ()
-    in
-    match warm_basis with
-    | Some wb -> (
-        match try_basis wb with Some st -> st | None -> float_cold ())
-    | None -> float_cold ()
-  end
+  let nvars = Lp.num_vars lp in
+  let rungs ~budget t basis0 iter_count =
+    let try_basis = verify_from ~budget t ~objective ~nvars iter_count in
+    match Option.bind warm_basis try_basis with
+    | Some r -> Some r
+    | None -> (
+        let cand = Array.copy basis0 in
+        match Simplex_f.run ~budget t cand ~objective ~nvars iter_count with
+        | Pivot.Optimal | Pivot.Infeasible | Pivot.Unbounded -> try_basis cand
+        | Pivot.Aborted -> None
+        | Pivot.Timeout ->
+            (* re-run exactly under the same budget so the verdict
+               (Timeout or not) matches what exact mode would report *)
+            None)
+  in
+  Simplex.solve_with ~rungs ?objective ?deadline ?max_iters ?basis_out lp
 
 let solve_mode ?objective ?deadline ?max_iters ?warm_basis ?basis_out mode lp
     =

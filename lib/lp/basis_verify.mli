@@ -4,14 +4,15 @@
     next:
 
     + verify a cached warm-start basis (when given);
-    + run the float shadow ({!Simplex_f}) and verify its terminal basis;
-    + the pre-existing all-exact path ({!Simplex.run_phases} from the
-      artificial start).
+    + run the float instance of the simplex engine ({!Simplex_f}) and
+      verify its terminal basis;
+    + the all-exact path ({!Simplex.run_phases} from the artificial
+      start).
 
     "Verify" means: reconstruct the basis inverse in {!Hydra_arith.Rat},
     check primal feasibility exactly (singular or infeasible candidates
-    are rejected to the next rung), then finish the solve from that
-    state with exact pivots. A basis that was in fact optimal finishes
+    are rejected to the next rung), then resume the exact instance of
+    the same engine from that state. A basis that was in fact optimal finishes
     with zero pivots; any pivots performed are a {e repair}, counted on
     the [simplex.verify_repairs] obs counter. Every reported solution is
     produced by exact arithmetic in all cases. *)

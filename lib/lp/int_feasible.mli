@@ -24,13 +24,14 @@ val solve :
   Lp.t -> status
 (** [solve lp] searches for a non-negative integer point satisfying every
     constraint. [max_nodes] bounds the branch-and-bound tree size
-    (default [2000]); [deadline] is an absolute [Unix.gettimeofday]
-    instant enforced both between nodes and inside each node's LP
-    relaxation. [mode] (default {!Simplex.Exact}) selects the per-node
-    solve path; [warm_basis] seeds the root node's verification with a
-    cached terminal basis and [root_basis] receives the root node's own
-    terminal basis — both apply to the root LP only, since child nodes
-    carry extra branching rows. *)
+    (default [2000]); [deadline] is an absolute
+    {!Hydra_obs.Mclock.now} instant (a monotonic clock) enforced both
+    between nodes and inside each node's LP relaxation. [mode] (default
+    {!Simplex.Exact}) selects the per-node solve path; [warm_basis]
+    seeds the root node's verification with a cached terminal basis and
+    [root_basis] receives the root node's own terminal basis — both
+    apply to the root LP only, since child nodes carry extra branching
+    rows. *)
 
 val check : Lp.t -> Bigint.t array -> bool
 (** Exact satisfaction check of an integer assignment. *)

@@ -1,6 +1,5 @@
 open Hydra_arith
 module Obs = Hydra_obs.Obs
-module Mclock = Hydra_obs.Mclock
 
 (* registry handles are created once at load time; every update is a
    single flag test when tracing is disabled *)
@@ -38,18 +37,6 @@ let stats_key =
 
 let last_stats () = Domain.DLS.get stats_key
 let set_stats s = Domain.DLS.set stats_key s
-
-(* Internal problem in computational form:
-     minimize c.x  s.t.  A x = b,  x >= 0,  b >= 0
-   Columns are stored sparsely; the basis inverse is dense (m x m). *)
-
-type tableau = {
-  m : int;  (* rows *)
-  n : int;  (* columns, incl. slacks and artificials *)
-  cols : (int * Rat.t) list array;  (* col -> (row, coef) list *)
-  b : Rat.t array;
-  art_first : int;  (* first artificial column index; n if none *)
-}
 
 let build_tableau lp =
   let constrs = Array.of_list (Lp.constraints lp) in
@@ -116,296 +103,143 @@ let build_tableau lp =
           basis.(i) <- !art;
           incr art)
     rows;
-  ({ m; n; cols; b; art_first }, basis)
+  ({ Pivot.m; n; cols; b; art_first }, basis)
 
-(* y.A_j for a sparse column *)
-let dot_col y col =
-  List.fold_left (fun acc (i, k) -> Rat.add acc (Rat.mul y.(i) k)) Rat.zero col
+(* The exact arithmetic: every sign question is decided, never Unsure.
+   Each Rat product allocates, so the kernels skip zero entries. *)
+module Exact_arith = struct
+  type t = {
+    cols : (int * Rat.t) list array;
+    binv : Rat.t array array;
+    xb : Rat.t array;
+    y : Rat.t array;
+    d : Rat.t array;
+    mutable c : Rat.t array;
+  }
 
-(* Binv . A_j *)
-let binv_col binv m col =
-  let d = Array.make m Rat.zero in
-  for i = 0 to m - 1 do
-    let row = binv.(i) in
-    d.(i) <- List.fold_left
-        (fun acc (r, k) -> Rat.add acc (Rat.mul row.(r) k))
-        Rat.zero col
-  done;
-  d
+  let of_int c =
+    if c > 0 then Pivot.Pos else if c < 0 then Pivot.Neg else Pivot.Zero
+  let sign q = of_int (Rat.sign q)
 
-(* Monotonic deadline and iteration ceiling shared by both phases. The
-   deadline lives on the Mclock timeline (see Pipeline), so wall-clock
-   adjustments can neither trigger nor defer it. An optimal basis is
-   always reported as such — the budget is only consulted when another
-   pivot would be needed — so a trivially solved system never times out,
-   and a [Timeout] verdict means real work was cut short. *)
-type budget = { deadline : float option; max_iters : int option }
+  let set_costs s c = s.c <- c
 
-let no_budget = { deadline = None; max_iters = None }
-
-let out_of_budget budget iter_count =
-  (match budget.max_iters with Some k -> iter_count > k | None -> false)
-  ||
-  match budget.deadline with
-  | Some d -> Mclock.now () > d
-  | None -> false
-
-(* HYDRA_SIMPLEX_BLAND is the degenerate-pivot run length after which
-   pricing falls back to Bland's rule. Any integer is accepted; zero or
-   a negative means "always Bland". A non-integer value warns once on
-   stderr and keeps the default instead of being silently ignored. *)
-let default_bland_threshold = 40
-let bland_warned = Atomic.make false
-
-let bland_threshold () =
-  match Sys.getenv_opt "HYDRA_SIMPLEX_BLAND" with
-  | None -> default_bland_threshold
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some k -> if k <= 0 then -1 (* always Bland *) else k
-      | None ->
-          if not (Atomic.exchange bland_warned true) then
-            Printf.eprintf
-              "hydra: ignoring HYDRA_SIMPLEX_BLAND=%s (not an integer); \
-               using default threshold %d\n\
-               %!"
-              s default_bland_threshold;
-          default_bland_threshold)
-
-(* One simplex run minimizing cost vector [c] (length n) from the given
-   basis state. [allowed j] filters columns that may enter. Mutates binv,
-   basis, xb. Returns `Optimal, `Unbounded or `Timeout. [pivots], when
-   given, counts basis changes (Basis_verify uses it to detect repairs).
-
-   Pricing is Dantzig's rule (most negative reduced cost) for speed; after
-   a run of consecutive degenerate pivots it falls back to Bland's rule,
-   whose anti-cycling guarantee restores termination. *)
-let optimize ?pivots ?(budget = no_budget) t binv basis xb c allowed iter_count
-    =
-  let { m; n; cols; _ } = t in
-  let y = Array.make m Rat.zero in
-  let in_basis = Array.make n false in
-  Array.iter (fun j -> in_basis.(j) <- true) basis;
-  let degenerate_run = ref 0 in
-  let rr_start = ref 0 in
-  let bland_threshold = bland_threshold () in
-  let was_bland = ref false in
-  let rec loop () =
-    incr iter_count;
-    (* y = cB . Binv *)
-    for i = 0 to m - 1 do
-      y.(i) <- Rat.zero
-    done;
+  let price s basis =
+    let m = Array.length s.y in
+    Array.fill s.y 0 m Rat.zero;
     for k = 0 to m - 1 do
-      let cb = c.(basis.(k)) in
+      let cb = s.c.(basis.(k)) in
       if not (Rat.is_zero cb) then
-        let row = binv.(k) in
+        let row = s.binv.(k) in
         for i = 0 to m - 1 do
           if not (Rat.is_zero row.(i)) then
-            y.(i) <- Rat.add y.(i) (Rat.mul cb row.(i))
+            s.y.(i) <- Rat.add s.y.(i) (Rat.mul cb row.(i))
         done
+    done
+
+  let reduced_cost s j =
+    sign
+      (List.fold_left
+         (fun acc (i, k) -> Rat.sub acc (Rat.mul s.y.(i) k))
+         s.c.(j) s.cols.(j))
+
+  let column s j =
+    Array.iteri
+      (fun i row ->
+        s.d.(i) <-
+          List.fold_left
+            (fun acc (r, k) -> Rat.add acc (Rat.mul row.(r) k))
+            Rat.zero s.cols.(j))
+      s.binv
+
+  let column_sign s i = sign s.d.(i)
+
+  let ratio s i l =
+    of_int (Rat.compare (Rat.mul s.xb.(i) s.d.(l)) (Rat.mul s.xb.(l) s.d.(i)))
+
+  let basic_sign s i = sign s.xb.(i)
+
+  let artificial_sum s basis ~art_first =
+    let sum = ref Rat.zero in
+    Array.iteri
+      (fun i bi -> if bi >= art_first then sum := Rat.add !sum s.xb.(i))
+      basis;
+    sign !sum
+
+  (* B^-1 update: scale the pivot row, eliminate it elsewhere *)
+  let update_binv s r =
+    let m = Array.length s.d in
+    let inv_dr = Rat.inv s.d.(r) in
+    let prow = s.binv.(r) in
+    for kx = 0 to m - 1 do
+      prow.(kx) <- Rat.mul prow.(kx) inv_dr
     done;
-    let bland = !degenerate_run > bland_threshold in
-    if bland && not !was_bland then Obs.incr m_bland 1;
-    was_bland := bland;
-    let entering = ref (-1) in
-    (try
-       if bland then
-         (* Bland: lowest-index negative column (guarantees termination) *)
-         for j = 0 to n - 1 do
-           if (not in_basis.(j)) && allowed j then begin
-             let rc = Rat.sub c.(j) (dot_col y t.cols.(j)) in
-             if Rat.sign rc < 0 then begin
-               entering := j;
-               raise Exit
-             end
-           end
-         done
-       else
-         (* round-robin partial pricing: first negative column scanning
-            from just after the previous entering column; avoids both
-            Bland's stalling on low indices and Dantzig's full scans *)
-         for k = 0 to n - 1 do
-           let j = (!rr_start + k) mod n in
-           if (not in_basis.(j)) && allowed j then begin
-             let rc = Rat.sub c.(j) (dot_col y t.cols.(j)) in
-             if Rat.sign rc < 0 then begin
-               entering := j;
-               rr_start := j + 1;
-               raise Exit
-             end
-           end
-         done
-     with Exit -> ());
-    let entering = !entering in
-    if entering < 0 then `Optimal
-    else if out_of_budget budget !iter_count then `Timeout
-    else begin
-      let d = binv_col binv m cols.(entering) in
-      (* ratio test with Bland tie-break on smallest basis variable index *)
-      let leave = ref (-1) and best = ref Rat.zero in
-      for i = 0 to m - 1 do
-        if Rat.sign d.(i) > 0 then begin
-          let ratio = Rat.div xb.(i) d.(i) in
-          if
-            !leave < 0
-            || Rat.compare ratio !best < 0
-            || (Rat.compare ratio !best = 0 && basis.(i) < basis.(!leave))
-          then begin
-            leave := i;
-            best := ratio
-          end
-        end
-      done;
-      if !leave < 0 then `Unbounded
-      else begin
-        let r = !leave in
-        let t_step = !best in
-        Obs.incr m_pivots 1;
-        (match pivots with Some p -> incr p | None -> ());
-        if Rat.is_zero t_step then begin
-          incr degenerate_run;
-          Obs.incr m_degenerate 1
-        end
-        else degenerate_run := 0;
-        (* update xb *)
-        for i = 0 to m - 1 do
-          if i <> r then xb.(i) <- Rat.sub xb.(i) (Rat.mul t_step d.(i))
-        done;
-        xb.(r) <- t_step;
-        (* update Binv: scale pivot row, eliminate elsewhere *)
-        let inv_dr = Rat.inv d.(r) in
-        let prow = binv.(r) in
+    for i = 0 to m - 1 do
+      let f = s.d.(i) in
+      if i <> r && not (Rat.is_zero f) then begin
+        let row = s.binv.(i) in
         for kx = 0 to m - 1 do
-          prow.(kx) <- Rat.mul prow.(kx) inv_dr
-        done;
-        for i = 0 to m - 1 do
-          if i <> r && not (Rat.is_zero d.(i)) then begin
-            let row = binv.(i) in
-            let f = d.(i) in
-            for kx = 0 to m - 1 do
-              if not (Rat.is_zero prow.(kx)) then
-                row.(kx) <- Rat.sub row.(kx) (Rat.mul f prow.(kx))
-            done
-          end
-        done;
-        in_basis.(basis.(r)) <- false;
-        in_basis.(entering) <- true;
-        basis.(r) <- entering;
-        loop ()
+          if not (Rat.is_zero prow.(kx)) then
+            row.(kx) <- Rat.sub row.(kx) (Rat.mul f prow.(kx))
+        done
       end
-    end
-  in
-  loop ()
+    done
+
+  let pivot s r ~degenerate =
+    (* a degenerate step is zero: xb does not move *)
+    if not degenerate then begin
+      let step = Rat.div s.xb.(r) s.d.(r) in
+      Array.iteri
+        (fun i di ->
+          if i <> r then s.xb.(i) <- Rat.sub s.xb.(i) (Rat.mul step di))
+        s.d;
+      s.xb.(r) <- step
+    end;
+    update_binv s r
+
+  let count = function
+    | Pivot.Pivot -> Obs.incr m_pivots 1
+    | Pivot.Degenerate -> Obs.incr m_degenerate 1
+    | Pivot.Bland_fallback -> Obs.incr m_bland 1
+end
+
+module Engine = Pivot.Make (Exact_arith)
 
 (* Both phases (and the artificial drive-out between them) from an
    arbitrary primal-feasible basis state [(binv, basis, xb)] — the
    identity/artificial start for a cold solve, a factorized candidate
    basis for Basis_verify. Mutates all three; [basis] holds the terminal
-   basis on return. From a basis that is already optimal this performs
-   no pivots (each phase prices once and stops), which is what makes
-   exact verification of a float-optimal basis cheap. *)
-let run_phases ?pivots ~budget t binv basis xb ~objective ~nvars iter_count =
-  let { m; n; _ } = t in
-  (* phase I: minimize the sum of artificials *)
-  let c1 = Array.make n Rat.zero in
-  for j = t.art_first to n - 1 do
-    c1.(j) <- Rat.one
-  done;
-  let phase1 =
-    optimize ?pivots ~budget t binv basis xb c1 (fun _ -> true) iter_count
+   basis on return. *)
+let run_phases ?pivots ~budget (t : Pivot.tableau) binv basis xb ~objective
+    ~nvars iter_count =
+  let m = t.Pivot.m in
+  let s =
+    {
+      Exact_arith.cols = t.Pivot.cols;
+      binv;
+      xb;
+      y = Array.make m Rat.zero;
+      d = Array.make m Rat.zero;
+      c = [||];
+    }
   in
-  match phase1 with
-  | `Timeout -> Timeout
-  | `Unbounded -> Infeasible (* cannot happen: phase I is bounded below *)
-  | `Optimal -> (
-      let art_value = ref Rat.zero in
-      Array.iteri
-        (fun i bi ->
-          if bi >= t.art_first then art_value := Rat.add !art_value xb.(i))
-        basis;
-      if Rat.sign !art_value > 0 then Infeasible
-      else begin
-        (* Drive basic artificials (at zero level) out of the basis so
-           phase II can never raise them. A row where no structural or
-           slack column has a nonzero entry is linearly dependent; its
-           artificial then stays pinned at zero under any pivot and can
-           safely remain basic. *)
-        if objective <> None then
-          for r = 0 to m - 1 do
-            if basis.(r) >= t.art_first then begin
-              let in_basis = Array.make n false in
-              Array.iter (fun j -> in_basis.(j) <- true) basis;
-              let j = ref 0 and found = ref (-1) in
-              while !found < 0 && !j < t.art_first do
-                if not in_basis.(!j) then begin
-                  let d = binv_col binv m t.cols.(!j) in
-                  if not (Rat.is_zero d.(r)) then found := !j else incr j
-                end
-                else incr j
-              done;
-              if !found >= 0 then begin
-                let entering = !found in
-                let d = binv_col binv m t.cols.(entering) in
-                (* degenerate pivot: step is zero since xb.(r) = 0 *)
-                let inv_dr = Rat.inv d.(r) in
-                let prow = binv.(r) in
-                for kx = 0 to m - 1 do
-                  prow.(kx) <- Rat.mul prow.(kx) inv_dr
-                done;
-                for i = 0 to m - 1 do
-                  if i <> r && not (Rat.is_zero d.(i)) then begin
-                    let row = binv.(i) in
-                    let f = d.(i) in
-                    for kx = 0 to m - 1 do
-                      if not (Rat.is_zero prow.(kx)) then
-                        row.(kx) <- Rat.sub row.(kx) (Rat.mul f prow.(kx))
-                    done
-                  end
-                done;
-                basis.(r) <- entering
-              end
-            end
-          done;
-        let phase2 =
-          match objective with
-          | None -> `Optimal
-          | Some obj ->
-              let c2 = Array.make n Rat.zero in
-              List.iter
-                (fun (v, k) ->
-                  if v < 0 || v >= nvars then
-                    invalid_arg "Simplex.solve: objective variable";
-                  c2.(v) <- Rat.add c2.(v) k)
-                obj;
-              (* artificials stay out in phase II *)
-              optimize ?pivots ~budget t binv basis xb c2
-                (fun j -> j < t.art_first)
-                iter_count
-        in
-        match phase2 with
-        | `Timeout -> Timeout
-        | `Unbounded -> Unbounded
-        | `Optimal ->
-            let x = Array.make nvars Rat.zero in
-            Array.iteri (fun i bi -> if bi < nvars then x.(bi) <- xb.(i)) basis;
-            Feasible x
-      end)
+  match Engine.run ?pivots ~budget t s basis ~objective ~nvars iter_count with
+  | Pivot.Optimal ->
+      let x = Array.make nvars Rat.zero in
+      Array.iteri (fun i bi -> if bi < nvars then x.(bi) <- xb.(i)) basis;
+      Feasible x
+  | Pivot.Infeasible -> Infeasible
+  | Pivot.Unbounded -> Unbounded
+  | Pivot.Timeout -> Timeout
+  | Pivot.Aborted -> assert false (* exact signs are never Unsure *)
 
-(* Metric/stat bookkeeping shared with Basis_verify, which counts its
-   whole verify-or-repair ladder as one logical solve. *)
-let note_solve ~rows ~cols =
-  Obs.incr m_solves 1;
-  set_stats { iterations = 0; rows; cols }
-
-let note_done ~iters ~rows ~cols =
-  set_stats { iterations = iters; rows; cols };
-  Obs.incr m_iterations iters
-
-let solve ?objective ?deadline ?max_iters ?basis_out lp =
-  let budget = { deadline; max_iters } in
+(* One logical solve: the tableau, the budget and the counters around
+   [rungs] (Basis_verify's warm-basis and float rungs, none in exact
+   mode) and, when no rung delivers, the cold exact run. *)
+let solve_with ~rungs ?objective ?deadline ?max_iters ?basis_out lp =
+  let budget = { Pivot.deadline; max_iters } in
   let t, basis = build_tableau lp in
-  let { m; n; _ } = t in
+  let { Pivot.m; n; _ } = t in
+  let nvars = Lp.num_vars lp in
   let iter_count = ref 0 in
   Obs.incr m_solves 1;
   set_stats { iterations = 0; rows = m; cols = n };
@@ -415,31 +249,38 @@ let solve ?objective ?deadline ?max_iters ?basis_out lp =
        negative *)
     match objective with
     | Some obj ->
-        let net = Array.make (Lp.num_vars lp) Rat.zero in
+        let net = Array.make nvars Rat.zero in
         List.iter
           (fun (v, c) ->
-            if v < 0 || v >= Lp.num_vars lp then
+            if v < 0 || v >= nvars then
               invalid_arg "Simplex.solve: objective variable";
             net.(v) <- Rat.add net.(v) c)
           obj;
         if Array.exists (fun c -> Rat.sign c < 0) net then Unbounded
-        else Feasible (Array.make (Lp.num_vars lp) Rat.zero)
-    | None -> Feasible (Array.make (Lp.num_vars lp) Rat.zero)
+        else Feasible (Array.make nvars Rat.zero)
+    | None -> Feasible (Array.make nvars Rat.zero)
   else begin
-    (* identity basis inverse; xb = b *)
-    let binv =
-      Array.init m (fun i ->
-          Array.init m (fun j -> if i = j then Rat.one else Rat.zero))
-    in
-    let xb = Array.copy t.b in
-    let result =
-      run_phases ~budget t binv basis xb ~objective ~nvars:(Lp.num_vars lp)
-        iter_count
+    let result, terminal =
+      match rungs ~budget t basis iter_count with
+      | Some r -> r
+      | None ->
+          (* identity basis inverse; xb = b *)
+          let binv =
+            Array.init m (fun i ->
+                Array.init m (fun j -> if i = j then Rat.one else Rat.zero))
+          in
+          let xb = Array.copy t.Pivot.b in
+          let st =
+            run_phases ~budget t binv basis xb ~objective ~nvars iter_count
+          in
+          (st, Array.copy basis)
     in
     (match (basis_out, result) with
-    | Some r, Feasible _ -> r := Some (Array.copy basis)
+    | Some r, Feasible _ -> r := Some terminal
     | _ -> ());
     set_stats { iterations = !iter_count; rows = m; cols = n };
     Obs.incr m_iterations !iter_count;
     result
   end
+
+let solve = solve_with ~rungs:(fun ~budget:_ _ _ _ -> None)

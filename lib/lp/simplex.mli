@@ -4,9 +4,10 @@
     feasible point of the cardinality-constraint system, which phase I
     delivers. Bland's rule guarantees termination; all arithmetic is exact
     ({!Hydra_arith.Rat}), so a reported solution satisfies the constraints
-    with zero error. The implementation is a revised simplex with an
-    explicitly maintained basis inverse, keeping cost proportional to the
-    number of rows rather than the (possibly huge) number of columns. *)
+    with zero error. This is the exact instance of the one revised-simplex
+    engine {!Pivot.Make}, with an explicitly maintained basis inverse,
+    keeping cost proportional to the number of rows rather than the
+    (possibly huge) number of columns. *)
 
 open Hydra_arith
 
@@ -17,9 +18,9 @@ type status =
   | Infeasible
   | Unbounded
   | Timeout
-      (** The wall-clock deadline or iteration budget was exhausted while
-          further pivots were still needed. Never returned for a system
-          whose start basis is already optimal, and never returned when no
+      (** The deadline or iteration budget was exhausted while further
+          pivots were still needed. Never returned for a system whose
+          start basis is already optimal, and never returned when no
           budget was supplied. *)
 
 type mode = Exact | Float_first
@@ -44,12 +45,12 @@ val solve :
   Lp.t -> status
 (** [solve lp] finds a feasible point of [lp]; with [~objective] it
     minimizes the given sparse linear objective over the feasible region.
-    [deadline] is an absolute [Unix.gettimeofday] instant and [max_iters]
-    a total pivot budget across both phases; exhausting either yields
-    {!Timeout} instead of looping indefinitely. When [basis_out] is given
-    and the result is {!Feasible}, it receives the terminal basis (one
-    tableau column index per row) — the payload cached for warm-started
-    verification. *)
+    [deadline] is an absolute {!Hydra_obs.Mclock.now} instant (a
+    monotonic clock) and [max_iters] a total pivot budget across both
+    phases; exhausting either yields {!Timeout} instead of looping
+    indefinitely. When [basis_out] is given and the result is
+    {!Feasible}, it receives the terminal basis (one tableau column index
+    per row) — the payload cached for warm-started verification. *)
 
 type stats = { iterations : int; rows : int; cols : int }
 
@@ -58,35 +59,14 @@ val last_stats : unit -> stats
 
 (** {2 Internal surface}
 
-    Shared with {!Simplex_f} (the float shadow) and {!Basis_verify} (the
-    exact verifier); not meant for other callers. *)
-
-type tableau = {
-  m : int;  (** rows *)
-  n : int;  (** columns, incl. slacks and artificials *)
-  cols : (int * Rat.t) list array;  (** col -> (row, coef) list *)
-  b : Rat.t array;  (** right-hand side, normalized non-negative *)
-  art_first : int;  (** first artificial column index; [n] if none *)
-}
-
-val build_tableau : Lp.t -> tableau * int array
-(** Computational form plus the artificial/slack start basis. *)
-
-type budget = { deadline : float option; max_iters : int option }
-
-val no_budget : budget
-val out_of_budget : budget -> int -> bool
-
-val bland_threshold : unit -> int
-(** Degenerate-pivot run length after which pricing falls back to
-    Bland's rule, from [HYDRA_SIMPLEX_BLAND] (any integer; [0] or a
-    negative value means "always Bland"; a non-integer warns once on
-    stderr and keeps the default of 40). *)
+    For {!Basis_verify}, which runs the float instance ({!Simplex_f})
+    and then resumes this exact instance of {!Pivot.Make} from the
+    candidate basis; not meant for other callers. *)
 
 val run_phases :
   ?pivots:int ref ->
-  budget:budget ->
-  tableau ->
+  budget:Pivot.budget ->
+  Pivot.tableau ->
   Rat.t array array ->
   int array ->
   Rat.t array ->
@@ -95,14 +75,22 @@ val run_phases :
   int ref ->
   status
 (** [run_phases ~budget t binv basis xb ~objective ~nvars iter_count]
-    runs phase I, the artificial drive-out, and phase II from the given
-    primal-feasible basis state, mutating [binv]/[basis]/[xb]. From an
-    already-optimal basis this performs no pivots — exact verification
-    of a float-optimal basis costs one pricing pass per phase.
-    [pivots], when given, counts basis changes (how {!Basis_verify}
-    detects that repair happened). *)
+    runs the exact engine from the given primal-feasible basis state,
+    mutating [binv]/[basis]/[xb]. From an already-optimal basis this
+    performs no pivots. [pivots], when given, counts basis changes (how
+    {!Basis_verify} detects that repair happened). *)
 
-val note_solve : rows:int -> cols:int -> unit
-val note_done : iters:int -> rows:int -> cols:int -> unit
-(** Counter/stats bookkeeping bracketing one logical solve, for
-    {!Basis_verify}'s verify-or-repair ladder. *)
+val solve_with :
+  rungs:
+    (budget:Pivot.budget -> Pivot.tableau -> int array -> int ref ->
+    (status * int array) option) ->
+  ?objective:(int * Rat.t) list ->
+  ?deadline:float ->
+  ?max_iters:int ->
+  ?basis_out:int array option ref ->
+  Lp.t ->
+  status
+(** {!solve}, first trying [rungs ~budget t start_basis iter_count]: a
+    [Some (status, terminal basis)] answer is the solve's result, [None]
+    falls through to the cold exact run. The rungs share the solve's
+    budget and iteration count. *)

@@ -3,19 +3,16 @@ module Obs = Hydra_obs.Obs
 
 let m_float_pivots = Obs.counter "simplex.float_pivots"
 
-(* Float shadow of the exact revised simplex (Simplex.optimize /
-   Simplex.run_phases): the same tableau, the same two phases, the same
-   round-robin/Bland pricing, the same ratio test and tie-breaks — but
-   every Rat operation replaced by a double, so pivots cost nanoseconds
-   instead of Bigint allocations.
+(* The float arithmetic of the one simplex engine (Pivot.Make; its
+   interface states the path-identity contract): every Rat replaced by
+   a double, so pivots cost nanoseconds instead of Bigint allocations.
 
-   The shadow never decides anything on its own authority. Every sign
-   or zero test that steers the pivot sequence carries a running error
-   bound [err] alongside its value [q], and is classified against it:
+   Every sign question the engine asks is answered from a value [q]
+   and a running error bound [err]:
 
-     |q| <= err         -> trust "zero"
-     |q| >= gap * err   -> trust the sign
-     otherwise          -> Ambiguous: bail out to the exact path
+     |q| <= err         -> Zero
+     |q| >= gap * err   -> Pos / Neg
+     otherwise          -> Unsure: the engine aborts to the exact path
 
    [err] is a first-order forward error bound assembled from two
    ingredients per input: a relative slack [eps_c] (summation roundoff
@@ -32,27 +29,9 @@ let m_float_pivots = Obs.counter "simplex.float_pivots"
    [refactor_every] pivots.
 
    The classification is a path-fidelity heuristic, not a soundness
-   device: when every decision is decisive the float pivot sequence is
-   identical to the exact solver's, so the terminal basis handed to
-   Basis_verify factorizes to exactly the state the all-exact path
-   would have reached — which is what makes float-first summaries
-   byte-identical to exact-mode summaries. A decision the bound wrongly
-   trusts (true values below the floor, adversarial denominators — see
-   the pinned repair test) merely sends a different terminal basis to
-   the exact verification step, which repairs or rejects it; only path
-   identity is at stake, never correctness. *)
-
-type verdict =
-  | Terminal of int array
-      (** Candidate terminal basis (phase-complete, infeasible-looking,
-          or unbounded-looking) — always re-derived exactly by
-          Basis_verify before anything is reported. *)
-  | Ambiguous
-      (** Some pivot decision fell inside the guard band; the caller
-          must fall back to the all-exact path. *)
-  | Timeout_f  (** budget exhausted while further pivots were needed *)
-
-exception Ambiguous_exn
+   device: an answer the bound wrongly trusts (true values below the
+   floor, adversarial denominators — see the pinned repair test) only
+   sends Basis_verify a different terminal basis to repair or reject. *)
 
 (* per-input relative slack: summation roundoff plus the relative part
    of the drift accumulated over at most [refactor_every] pivots *)
@@ -82,50 +61,79 @@ let refactor_every = 64
 (* classify decision quantity [q] carrying forward error bound [err] *)
 let classify q err =
   let a = Float.abs q in
-  if a <= err then `Zero
-  else if a >= gap *. err then if q < 0.0 then `Neg else `Pos
-  else raise Ambiguous_exn
+  if a <= err then Pivot.Zero
+  else if a >= gap *. err then if q < 0.0 then Pivot.Neg else Pivot.Pos
+  else Pivot.Unsure
 
-let run ~budget t basis ~objective ~nvars iter_count =
-  let { Simplex.m; n; cols; b; art_first } = t in
-  let fcols =
-    Array.map (List.map (fun (i, k) -> (i, Rat.to_float k))) cols
-  in
-  let fb = Array.map Rat.to_float b in
-  let ident i j = if i = j then 1.0 else 0.0 in
-  let binv = Array.init m (fun i -> Array.init m (ident i)) in
-  let xb = Array.copy fb in
-  (* largest |entry| the basis inverse has held since the last
-     refactorization: scales the absolute drift floor on its entries *)
-  let bscale = ref 1.0 in
-  let bump_bscale v =
+module Float_arith = struct
+  type t = {
+    fcols : (int * float) list array;
+    fb : float array;
+    basis : int array;  (* the engine's basis, read by [refactor] *)
+    binv : float array array;
+    xb : float array;
+    mutable c : float array;
+    y : float array;
+    yerr : float array;
+    d : float array;
+    derr : float array;
+    (* largest |entry| the basis inverse has held since the last
+       refactorization: scales the absolute drift floor on its entries *)
+    mutable bscale : float;
+    (* 1 + the basic solution's infinity norm, refreshed after every
+       pivot: scales the absolute drift floor on its entries *)
+    mutable xscale : float;
+    mutable since_refactor : int;
+  }
+
+  let bump_bscale s v =
     let a = Float.abs v in
-    if a > !bscale then bscale := a
-  in
-  (* local scale of the basic solution: 1 + its infinity norm, refreshed
-     after every pivot — scales the absolute drift floor on its
-     entries *)
-  let xscale = ref 1.0 in
-  let refresh_xscale () =
-    let s = ref 1.0 in
-    for i = 0 to m - 1 do
-      let a = Float.abs xb.(i) in
-      if a > !s then s := a
+    if a > s.bscale then s.bscale <- a
+
+  let refresh_xscale s =
+    let sc = ref 1.0 in
+    for i = 0 to Array.length s.xb - 1 do
+      let a = Float.abs s.xb.(i) in
+      if a > !sc then sc := a
     done;
-    xscale := !s
-  in
-  refresh_xscale ();
+    s.xscale <- !sc
+
+  let ident i j = if i = j then 1.0 else 0.0
+
+  let create (t : Pivot.tableau) basis =
+    let m = t.Pivot.m in
+    let fb = Array.map Rat.to_float t.Pivot.b in
+    let s =
+      {
+        fcols = Array.map (List.map (fun (i, k) -> (i, Rat.to_float k))) t.cols;
+        fb;
+        basis;
+        binv = Array.init m (fun i -> Array.init m (ident i));
+        xb = Array.copy fb;
+        c = [||];
+        y = Array.make m 0.0;
+        yerr = Array.make m 0.0;
+        d = Array.make m 0.0;
+        derr = Array.make m 0.0;
+        bscale = 1.0;
+        xscale = 1.0;
+        since_refactor = 0;
+      }
+    in
+    refresh_xscale s;
+    s
+
   (* drift control: rebuild binv = B^{-1} by Gauss-Jordan with partial
      pivoting on the original (exactly representable) column data, then
-     recompute xb = binv . b. Called every [refactor_every] pivots. *)
-  let since_refactor = ref 0 in
-  let refactor () =
-    since_refactor := 0;
+     recompute xb = binv . b *)
+  let refactor s =
+    s.since_refactor <- 0;
+    let m = Array.length s.xb in
     let a = Array.make_matrix m m 0.0 in
     for k = 0 to m - 1 do
       List.iter
         (fun (i, v) -> a.(i).(k) <- a.(i).(k) +. v)
-        fcols.(basis.(k))
+        s.fcols.(s.basis.(k))
     done;
     let inv = Array.init m (fun i -> Array.init m (ident i)) in
     for col = 0 to m - 1 do
@@ -135,7 +143,7 @@ let run ~budget t basis ~objective ~nvars iter_count =
       done;
       (* the true basis matrix is exactly invertible, so a vanishing
          float pivot means the shadow lost the plot *)
-      if Float.abs a.(!piv).(col) = 0.0 then raise Ambiguous_exn;
+      if Float.abs a.(!piv).(col) = 0.0 then raise Pivot.Undecided;
       if !piv <> col then begin
         let t = a.(col) in
         a.(col) <- a.(!piv);
@@ -164,286 +172,153 @@ let run ~budget t basis ~objective ~nvars iter_count =
       done
     done;
     for i = 0 to m - 1 do
-      Array.blit inv.(i) 0 binv.(i) 0 m
+      Array.blit inv.(i) 0 s.binv.(i) 0 m
     done;
-    bscale := 1.0;
+    s.bscale <- 1.0;
     for i = 0 to m - 1 do
-      let row = binv.(i) in
+      let row = s.binv.(i) in
       for j = 0 to m - 1 do
-        bump_bscale row.(j)
+        bump_bscale s row.(j)
       done
     done;
     for i = 0 to m - 1 do
-      let row = binv.(i) in
-      let s = ref 0.0 in
+      let row = s.binv.(i) in
+      let acc = ref 0.0 in
       for j = 0 to m - 1 do
-        s := !s +. (row.(j) *. fb.(j))
+        acc := !acc +. (row.(j) *. s.fb.(j))
       done;
-      xb.(i) <- !s
+      s.xb.(i) <- !acc
     done;
-    refresh_xscale ();
+    refresh_xscale s;
     (* basic values that are exactly zero in the exact solver (pinned
        degenerate rows) come back from binv . b as ~1e-13 noise; snap
        them to 0.0 so degenerate ratio-test ties keep resolving by
        index, exactly as the exact solver resolves them *)
-    let snap = xerr_rel *. !xscale in
+    let snap = xerr_rel *. s.xscale in
     for i = 0 to m - 1 do
-      if Float.abs xb.(i) <= snap then xb.(i) <- 0.0
+      if Float.abs s.xb.(i) <= snap then s.xb.(i) <- 0.0
     done
-  in
-  let bump_refactor () =
-    incr since_refactor;
-    if !since_refactor >= refactor_every then refactor ()
-  in
-  let bland_threshold = Simplex.bland_threshold () in
+
+  let set_costs s c = s.c <- Array.map Rat.to_float c
+
+  (* y = cB . Binv, with a forward error bound per entry *)
+  let price s basis =
+    let m = Array.length s.y in
+    Array.fill s.y 0 m 0.0;
+    Array.fill s.yerr 0 m 0.0;
+    let bfloor = drift_rel *. s.bscale in
+    for k = 0 to m - 1 do
+      let cb = s.c.(basis.(k)) in
+      if cb <> 0.0 then begin
+        let row = s.binv.(k) in
+        let acb = Float.abs cb in
+        for i = 0 to m - 1 do
+          s.y.(i) <- s.y.(i) +. (cb *. row.(i));
+          s.yerr.(i) <-
+            s.yerr.(i) +. (acb *. (bfloor +. (eps_c *. Float.abs row.(i))))
+        done
+      end
+    done
+
+  let reduced_cost s j =
+    let rc = ref s.c.(j) and err = ref (eps_c *. Float.abs s.c.(j)) in
+    List.iter
+      (fun (i, k) ->
+        rc := !rc -. (s.y.(i) *. k);
+        err :=
+          !err +. ((s.yerr.(i) +. (eps_c *. Float.abs s.y.(i))) *. Float.abs k))
+      s.fcols.(j);
+    classify !rc !err
+
   (* d = Binv . A_j, with a forward error bound per entry: each inverse
      entry contributes its absolute drift floor plus a relative slack *)
-  let tableau_col j d de =
-    Array.fill d 0 m 0.0;
-    Array.fill de 0 m 0.0;
-    let bfloor = drift_rel *. !bscale in
+  let column s j =
+    let m = Array.length s.d in
+    Array.fill s.d 0 m 0.0;
+    Array.fill s.derr 0 m 0.0;
+    let bfloor = drift_rel *. s.bscale in
     for i = 0 to m - 1 do
-      let row = binv.(i) in
+      let row = s.binv.(i) in
       List.iter
         (fun (r, k) ->
-          d.(i) <- d.(i) +. (row.(r) *. k);
-          de.(i) <-
-            de.(i) +. ((bfloor +. (eps_c *. Float.abs row.(r))) *. Float.abs k))
-        fcols.(j)
+          s.d.(i) <- s.d.(i) +. (row.(r) *. k);
+          s.derr.(i) <-
+            s.derr.(i)
+            +. ((bfloor +. (eps_c *. Float.abs row.(r))) *. Float.abs k))
+        s.fcols.(j)
     done
-  in
-  (* mirror of Simplex.optimize *)
-  let optimize_f c =
-    fun allowed ->
-      let y = Array.make m 0.0 and yerr = Array.make m 0.0 in
-      let d = Array.make m 0.0 and derr = Array.make m 0.0 in
-      let in_basis = Array.make n false in
-      Array.iter (fun j -> in_basis.(j) <- true) basis;
-      let degenerate_run = ref 0 in
-      let rr_start = ref 0 in
-      (* reduced cost of column j, classified *)
-      let rc_class j =
-        let rc = ref c.(j) and err = ref (eps_c *. Float.abs c.(j)) in
-        List.iter
-          (fun (i, k) ->
-            rc := !rc -. (y.(i) *. k);
-            err :=
-              !err
-              +. ((yerr.(i) +. (eps_c *. Float.abs y.(i))) *. Float.abs k))
-          fcols.(j);
-        classify !rc !err
-      in
-      let rec loop () =
-        incr iter_count;
-        (* y = cB . Binv *)
-        for i = 0 to m - 1 do
-          y.(i) <- 0.0;
-          yerr.(i) <- 0.0
-        done;
-        let bfloor = drift_rel *. !bscale in
-        for k = 0 to m - 1 do
-          let cb = c.(basis.(k)) in
-          if cb <> 0.0 then begin
-            let row = binv.(k) in
-            let acb = Float.abs cb in
-            for i = 0 to m - 1 do
-              y.(i) <- y.(i) +. (cb *. row.(i));
-              yerr.(i) <-
-                yerr.(i) +. (acb *. (bfloor +. (eps_c *. Float.abs row.(i))))
-            done
-          end
-        done;
-        let bland = !degenerate_run > bland_threshold in
-        let entering = ref (-1) in
-        (try
-           if bland then
-             for j = 0 to n - 1 do
-               if (not in_basis.(j)) && allowed j then
-                 match rc_class j with
-                 | `Neg ->
-                     entering := j;
-                     raise Exit
-                 | `Zero | `Pos -> ()
-             done
-           else
-             for k = 0 to n - 1 do
-               let j = (!rr_start + k) mod n in
-               if (not in_basis.(j)) && allowed j then
-                 match rc_class j with
-                 | `Neg ->
-                     entering := j;
-                     rr_start := j + 1;
-                     raise Exit
-                 | `Zero | `Pos -> ()
-             done
-         with Exit -> ());
-        let entering = !entering in
-        if entering < 0 then `Optimal
-        else if Simplex.out_of_budget budget !iter_count then `Timeout
-        else begin
-          tableau_col entering d derr;
-          (* ratio test; the running best is compared by
-             cross-multiplication (both pivots are positive), ties break
-             on the smallest basis variable index as in the exact
-             solver *)
-          let leave = ref (-1) in
-          (* absolute drift floor for basic-solution entries: covers
-             the roundoff of the xb updates themselves *)
-          let xerr = xerr_rel *. !xscale in
-          for i = 0 to m - 1 do
-            match classify d.(i) derr.(i) with
-            | `Pos ->
-                if !leave < 0 then leave := i
-                else begin
-                  let l = !leave in
-                  let q = (xb.(i) *. d.(l)) -. (xb.(l) *. d.(i)) in
-                  let err =
-                    ((Float.abs xb.(i) +. xerr) *. derr.(l))
-                    +. ((Float.abs xb.(l) +. xerr) *. derr.(i))
-                    +. (xerr *. (Float.abs d.(l) +. Float.abs d.(i)))
-                  in
-                  match classify q err with
-                  | `Neg -> leave := i
-                  | `Zero -> if basis.(i) < basis.(l) then leave := i
-                  | `Pos -> ()
-                end
-            | `Zero | `Neg -> ()
-          done;
-          if !leave < 0 then `Unbounded
-          else begin
-            let r = !leave in
-            Obs.incr m_float_pivots 1;
-            let degenerate =
-              match classify xb.(r) (xerr_rel *. !xscale) with
-              | `Zero -> true
-              | `Pos -> false
-              | `Neg -> raise Ambiguous_exn (* xb must stay >= 0 *)
-            in
-            (* the exact step is xb_r / d_r, zero exactly when xb_r is:
-               pin the float step to 0 on degenerate pivots so xb
-               mirrors the exact updates bit-for-bit in that case *)
-            let t_step = if degenerate then 0.0 else xb.(r) /. d.(r) in
-            if degenerate then incr degenerate_run
-            else degenerate_run := 0;
-            for i = 0 to m - 1 do
-              if i <> r then xb.(i) <- xb.(i) -. (t_step *. d.(i))
-            done;
-            xb.(r) <- t_step;
-            let inv_dr = 1.0 /. d.(r) in
-            let prow = binv.(r) in
-            for kx = 0 to m - 1 do
-              prow.(kx) <- prow.(kx) *. inv_dr;
-              bump_bscale prow.(kx)
-            done;
-            for i = 0 to m - 1 do
-              if i <> r && d.(i) <> 0.0 then begin
-                let row = binv.(i) in
-                let f = d.(i) in
-                for kx = 0 to m - 1 do
-                  row.(kx) <- row.(kx) -. (f *. prow.(kx));
-                  bump_bscale row.(kx)
-                done
-              end
-            done;
-            in_basis.(basis.(r)) <- false;
-            in_basis.(entering) <- true;
-            basis.(r) <- entering;
-            refresh_xscale ();
-            bump_refactor ();
-            loop ()
-          end
-        end
-      in
-      loop ()
-  in
-  try
-    (* phase I: minimize the sum of artificials *)
-    let c1 = Array.make n 0.0 in
-    for j = art_first to n - 1 do
-      c1.(j) <- 1.0
+
+  let column_sign s i = classify s.d.(i) s.derr.(i)
+
+  (* cross-multiplied, so both ratios keep their error bounds; the
+     absolute drift floor on basic values covers the roundoff of the xb
+     updates themselves *)
+  let ratio s i l =
+    let xerr = xerr_rel *. s.xscale in
+    let xb = s.xb and d = s.d and derr = s.derr in
+    classify
+      ((xb.(i) *. d.(l)) -. (xb.(l) *. d.(i)))
+      (((Float.abs xb.(i) +. xerr) *. derr.(l))
+      +. ((Float.abs xb.(l) +. xerr) *. derr.(i))
+      +. (xerr *. (Float.abs d.(l) +. Float.abs d.(i))))
+
+  let basic_sign s i = classify s.xb.(i) (xerr_rel *. s.xscale)
+
+  let artificial_sum s basis ~art_first =
+    let xerr = xerr_rel *. s.xscale in
+    let art = ref 0.0 and arterr = ref xerr in
+    Array.iteri
+      (fun i bi ->
+        if bi >= art_first then begin
+          art := !art +. s.xb.(i);
+          arterr := !arterr +. xerr +. (eps_c *. Float.abs s.xb.(i))
+        end)
+      basis;
+    classify !art !arterr
+
+  let bump_refactor s =
+    s.since_refactor <- s.since_refactor + 1;
+    if s.since_refactor >= refactor_every then refactor s
+
+  let update_binv s r =
+    let m = Array.length s.d in
+    let inv_dr = 1.0 /. s.d.(r) in
+    let prow = s.binv.(r) in
+    for kx = 0 to m - 1 do
+      prow.(kx) <- prow.(kx) *. inv_dr;
+      bump_bscale s prow.(kx)
     done;
-    match optimize_f c1 (fun _ -> true) with
-    | `Timeout -> Timeout_f
-    | `Unbounded ->
-        (* phase I is bounded below; a float-unbounded verdict means the
-           shadow went wrong — the exact re-derivation will say so *)
-        Terminal (Array.copy basis)
-    | `Optimal -> (
-        let xerr = xerr_rel *. !xscale in
-        let art = ref 0.0 and arterr = ref xerr in
-        Array.iteri
-          (fun i bi ->
-            if bi >= art_first then begin
-              art := !art +. xb.(i);
-              arterr := !arterr +. xerr +. (eps_c *. Float.abs xb.(i))
-            end)
-          basis;
-        match classify !art !arterr with
-        | `Neg -> Ambiguous (* basic values drifted negative *)
-        | `Pos ->
-            (* infeasible-looking: the basis is itself the certificate,
-               checked exactly by the verifier *)
-            Terminal (Array.copy basis)
-        | `Zero -> (
-            match objective with
-            | None -> Terminal (Array.copy basis)
-            | Some obj ->
-                (* drive-out replay: same scan as Simplex.run_phases *)
-                let d = Array.make m 0.0 and derr = Array.make m 0.0 in
-                for r = 0 to m - 1 do
-                  if basis.(r) >= art_first then begin
-                    let in_basis = Array.make n false in
-                    Array.iter (fun j -> in_basis.(j) <- true) basis;
-                    let j = ref 0 and found = ref (-1) in
-                    while !found < 0 && !j < art_first do
-                      if not in_basis.(!j) then begin
-                        tableau_col !j d derr;
-                        match classify d.(r) derr.(r) with
-                        | `Pos | `Neg -> found := !j
-                        | `Zero -> incr j
-                      end
-                      else incr j
-                    done;
-                    if !found >= 0 then begin
-                      tableau_col !found d derr;
-                      (* degenerate pivot: xb.(r) = 0, xb untouched *)
-                      let inv_dr = 1.0 /. d.(r) in
-                      let prow = binv.(r) in
-                      for kx = 0 to m - 1 do
-                        prow.(kx) <- prow.(kx) *. inv_dr;
-                        bump_bscale prow.(kx)
-                      done;
-                      for i = 0 to m - 1 do
-                        if i <> r && d.(i) <> 0.0 then begin
-                          let row = binv.(i) in
-                          let f = d.(i) in
-                          for kx = 0 to m - 1 do
-                            row.(kx) <- row.(kx) -. (f *. prow.(kx));
-                            bump_bscale row.(kx)
-                          done
-                        end
-                      done;
-                      basis.(r) <- !found;
-                      bump_refactor ()
-                    end
-                  end
-                done;
-                (* phase II costs, accumulated exactly then converted —
-                   duplicate objective mentions must collapse the same
-                   way they do in the exact solver *)
-                let c2r = Array.make n Rat.zero in
-                (try
-                   List.iter
-                     (fun (v, k) ->
-                       if v < 0 || v >= nvars then raise Exit;
-                       c2r.(v) <- Rat.add c2r.(v) k)
-                     obj
-                 with Exit ->
-                   (* invalid objective: let the exact path raise its
-                      documented Invalid_argument *)
-                   raise Ambiguous_exn);
-                let c2 = Array.map Rat.to_float c2r in
-                (match optimize_f c2 (fun j -> j < art_first) with
-                | `Timeout -> Timeout_f
-                | `Unbounded | `Optimal -> Terminal (Array.copy basis))))
-  with Ambiguous_exn -> Ambiguous
+    for i = 0 to m - 1 do
+      let f = s.d.(i) in
+      if i <> r && f <> 0.0 then begin
+        let row = s.binv.(i) in
+        for kx = 0 to m - 1 do
+          row.(kx) <- row.(kx) -. (f *. prow.(kx));
+          bump_bscale s row.(kx)
+        done
+      end
+    done
+
+  let pivot s r ~degenerate =
+    (* the exact step is xb_r / d_r, zero exactly when xb_r is: pin the
+       float step to 0 on degenerate pivots so xb mirrors the exact
+       updates bit-for-bit in that case *)
+    let step = if degenerate then 0.0 else s.xb.(r) /. s.d.(r) in
+    for i = 0 to Array.length s.xb - 1 do
+      if i <> r then s.xb.(i) <- s.xb.(i) -. (step *. s.d.(i))
+    done;
+    s.xb.(r) <- step;
+    update_binv s r;
+    refresh_xscale s;
+    bump_refactor s
+
+  let count = function
+    | Pivot.Pivot -> Obs.incr m_float_pivots 1
+    | Pivot.Degenerate | Pivot.Bland_fallback -> ()
+end
+
+module Engine = Pivot.Make (Float_arith)
+
+let run ~budget t basis ~objective ~nvars iter_count =
+  Engine.run ~budget t (Float_arith.create t basis) basis ~objective ~nvars
+    iter_count

@@ -1,42 +1,31 @@
-(** Float shadow of the exact revised simplex.
+(** The float arithmetic of the one revised-simplex engine
+    ({!Pivot.Make}).
 
-    Replays {!Simplex}'s pivot rules — two phases, round-robin/Bland
-    pricing, ratio test with Bland tie-breaks — in double precision over
-    the same tableau. Every sign/zero decision carries a first-order
-    forward error bound (relative slack plus an absolute drift floor on
-    basis-inverse and basic-solution entries, kept tight by periodic
-    refactorization); a decision that does not clear its bound by a
-    fixed gap factor aborts the shadow ({!Ambiguous}) instead of
-    guessing. When no decision is ambiguous the float pivot sequence
-    equals the exact one, so the returned terminal basis is exactly what
-    the all-exact path would have reached — {!Basis_verify} then
-    reconstructs the solution in exact arithmetic.
+    Runs the engine in double precision over the same tableau. Every
+    sign question carries a first-order forward error bound (relative
+    slack plus an absolute drift floor on basis-inverse and
+    basic-solution entries, kept tight by refactorizing every 64
+    pivots); an answer that does not clear its bound by a fixed gap
+    factor is [Unsure], and the engine aborts ([Pivot.Aborted])
+    instead of guessing.
 
     This module never reports a solution itself; its output is only a
-    candidate basis. *)
+    candidate basis, which {!Basis_verify} checks in exact arithmetic. *)
 
 open Hydra_arith
 
-type verdict =
-  | Terminal of int array
-      (** Candidate terminal basis (phase-complete, infeasible-looking,
-          or unbounded-looking) — always re-derived exactly by
-          {!Basis_verify} before anything is reported. *)
-  | Ambiguous
-      (** Some pivot decision failed to clear its error bound; fall
-          back to the all-exact path. *)
-  | Timeout_f  (** budget exhausted while further pivots were needed *)
-
 val run :
-  budget:Simplex.budget ->
-  Simplex.tableau ->
+  budget:Pivot.budget ->
+  Pivot.tableau ->
   int array ->
   objective:(int * Rat.t) list option ->
   nvars:int ->
   int ref ->
-  verdict
-(** [run ~budget t basis ~objective ~nvars iter_count] runs the shadow
-    from the artificial/slack start basis (mutated in place). Shares the
-    caller's iteration count, so the budget contract matches the exact
-    solver's. Float pivots are counted on the
-    [simplex.float_pivots] obs counter. *)
+  Pivot.outcome
+(** [run ~budget t basis ~objective ~nvars iter_count] runs the float
+    engine from the artificial/slack start basis, which it mutates into
+    the candidate terminal basis (unless the outcome is
+    [Pivot.Aborted] or [Pivot.Timeout]). Shares the caller's
+    iteration count, so the budget contract matches the exact solver's.
+    Float pivots are counted on the [simplex.float_pivots] obs
+    counter. *)

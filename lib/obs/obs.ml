@@ -159,10 +159,10 @@ type hcell = {
 }
 
 (* per-span-name aggregate, fed by [with_span]: durations plus the GC
-   allocation accrued inside the span (minor + major words, read from
-   [Gc.quick_stat] at open and close; both counters are domain-local in
-   OCaml 5, and a span opens and closes on one domain). Nested spans
-   double-count allocation exactly like they double-count seconds. *)
+   allocation accrued inside the span (minor + major words, read by
+   [alloc_words] at open and close; a span opens and closes on one
+   domain). Nested spans double-count allocation exactly like they
+   double-count seconds. *)
 type scell = {
   mutable sc_count : int;
   mutable sc_seconds : float;
@@ -354,6 +354,18 @@ let span_attr k v =
     | s :: _ -> s.os_attrs <- (k, v) :: s.os_attrs
   end
 
+(* The calling domain's allocation so far, live. [Gc.quick_stat] will not
+   do: its figures for the calling domain only move when a minor
+   collection or major slice folds them in, so a span would be charged
+   with words allocated before it opened, and it adds the last sampled
+   figures of every other domain. [Gc.minor_words] reads the allocation
+   pointer, and [Gc.counters]'s major figure includes the words not yet
+   folded in (its minor figure is misscaled in OCaml 5.1, so it is not
+   used). *)
+let alloc_words () =
+  let _, _, major = Gc.counters () in
+  (Gc.minor_words (), major)
+
 let close_span os =
   let t1 = Mclock.now () in
   let sh = my_shard () in
@@ -371,18 +383,18 @@ let close_span os =
   let agg = span_cell sh os.os_name in
   agg.sc_count <- agg.sc_count + 1;
   agg.sc_seconds <- agg.sc_seconds +. (sp.sp_end -. sp.sp_start);
-  let g = Gc.quick_stat () in
+  let minor, major = alloc_words () in
   agg.sc_minor_words <-
-    agg.sc_minor_words +. Float.max 0.0 (g.Gc.minor_words -. os.os_minor0);
+    agg.sc_minor_words +. Float.max 0.0 (minor -. os.os_minor0);
   agg.sc_major_words <-
-    agg.sc_major_words +. Float.max 0.0 (g.Gc.major_words -. os.os_major0);
+    agg.sc_major_words +. Float.max 0.0 (major -. os.os_major0);
   deliver (fun s -> s.sink_span sp)
 
 let with_span ?(attrs = []) name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
     let sh = my_shard () in
-    let g0 = Gc.quick_stat () in
+    let minor0, major0 = alloc_words () in
     let os =
       {
         os_id = 1 + Atomic.fetch_and_add next_id 1;
@@ -390,8 +402,8 @@ let with_span ?(attrs = []) name f =
           (match sh.sh_stack with [] -> -1 | s :: _ -> s.os_id);
         os_name = name;
         os_start = Mclock.now ();
-        os_minor0 = g0.Gc.minor_words;
-        os_major0 = g0.Gc.major_words;
+        os_minor0 = minor0;
+        os_major0 = major0;
         os_attrs = List.rev attrs;
       }
     in

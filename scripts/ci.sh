@@ -10,12 +10,14 @@
 # CLI, resumed from the run journal).
 #
 # The gate re-runs the cheap bench targets (smoke, audit, cache,
-# robust, obs, synth, serve) and compares their fresh
+# robust, obs, synth, serve, solve) and compares their fresh
 # BENCH_<target>.json artifacts
 # against bench/baselines/. robust asserts the crash-safety invariants
 # end to end: retried_tasks, replayed_views, retry_identical and
 # resume_identical must match the baseline exactly; obs bounds the
 # exporter-stack overhead_ratio and requires observation to stay pure.
+# solve gates the simplex engine: float-first at most 0.5x the exact
+# wall time, byte-identical summaries, and every view on the Exact rung.
 # Timing/allocation fields pass within BENCH_CHECK_TOLERANCE (default
 # 8x); every other field must match exactly.
 #

@@ -82,6 +82,29 @@ let test_span_closed_on_exception () =
     "span aggregate recorded despite the raise" (Some 1.0)
     (List.assoc_opt "span.boom.count" kvs)
 
+(* ---- span allocation ---- *)
+
+(* a span is charged with the words allocated inside it, even when no
+   collection runs before it closes *)
+let test_span_alloc () =
+  scrub ();
+  Obs.set_enabled true;
+  Gc.minor ();
+  let keep = ref [] in
+  Obs.with_span "allocates" (fun () ->
+      for i = 1 to 10_000 do
+        keep := i :: !keep
+      done);
+  Obs.with_span "idle" ignore;
+  let alloc = Obs.span_alloc (Obs.snapshot ()) in
+  scrub ();
+  let minor name = fst (List.assoc name alloc) in
+  Alcotest.(check bool) "10,000 cons cells charged" true
+    (minor "allocates" >= 30_000.0);
+  Alcotest.(check bool) "idle span charged only its bookkeeping" true
+    (minor "idle" < 1_000.0);
+  Alcotest.(check int) "list kept alive" 10_000 (List.length !keep)
+
 (* ---- histogram buckets ---- *)
 
 let test_histogram_buckets () =
@@ -1180,6 +1203,8 @@ let suite =
           test_span_nesting;
         Alcotest.test_case "span closed on exception" `Quick
           test_span_closed_on_exception;
+        Alcotest.test_case "span allocation charged where it happens" `Quick
+          test_span_alloc;
         Alcotest.test_case "histogram bucket boundaries" `Quick
           test_histogram_buckets;
         Alcotest.test_case "histogram observe" `Quick test_histogram_observe;

@@ -2,12 +2,10 @@
    simplex with exact verification).
 
    The headline contract: Float_first mode is an invisible optimization.
-   The float shadow replays the exact solver's pivot rules in doubles
-   and bails out on any guard-band ambiguity, its terminal basis is
-   re-derived in exact rationals, and any suboptimality is repaired with
-   exact pivots — so for every input, both modes report the same status
-   and the same exact solution vector. A qcheck battery checks that on
-   random CC-shaped systems (with and without objectives), a pinned
+   For every input both modes report the same status and the same exact
+   solution vector, and, when no repair ran, the same terminal basis
+   (the path identity Pivot.Make states). A qcheck battery checks that
+   on random CC-shaped systems (with and without objectives); a pinned
    adversarial objective forces the float shadow onto a suboptimal
    terminal basis and asserts the repair rung fires, and warm-started
    verification is exercised both directly and end-to-end through the
@@ -17,7 +15,6 @@ module Rat = Hydra_arith.Rat
 module Bigint = Hydra_arith.Bigint
 module Lp = Hydra_lp.Lp
 module Simplex = Hydra_lp.Simplex
-module Simplex_f = Hydra_lp.Simplex_f
 module Basis_verify = Hydra_lp.Basis_verify
 module Int_feasible = Hydra_lp.Int_feasible
 module Obs = Hydra_obs.Obs
@@ -65,32 +62,6 @@ let test_of_float_opt () =
   match Rat.of_float Float.nan with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "of_float nan must raise Invalid_argument"
-
-(* ---- HYDRA_SIMPLEX_BLAND parsing (satellite: env-knob bugfix) ---- *)
-
-let test_bland_threshold_parse () =
-  let with_var v f =
-    Unix.putenv "HYDRA_SIMPLEX_BLAND" v;
-    Fun.protect ~finally:(fun () -> Unix.putenv "HYDRA_SIMPLEX_BLAND" "") f
-  in
-  with_var "7" (fun () ->
-      Alcotest.(check int) "integer is honored" 7 (Simplex.bland_threshold ()));
-  with_var " 12 " (fun () ->
-      Alcotest.(check int) "whitespace is trimmed" 12
-        (Simplex.bland_threshold ()));
-  with_var "0" (fun () ->
-      Alcotest.(check bool) "0 means always Bland" true
-        (Simplex.bland_threshold () < 0));
-  with_var "-3" (fun () ->
-      Alcotest.(check bool) "negatives mean always Bland" true
-        (Simplex.bland_threshold () < 0));
-  (* garbage keeps the default (and warns once on stderr) instead of
-     being read as "40" by accident or crashing *)
-  with_var "forty" (fun () ->
-      Alcotest.(check int) "garbage keeps default" 40
-        (Simplex.bland_threshold ()));
-  with_var "" (fun () ->
-      Alcotest.(check int) "empty keeps default" 40 (Simplex.bland_threshold ()))
 
 (* ---- random CC-shaped systems (test_par's oracle shape) ---- *)
 
@@ -150,16 +121,35 @@ let pp_status = function
   | Simplex.Unbounded -> "Unbounded"
   | Simplex.Timeout -> "Timeout"
 
-(* float-first ≡ exact, at the Simplex layer, objectives included *)
+(* float-first ≡ exact, at the Simplex layer, objectives included; when
+   exact verification made no repair, the float path is the exact path,
+   so the terminal bases agree too *)
 let prop_simplex_differential =
   QCheck.Test.make ~name:"Basis_verify.solve = Simplex.solve (exact Rat)"
     ~count:cases (QCheck.make lp_case_gen) (fun case ->
+      Obs.set_enabled true;
       let objective = objective_of case in
-      let exact = Simplex.solve ?objective (build_lp case) in
-      let ff = Basis_verify.solve ?objective (build_lp case) in
+      let exact_basis = ref None and ff_basis = ref None in
+      let exact =
+        Simplex.solve ?objective ~basis_out:exact_basis (build_lp case)
+      in
+      let repairs0 = Obs.counter_value m_repairs in
+      let ff =
+        Basis_verify.solve ?objective ~basis_out:ff_basis (build_lp case)
+      in
       if not (status_equal exact ff) then
         QCheck.Test.fail_reportf "exact %s <> float-first %s" (pp_status exact)
           (pp_status ff);
+      let pp_basis = function
+        | None -> "none"
+        | Some b ->
+            String.concat " " (Array.to_list (Array.map string_of_int b))
+      in
+      if Obs.counter_value m_repairs = repairs0 && !exact_basis <> !ff_basis
+      then
+        QCheck.Test.fail_reportf
+          "terminal bases differ without a repair: %s <> %s"
+          (pp_basis !exact_basis) (pp_basis !ff_basis);
       true)
 
 (* float-first ≡ exact through the branch-and-bound layer *)
@@ -394,11 +384,6 @@ let () =
         [
           Alcotest.test_case "of_float_opt total variant" `Quick
             test_of_float_opt;
-        ] );
-      ( "bland-env",
-        [
-          Alcotest.test_case "HYDRA_SIMPLEX_BLAND parsing" `Quick
-            test_bland_threshold_parse;
         ] );
       ( "differential",
         List.map QCheck_alcotest.to_alcotest
