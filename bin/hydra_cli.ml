@@ -373,9 +373,9 @@ let cache_dir_arg =
 
 let open_cache = Option.map (fun d -> Hydra_cache.Cache.create ~dir:d)
 
-(* crash-safe runs: --state-dir journals every solved view write-ahead,
-   so re-running the same command after a crash replays completed views
-   and re-solves only the rest *)
+(* crash-safe runs: --state-dir records every solved view durably
+   before the run moves on, so re-running the same command after a
+   crash replays completed views and re-solves only the rest *)
 let state_dir_arg =
   Arg.(
     value
@@ -383,13 +383,16 @@ let state_dir_arg =
     & info [ "state-dir" ]
         ~env:(Cmd.Env.info "HYDRA_STATE") ~docv:"DIR"
         ~doc:
-          "Run-journal directory for crash-safe regeneration. Every \
-           solved view is durably journaled (write-ahead, fsynced) under \
-           $(docv)/run.journal before the run proceeds; re-running after \
-           a crash or kill replays the journaled views and re-solves \
-           only the missing ones, producing a byte-identical summary. \
-           Corrupt or torn journal records are skipped, never fatal. \
-           Defaults to $(b,HYDRA_STATE) when set.")
+          "Run-scoped state directory for crash-safe regeneration. Every \
+           solved view's outcome, failures included, is stored as one \
+           fsynced entry per view in $(docv) (the solve-cache entry \
+           format, so $(b,hydra cache scrub) reads it) before the run \
+           proceeds; re-running after a crash or kill replays the \
+           recorded views and re-solves only the missing ones, \
+           producing a byte-identical summary. Corrupt or truncated \
+           entries are misses, never fatal. A $(b,run.journal) left by \
+           older builds is ignored. Defaults to $(b,HYDRA_STATE) when \
+           set.")
 
 let chaos_arg =
   Arg.(
@@ -593,8 +596,8 @@ let run_report_json ?audit ?cache ~jobs out (result : Hydra_core.Pipeline.result
     @ match audit with Some a -> [ ("audit", a) ] | None -> [])
 
 (* text rendering of the metrics registry, aligned name/value pairs;
-   with [?result]/[?cache], the resume story of the run (how the journal
-   and the solve cache served it) follows the tables — the same counts
+   with [?result]/[?cache], the resume story of the run (how the state
+   dir and the solve cache served it) follows the tables — the same counts
    --json always carried *)
 let print_metrics_report ?cache ?result () =
   let snap = Obs.snapshot () in
@@ -1065,7 +1068,9 @@ let cache_scrub_cmd =
     Arg.(
       value & flag
       & info [ "delete" ]
-          ~doc:"Remove every corrupt or version-mismatched entry found.")
+          ~doc:
+            "Remove every corrupt or version-mismatched entry and every \
+             orphan temp file found.")
   in
   let run cache_dir delete =
     let dir =
@@ -1085,6 +1090,7 @@ let cache_scrub_cmd =
     in
     report "bad" r.Hydra_cache.Cache.sr_bad;
     report "stale" r.Hydra_cache.Cache.sr_stale;
+    report "orphan" r.Hydra_cache.Cache.sr_orphans;
     Printf.printf
       "cache scrub: %d entries, %d ok, %d bad, %d stale, %d deleted -> %s\n"
       r.Hydra_cache.Cache.sr_total r.Hydra_cache.Cache.sr_ok
@@ -1092,14 +1098,15 @@ let cache_scrub_cmd =
       (List.length r.Hydra_cache.Cache.sr_stale)
       r.Hydra_cache.Cache.sr_deleted dir;
     (* corrupt entries left behind signal scripts to re-run with
-       --delete; stale ones are the expected debris of a format-version
-       upgrade and never fail the walk *)
+       --delete; stale entries and orphan temp files are the expected
+       debris of an upgrade or a kill and never fail the walk *)
     if r.Hydra_cache.Cache.sr_bad <> [] && not delete then exit 2
   in
   let doc =
-    "Walk a solve-cache directory, report corrupt (exit 2 unless \
-     $(b,--delete)) and stale version-mismatched entries (silent misses \
-     otherwise), and optionally delete them."
+    "Walk a solve-cache or $(b,--state-dir) directory, report corrupt \
+     (exit 2 unless $(b,--delete)) and stale version-mismatched entries \
+     (silent misses otherwise) and orphan temp files left by a kill, \
+     and optionally delete them."
   in
   Cmd.v (Cmd.info "scrub" ~doc)
     Term.(

@@ -10,7 +10,8 @@
    disagreement (or any exception at all) is a miss. Writes go through
    Durable_io.write_atomic (unique temp file in the same directory +
    rename), which POSIX makes atomic — a reader sees either no entry or
-   a complete one. *)
+   a complete one. The [Durable] policy adds the fsyncs that make a
+   store outlive a crash; the format is the same under both policies. *)
 
 module Obs = Hydra_obs.Obs
 module Chaos = Hydra_chaos.Chaos
@@ -27,8 +28,11 @@ let m_store = Obs.counter "cache.store"
 let m_warm_hit = Obs.counter "cache.warm_hit"
 let m_warm_miss = Obs.counter "cache.warm_miss"
 
+type policy = Shared | Durable
+
 type t = {
   cache_dir : string;
+  policy : policy;
   n_hits : int Atomic.t;
   n_misses : int Atomic.t;
   n_stores : int Atomic.t;
@@ -36,7 +40,7 @@ type t = {
 
 type stats = { hits : int; misses : int; stores : int }
 
-let create ~dir =
+let create_with policy ~dir =
   (try Durable_io.mkdir_p dir
    with Unix.Unix_error (e, _, _) ->
      raise
@@ -44,10 +48,19 @@ let create ~dir =
           (Printf.sprintf "cache directory %s: %s" dir (Unix.error_message e))));
   {
     cache_dir = dir;
+    policy;
     n_hits = Atomic.make 0;
     n_misses = Atomic.make 0;
     n_stores = Atomic.make 0;
   }
+
+let create ~dir = create_with Shared ~dir
+
+(* the global cache.* counters report shared-cache traffic only: a
+   run-scoped store's replays are reported as such by its owner *)
+let count t n m =
+  Atomic.incr n;
+  if t.policy = Shared then Obs.incr m 1
 
 let dir t = t.cache_dir
 
@@ -112,43 +125,47 @@ let parse_entry path ~key =
             | _ -> Error (`Corrupt "malformed payload header"))
       | _ -> Error (`Corrupt "bad magic line"))
 
-let read_entry path key =
-  match parse_entry path ~key:(Some key) with
-  | Ok payload -> Some payload
-  | Error _ -> None
+(* the payload under [key], or [None] for an absent entry and on any
+   read failure — truncation, garbage, a vanished file: the cache never
+   propagates its own faults to the solve *)
+let read t ~key =
+  let path = entry_path t ~key in
+  if not (Sys.file_exists path) then None
+  else
+    try Result.to_option (parse_entry path ~key:(Some key))
+    with e when not (Chaos.is_injected e) -> None
 
-let find t ~key =
-  let result =
-    Chaos.tap "cache.read";
-    let path = entry_path t ~key in
-    if not (Sys.file_exists path) then None
-    else
-      (* any read failure — truncation, garbage, a vanished file — is a
-         miss; the cache never propagates its own faults to the solve *)
-      try read_entry path key with e when not (Chaos.is_injected e) -> None
-  in
+let find_map t ~key decode =
+  (* a run-scoped store is read once per view whatever the plan, so
+     only the shared cache's reads are a chaos site *)
+  if t.policy = Shared then Chaos.tap "cache.read";
+  let result = Option.bind (read t ~key) decode in
   (match result with
-  | Some _ ->
-      Atomic.incr t.n_hits;
-      Obs.incr m_hit 1
-  | None ->
-      Atomic.incr t.n_misses;
-      Obs.incr m_miss 1);
+  | Some _ -> count t t.n_hits m_hit
+  | None -> count t t.n_misses m_miss);
   result
+
+let find t ~key = find_map t ~key Option.some
+
+let write_entry ~fsync path ~key payload =
+  Durable_io.write_atomic ~fsync path (fun buf ->
+      Buffer.add_string buf
+        (Printf.sprintf "hydra-cache %d %s\n" format_version key);
+      Buffer.add_string buf
+        (Printf.sprintf "payload %d %s\n" (String.length payload)
+           (Digest.to_hex (Digest.string payload)));
+      Buffer.add_string buf payload)
 
 let store t ~key payload =
   try
-    Chaos.tap "cache.write";
-    let path = entry_path t ~key in
-    Durable_io.write_atomic ~fsync:false path (fun buf ->
-        Buffer.add_string buf
-          (Printf.sprintf "hydra-cache %d %s\n" format_version key);
-        Buffer.add_string buf
-          (Printf.sprintf "payload %d %s\n" (String.length payload)
-             (Digest.to_hex (Digest.string payload)));
-        Buffer.add_string buf payload);
-    Atomic.incr t.n_stores;
-    Obs.incr m_store 1
+    (* a durable store keeps the site name of the write-ahead journal it
+       replaced, so existing chaos plans still aim at it *)
+    Chaos.tap
+      (match t.policy with
+      | Shared -> "cache.write"
+      | Durable -> "journal.append");
+    write_entry ~fsync:(t.policy = Durable) (entry_path t ~key) ~key payload;
+    count t t.n_stores m_store
   with e when not (Chaos.is_injected e) ->
     () (* best-effort: a failed store only shrinks the cache *)
 
@@ -158,27 +175,12 @@ let store t ~key payload =
    the chaos taps (so enabling hints cannot shift a seeded injection
    plan). Their traffic is observable on cache.warm_hit/warm_miss. *)
 let find_hint t ~key =
-  let result =
-    let path = entry_path t ~key in
-    if not (Sys.file_exists path) then None
-    else try read_entry path key with _ -> None
-  in
-  (match result with
-  | Some _ -> Obs.incr m_warm_hit 1
-  | None -> Obs.incr m_warm_miss 1);
+  let result = read t ~key in
+  Obs.incr (if result = None then m_warm_miss else m_warm_hit) 1;
   result
 
 let store_hint t ~key payload =
-  try
-    let path = entry_path t ~key in
-    Durable_io.write_atomic ~fsync:false path (fun buf ->
-        Buffer.add_string buf
-          (Printf.sprintf "hydra-cache %d %s\n" format_version key);
-        Buffer.add_string buf
-          (Printf.sprintf "payload %d %s\n" (String.length payload)
-             (Digest.to_hex (Digest.string payload)));
-        Buffer.add_string buf payload)
-  with _ -> ()
+  try write_entry ~fsync:false (entry_path t ~key) ~key payload with _ -> ()
 
 let stats t =
   {
@@ -196,44 +198,40 @@ type scrub_report = {
   sr_ok : int;
   sr_bad : bad_entry list;
   sr_stale : bad_entry list;
+  sr_orphans : bad_entry list;
   sr_deleted : int;
 }
 
 let scrub ?(delete = false) ~dir () =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     raise (Sys_error (Printf.sprintf "cache directory %s: not a directory" dir));
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".entry")
-    |> List.sort String.compare
-  in
+  let files = List.sort String.compare (Array.to_list (Sys.readdir dir)) in
   let total = ref 0 and ok = ref 0 and deleted = ref 0 in
-  let bad = ref [] and stale = ref [] in
+  let bad = ref [] and stale = ref [] and orphans = ref [] in
+  let flag list file be_problem =
+    list := { be_file = file; be_problem } :: !list;
+    if delete then begin
+      (try Sys.remove (Filename.concat dir file) with Sys_error _ -> ());
+      incr deleted
+    end
+  in
   List.iter
     (fun file ->
-      incr total;
-      let path = Filename.concat dir file in
-      let stem = Filename.chop_suffix file ".entry" in
-      let key = if valid_key stem then Some stem else None in
-      let problem =
-        match parse_entry path ~key with
-        | Ok _ when key = None -> Some (`Corrupt "file name is not a valid key")
-        | Ok _ -> None
-        | Error e -> Some e
+      if Durable_io.is_temp_file file then
+        flag orphans file "temp file of an interrupted write"
+      else if Filename.check_suffix file ".entry" then begin
+        incr total;
+        let stem = Filename.chop_suffix file ".entry" in
+        let key = if valid_key stem then Some stem else None in
+        match parse_entry (Filename.concat dir file) ~key with
+        | Ok _ when key = None -> flag bad file "file name is not a valid key"
+        | Ok _ -> incr ok
+        | Error (`Stale p) -> flag stale file p
+        | Error (`Corrupt p) -> flag bad file p
         | exception e when not (Chaos.is_injected e) ->
-            Some (`Corrupt (Printexc.to_string e))
-      in
-      match problem with
-      | None -> incr ok
-      | Some classified ->
-          let entry be_problem = { be_file = file; be_problem } in
-          (match classified with
-          | `Stale p -> stale := entry p :: !stale
-          | `Corrupt p -> bad := entry p :: !bad);
-          if delete then begin
-            (try Sys.remove path with Sys_error _ -> ());
-            incr deleted
-          end)
+            flag bad file (Printexc.to_string e)
+      end)
     files;
   { sr_total = !total; sr_ok = !ok; sr_bad = List.rev !bad;
-    sr_stale = List.rev !stale; sr_deleted = !deleted }
+    sr_stale = List.rev !stale; sr_orphans = List.rev !orphans;
+    sr_deleted = !deleted }

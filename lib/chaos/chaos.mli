@@ -13,7 +13,9 @@
 val sites : string list
 (** The registry of named injection sites, in pipeline order:
     ["solve"], ["pool.task"], ["cache.read"], ["cache.write"],
-    ["journal.append"], ["summary.save"], ["materialize.shard"]. *)
+    ["journal.append"], ["summary.save"], ["materialize.shard"].
+    ["journal.append"] taps each write of the [--state-dir] store (the
+    name predates that store). *)
 
 type kind =
   | Transient  (** raise {!Injected} — a retryable worker failure *)

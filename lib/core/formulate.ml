@@ -453,44 +453,8 @@ let warm_fingerprint_of_lp (view : Preprocess.view) lp =
   add "%s" (Format.asprintf "%a" Lp.pp_structure lp);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* warm entries live in the same store under the structural key; the
-   payload is self-describing so a (digest-collision) mixup with a
-   solve entry decodes as garbage, not as a wrong answer *)
-let warm_entry_version = 1
-
-let encode_warm basis =
-  Printf.sprintf "hydra-warm %d\n%s\n" warm_entry_version
-    (String.concat " "
-       ("basis" :: Array.to_list (Array.map string_of_int basis)))
-
-let decode_warm payload =
-  match String.split_on_char '\n' payload with
-  | header :: basis :: rest
-    when header = Printf.sprintf "hydra-warm %d" warm_entry_version
-         && List.for_all (fun l -> String.trim l = "") rest -> (
-      match String.split_on_char ' ' (String.trim basis) with
-      | "basis" :: (_ :: _ as rest) -> (
-          try Some (Array.of_list (List.map int_of_string rest))
-          with Failure _ -> None)
-      | _ -> None)
-  | _ -> None
-
-(* The raw solver verdict, before variable-indexed counts are expanded
-   into per-region solutions — the unit the cache persists. [Raw_failed]
-   is never stored: a failure reflects the budget/deadline of the run
-   that produced it, not the problem content. *)
-type raw_solve =
-  | Raw_exact of Hydra_arith.Bigint.t array
-  | Raw_relaxed of Hydra_arith.Bigint.t array * Hydra_arith.Rat.t
-  | Raw_failed of string
-
-(* 2: a fourth payload line records the root LP's terminal basis (one
-   tableau column index per row, or "-" when none was captured), the
-   seed for warm-started verification of near-miss solves. The cache
-   format_version was bumped in lockstep, so v1 entries never reach this
-   codec from the shared cache. *)
-let entry_version = 2
-
+(* a terminal basis, one tableau column index per row; "-" when none
+   was captured *)
 let basis_to_string = function
   | None -> "basis -"
   | Some b ->
@@ -501,97 +465,109 @@ let basis_of_string line =
   match String.split_on_char ' ' (String.trim line) with
   | [ "basis"; "-" ] -> Some None
   | "basis" :: rest -> (
-      try
-        Some
-          (Some (Array.of_list (List.map int_of_string rest)))
+      try Some (Some (Array.of_list (List.map int_of_string rest)))
       with Failure _ -> None)
   | _ -> None
 
+(* warm entries live in the same store under the structural key; the
+   payload is self-describing so a (digest-collision) mixup with a
+   solve entry decodes as garbage, not as a wrong answer *)
+let warm_entry_version = 1
+
+let encode_warm basis =
+  Printf.sprintf "hydra-warm %d\n%s\n" warm_entry_version
+    (basis_to_string (Some basis))
+
+let decode_warm payload =
+  match String.split_on_char '\n' payload with
+  | header :: basis :: rest
+    when header = Printf.sprintf "hydra-warm %d" warm_entry_version
+         && List.for_all (fun l -> String.trim l = "") rest -> (
+      match basis_of_string basis with
+      | Some (Some b) when Array.length b > 0 -> Some b
+      | _ -> None)
+  | _ -> None
+
+(* The raw solver verdict, before variable-indexed counts are expanded
+   into per-region solutions — the unit the stores persist. *)
+type raw_solve =
+  | Raw_exact of Hydra_arith.Bigint.t array
+  | Raw_relaxed of Hydra_arith.Bigint.t array * Hydra_arith.Rat.t
+  | Raw_failed of string
+
+(* 2: a fourth payload line records the root LP's terminal basis, the
+   seed for warm-started verification of near-miss solves. The cache
+   format_version was bumped in lockstep, so v1 entries never reach this
+   codec. *)
+let entry_version = 2
+
+let failed_prefix = "rung failed "
+
 let encode_entry ?basis raw =
   match raw with
-  | Raw_failed _ -> None
   | Raw_exact x ->
-      Some
-        (Printf.sprintf "hydra-solve %d\nrung exact\n%s\n%s\n" entry_version
-           (Lp.vector_to_string x) (basis_to_string basis))
+      Printf.sprintf "hydra-solve %d\nrung exact\n%s\n%s\n" entry_version
+        (Lp.vector_to_string x) (basis_to_string basis)
   | Raw_relaxed (x, violation) ->
       (* relaxed solves go through the slack-augmented system, whose
          basis does not fit the original tableau: never warm-start from
          one *)
-      Some
-        (Printf.sprintf "hydra-solve %d\nrung relaxed %s\n%s\n%s\n"
-           entry_version
-           (Hydra_arith.Rat.to_string violation)
-           (Lp.vector_to_string x) (basis_to_string None))
-
-(* The run journal persists every outcome — including [Raw_failed],
-   which the shared cache refuses: within one run (same budgets, same
-   deadline discipline) replaying a recorded failure is what keeps a
-   resumed run byte-identical to the uninterrupted one, instead of
-   burning the deadline again and maybe landing on a different rung. *)
-let sanitize_reason m =
-  String.map (function '\n' | '\r' -> ' ' | c -> c) m
-
-let encode_raw ?basis raw =
-  match raw with
+      Printf.sprintf "hydra-solve %d\nrung relaxed %s\n%s\n%s\n"
+        entry_version
+        (Hydra_arith.Rat.to_string violation)
+        (Lp.vector_to_string x) (basis_to_string None)
   | Raw_failed m ->
-      Printf.sprintf "hydra-solve %d\nrung failed %s\n\n" entry_version
-        (sanitize_reason m)
-  | Raw_exact _ | Raw_relaxed _ -> Option.get (encode_entry ?basis raw)
+      Printf.sprintf "hydra-solve %d\n%s%s\n\n" entry_version failed_prefix
+        (String.map (function '\n' | '\r' -> ' ' | c -> c) m)
 
-(* [(raw, stored basis)] or [None] on any malformation; length and (for
-   exact entries) feasibility are re-checked against the freshly
-   formulated LP, so even a key collision cannot replay a wrong solution
-   as Exact. The basis is advisory — replay uses the vector — so a
-   malformed basis line poisons the whole entry rather than being
-   silently dropped: the entry is not what this build wrote. *)
-let decode_entry_basis lp payload =
+(* [None] on any malformation; length and (for exact entries)
+   feasibility are re-checked against the freshly formulated LP, so even
+   a key collision cannot replay a wrong solution as Exact. The basis is
+   advisory — replay uses the vector — but a malformed basis line
+   poisons the whole entry: the entry is not what this build wrote. *)
+let decode_entry lp payload =
+  let blank l = String.trim l = "" in
   match String.split_on_char '\n' payload with
-  | header :: rung :: vector :: basis :: rest
-    when header = Printf.sprintf "hydra-solve %d" entry_version
-         && List.for_all (fun l -> String.trim l = "") rest -> (
-      match (Lp.vector_of_string vector, basis_of_string basis) with
-      | Some x, Some b when Array.length x = Lp.num_vars lp -> (
-          match String.split_on_char ' ' rung with
-          | [ "rung"; "exact" ] ->
-              if Int_feasible.check lp x then Some (Raw_exact x, b) else None
-          | [ "rung"; "relaxed"; violation ] -> (
-              try
-                Some (Raw_relaxed (x, Hydra_arith.Rat.of_string violation), b)
-              with Invalid_argument _ | Division_by_zero | Failure _ -> None)
+  | header :: rung :: rest
+    when header = Printf.sprintf "hydra-solve %d" entry_version -> (
+      match rest with
+      | _ when String.starts_with ~prefix:failed_prefix rung ->
+          if List.for_all blank rest then
+            Some
+              (Raw_failed
+                 (String.sub rung
+                    (String.length failed_prefix)
+                    (String.length rung - String.length failed_prefix)))
+          else None
+      | vector :: basis :: rest when List.for_all blank rest -> (
+          match (Lp.vector_of_string vector, basis_of_string basis) with
+          | Some x, Some _ when Array.length x = Lp.num_vars lp -> (
+              match String.split_on_char ' ' rung with
+              | [ "rung"; "exact" ] ->
+                  if Int_feasible.check lp x then Some (Raw_exact x) else None
+              | [ "rung"; "relaxed"; violation ] -> (
+                  try
+                    Some
+                      (Raw_relaxed (x, Hydra_arith.Rat.of_string violation))
+                  with Invalid_argument _ | Division_by_zero | Failure _ ->
+                    None)
+              | _ -> None)
           | _ -> None)
       | _ -> None)
   | _ -> None
 
-let decode_entry lp payload =
-  Option.map fst (decode_entry_basis lp payload)
+let off_or_bypass = function None -> Cache_off | Some _ -> Cache_bypass
 
-(* journal decode: everything [decode_entry] accepts, plus recorded
-   failures *)
-let decode_raw lp payload =
-  let failed_prefix = "rung failed " in
-  match String.split_on_char '\n' payload with
-  | header :: rung :: rest
-    when header = Printf.sprintf "hydra-solve %d" entry_version
-         && String.length rung >= String.length failed_prefix
-         && String.sub rung 0 (String.length failed_prefix) = failed_prefix
-         && List.for_all (fun l -> String.trim l = "") rest ->
-      Some
-        (Raw_failed
-           (String.sub rung
-              (String.length failed_prefix)
-              (String.length rung - String.length failed_prefix)))
-  | _ -> decode_entry lp payload
+let bypass_prov ?cache ?state () =
+  {
+    via_cache = off_or_bypass cache;
+    via_journal = off_or_bypass state;
+    via_fingerprint = "";
+  }
 
 let solve_view_robust ?(max_nodes = 2000) ?(retries = 1) ?deadline ?cache
-    ?journal ?(solve_mode = Simplex.Exact) (view : Preprocess.view) =
-  let off_or_bypass opt =
-    match opt with None -> Cache_off | Some _ -> Cache_bypass
-  in
-  let bypass_prov =
-    { via_cache = off_or_bypass cache; via_journal = off_or_bypass journal;
-      via_fingerprint = "" }
-  in
+    ?state ?(solve_mode = Simplex.Exact) (view : Preprocess.view) =
+  let bypass_prov = bypass_prov ?cache ?state () in
   try
     if view.Preprocess.subviews = [] then
       (* nothing was solved, so there is nothing worth caching *)
@@ -601,7 +577,7 @@ let solve_view_robust ?(max_nodes = 2000) ?(retries = 1) ?deadline ?cache
         Obs.with_span "view.formulate" (fun () -> formulate view)
       in
       (* the content address is reported in every provenance (the run
-         ledger archives it), not just when a cache/journal consumes it *)
+         ledger archives it), not just when a store consumes it *)
       let key =
         fingerprint_of_lp ~max_nodes ~retries view lp n_cc_constraints
       in
@@ -627,7 +603,7 @@ let solve_view_robust ?(max_nodes = 2000) ?(retries = 1) ?deadline ?cache
          same view and LP shape, edited right-hand sides — seeds exact
          verification with its terminal basis instead of solving cold *)
       let warm_key = lazy (warm_fingerprint_of_lp view lp) in
-      (* lazy so replayed (cache/journal-hit) solves never touch the
+      (* lazy so replayed (state/cache-hit) solves never touch the
          hint store; forced at most once across budget escalations *)
       let warm_basis =
         lazy
@@ -673,62 +649,52 @@ let solve_view_robust ?(max_nodes = 2000) ?(retries = 1) ?deadline ?cache
                 violation )
         | Raw_failed m -> Failed m
       in
-      if cache = None && journal = None then
-        ( finish (attempt max_nodes retries),
-          { via_cache = Cache_off; via_journal = Cache_off;
-            via_fingerprint = key } )
-      else begin
-        let journal_append ?basis raw =
-          Option.iter
-            (fun j ->
-              Journal.append j ~view:view.Preprocess.vrel ~key
-                (encode_raw ?basis raw))
-            journal
-        in
-        (* journal first: it is run-scoped truth (and also records
-           failures), the shared cache is only an optimization *)
-        match
-          Option.bind journal (fun j ->
-              Option.bind (Journal.find j ~key) (decode_raw lp))
-        with
-        | Some raw ->
-            ( finish raw,
-              { via_cache = off_or_bypass cache; via_journal = Cache_hit;
-                via_fingerprint = key } )
-        | None -> (
-            let journal_miss_or_off =
-              match journal with None -> Cache_off | Some _ -> Cache_miss
-            in
+      (* One lookup over [state; shared], first valid hit wins. The
+         run-scoped store also replays failures: within one run (same
+         budgets, same deadline discipline) that keeps a resumed run on
+         the rung the interrupted one landed on. The shared cache never
+         does — a failure reflects the budget of the run that produced
+         it — so a Failed entry found there is a miss. *)
+      let probe store ~failures ~after_hit =
+        match store with
+        | None -> (Cache_off, None)
+        | Some _ when after_hit -> (Cache_bypass, None)
+        | Some c -> (
             match
-              Option.bind cache (fun c ->
-                  Option.bind (Cache.find c ~key) (decode_entry lp))
+              Cache.find_map c ~key (fun payload ->
+                  match decode_entry lp payload with
+                  | Some (Raw_failed _) when not failures -> None
+                  | d -> d)
             with
-            | Some raw ->
-                (* record the replay so a later resume does not depend
-                   on the shared cache still holding this entry *)
-                journal_append raw;
-                ( finish raw,
-                  { via_cache = Cache_hit; via_journal = journal_miss_or_off;
-                    via_fingerprint = key } )
-            | None ->
-                let raw = attempt max_nodes retries in
-                let basis = !root_basis in
-                journal_append ?basis raw;
-                Option.iter
-                  (fun c ->
-                    Option.iter (Cache.store c ~key) (encode_entry ?basis raw))
-                  cache;
-                store_warm ();
-                ( finish raw,
-                  {
-                    via_cache =
-                      (match cache with
-                      | None -> Cache_off
-                      | Some _ -> Cache_miss);
-                    via_journal = journal_miss_or_off;
-                    via_fingerprint = key;
-                  } ))
-      end
+            | Some raw -> (Cache_hit, Some raw)
+            | None -> (Cache_miss, None))
+      in
+      let via_journal, from_state =
+        probe state ~failures:true ~after_hit:false
+      in
+      let via_cache, from_cache =
+        probe cache ~failures:false ~after_hit:(from_state <> None)
+      in
+      let raw =
+        match (from_state, from_cache) with
+        | Some raw, _ | None, Some raw -> raw
+        | None, None -> attempt max_nodes retries
+      in
+      (* every store that missed records the outcome — a shared-cache
+         hit included, so a later resume does not depend on the shared
+         cache still holding the entry. Only a fresh solve captured a
+         basis. *)
+      let record store ~failures disposition =
+        match (store, disposition, raw) with
+        | _, _, Raw_failed _ when not failures -> ()
+        | Some c, Cache_miss, _ ->
+            Cache.store c ~key (encode_entry ?basis:!root_basis raw)
+        | _ -> ()
+      in
+      record state ~failures:true via_journal;
+      record cache ~failures:false via_cache;
+      store_warm ();
+      (finish raw, { via_cache; via_journal; via_fingerprint = key })
     end
   with
   | Formulation_error m -> (Failed m, bypass_prov)

@@ -61,23 +61,30 @@ type outcome =
 type cache_disposition =
   | Cache_off  (** no cache was supplied *)
   | Cache_bypass
-      (** a cache was supplied but this solve is not cacheable (trivial
-          views with no sub-views, or a pre-formulation error) *)
+      (** a cache was supplied but not consulted: the solve is not
+          cacheable (trivial views with no sub-views, or a
+          pre-formulation error), or an earlier store already served it *)
   | Cache_hit  (** the solution was replayed from a stored entry *)
   | Cache_miss  (** solved fresh; the result was offered to the store *)
 
 type provenance = {
   via_cache : cache_disposition;
   via_journal : cache_disposition;
-      (** same vocabulary, applied to the [--state-dir] run journal:
-          [Cache_hit] means the view was replayed from a prior
+      (** same vocabulary, applied to the [--state-dir] run-scoped
+          store: [Cache_hit] means the view was replayed from a prior
           (interrupted) run's record *)
   via_fingerprint : string;
       (** the {!fingerprint} this solve is addressed by — reported even
-          when no cache/journal consumed it (the run ledger archives
+          when no store consumed it (the run ledger archives
           it); [""] when the view never reached formulation (trivial
           views, pre-formulation errors) *)
 }
+
+val bypass_prov :
+  ?cache:Hydra_cache.Cache.t -> ?state:Hydra_cache.Cache.t -> unit -> provenance
+(** The provenance of a view no store was consulted for:
+    [Cache_bypass] for each store supplied, [Cache_off] otherwise, and
+    no fingerprint. *)
 
 val fingerprint :
   ?max_nodes:int -> ?retries:int -> Preprocess.view -> string
@@ -97,7 +104,7 @@ val solve_view_robust :
   ?retries:int ->
   ?deadline:float ->
   ?cache:Hydra_cache.Cache.t ->
-  ?journal:Journal.t ->
+  ?state:Hydra_cache.Cache.t ->
   ?solve_mode:Hydra_lp.Simplex.mode ->
   Preprocess.view ->
   outcome * provenance
@@ -113,14 +120,17 @@ val solve_view_robust :
     solution vector (re-validated against the freshly formulated LP —
     length always, integer feasibility for exact entries — so corrupt or
     colliding entries degrade to misses). Fresh [Exact]/[Relaxed]
-    outcomes are stored; [Failed] outcomes never are, since failure
-    reflects the budget of the run that produced it.
+    outcomes are stored; [Failed] outcomes never are, and a stored one
+    is a miss, since failure reflects the budget of the run that
+    produced it.
 
-    With [?journal], the same key consults the [--state-dir] run
-    journal {e before} the cache, and every outcome — including
-    [Failed] — is appended after the fact, so a resumed run replays
-    the interrupted run's exact per-view rungs rather than re-rolling
-    the dice against budgets and deadlines.
+    [?state] is the [--state-dir] run-scoped store (a
+    {!Hydra_cache.Cache.Durable} cache). One lookup runs over
+    [state; cache] in that order and the first valid hit wins; a store
+    that missed records the outcome (a cache hit included). The state
+    store also records and replays [Failed] outcomes, so a resumed run
+    replays the interrupted run's exact per-view rungs rather than
+    re-rolling the dice against budgets and deadlines.
 
     [solve_mode] (default [Exact]) selects the LP engine:
     [Float_first] runs the double-precision shadow simplex and verifies

@@ -201,9 +201,9 @@ let regenerate ?(sizes = []) ?(max_nodes = 2000) ?(policy = `Low_corner)
   (* deadlines live on the monotonic timeline, so a wall-clock step can
      neither expire nor extend a run's budget *)
   let deadline = Option.map (fun s -> t0 +. s) deadline_s in
-  let journal = Option.map (fun dir -> Journal.open_ ~dir) state_dir in
-  Fun.protect ~finally:(fun () -> Option.iter Journal.close journal)
-  @@ fun () ->
+  let state =
+    Option.map (fun dir -> Hydra_cache.Cache.create_with Durable ~dir) state_dir
+  in
   let ccs, views, route_notes =
     Obs.with_span "pipeline.preprocess" (fun () ->
         let ccs = complete_size_ccs schema ccs sizes in
@@ -244,18 +244,7 @@ let regenerate ?(sizes = []) ?(max_nodes = 2000) ?(policy = `Low_corner)
     let out =
       Obs.with_span ~attrs:[ ("rel", Obs.Str rname) ] "pipeline.view"
       @@ fun () ->
-        let off_or_bypass opt =
-          match opt with
-          | None -> Formulate.Cache_off
-          | Some _ -> Formulate.Cache_bypass
-        in
-        let bypass_prov =
-          {
-            Formulate.via_cache = off_or_bypass cache;
-            via_journal = off_or_bypass journal;
-            via_fingerprint = "";
-          }
-        in
+        let bypass_prov = Formulate.bypass_prov ?cache ?state () in
         let fallback ?(prov = bypass_prov) reason =
           (* structured view/rung/reason attrs, not just the message:
              audit reports join incidents to views through them *)
@@ -351,7 +340,7 @@ let regenerate ?(sizes = []) ?(max_nodes = 2000) ?(policy = `Low_corner)
             try
               match
                 Formulate.solve_view_robust ~max_nodes ~retries ?deadline
-                  ?cache ?journal ~solve_mode view
+                  ?cache ?state ~solve_mode view
               with
               | Formulate.Exact r, prov -> (
                   try finish r prov (fun _ -> Exact)
@@ -436,19 +425,16 @@ let regenerate ?(sizes = []) ?(max_nodes = 2000) ?(policy = `Low_corner)
   let assemble_seconds = Mclock.now () -. assemble_t in
   let count f = List.length (List.filter f stats) in
   let journal_notes =
-    match journal with
+    match state with
     | None -> []
-    | Some j ->
-        let js = Journal.stats j in
-        if js.Journal.j_loaded = 0 && js.Journal.j_appended = 0 then []
-        else
-          [
-            Printf.sprintf
-              "journal: %d record(s) on open (%d corrupt skipped), %d \
-               view(s) replayed, %d appended (%s)"
-              js.Journal.j_loaded js.Journal.j_skipped js.Journal.j_replayed
-              js.Journal.j_appended (Journal.path j);
-          ]
+    | Some c -> (
+        match Hydra_cache.Cache.stats c with
+        | { hits = 0; stores = 0; _ } -> []
+        | s ->
+            [
+              Printf.sprintf "journal: %d view(s) replayed, %d recorded (%s)"
+                s.hits s.stores (Hydra_cache.Cache.dir c);
+            ])
   in
   let diagnostics =
     {

@@ -49,7 +49,7 @@ type view_stats = {
       (** how the solve cache served this view ({!Formulate.Cache_off}
           when {!regenerate} was called without [?cache]) *)
   journal : Formulate.cache_disposition;
-      (** how the [--state-dir] run journal served this view:
+      (** how the [--state-dir] run-scoped store served this view:
           [Cache_hit] means the view was replayed from an interrupted
           run's record instead of being re-solved *)
   fingerprint : string;
@@ -129,12 +129,13 @@ val regenerate :
     per-view outcomes of the run that populated it, so hit-served runs
     report byte-identical summaries and statuses.
 
-    [state_dir] makes the run {e resumable}: every solved view is
-    journaled (write-ahead, fsynced, self-verifying records) under
-    [state_dir/run.journal] keyed by {!Formulate.fingerprint}, and a
-    later run with the same [state_dir] replays recorded outcomes —
-    including failures — instead of re-solving, so a run killed at any
-    point resumes to a byte-identical summary. [supervision] tunes the
+    [state_dir] makes the run {e resumable}: every solved view's
+    outcome is stored, fsynced, in a {!Hydra_cache.Cache.Durable} store
+    rooted at [state_dir] (one entry per {!Formulate.fingerprint}) before
+    the view completes, and a later run with the same [state_dir]
+    replays recorded outcomes — including failures — instead of
+    re-solving, so a run killed at any point resumes to a byte-identical
+    summary. A [run.journal] written by older builds is not read. [supervision] tunes the
     {!Hydra_par.Supervisor} retry policy for transient task failures
     (default: 2 retries, 50ms exponential backoff with deterministic
     jitter). [solve_mode] (default [Exact]) selects the LP engine per

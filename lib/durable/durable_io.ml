@@ -23,13 +23,31 @@ let digest_trailer_prefix = "#hydra-digest md5 "
 let digest_trailer body =
   digest_trailer_prefix ^ Digest.to_hex (Digest.string body) ^ "\n"
 
+let temp_prefix = ".hydra-durable"
+let temp_suffix = ".tmp"
+
+let is_temp_file name =
+  String.starts_with ~prefix:temp_prefix name
+  && Filename.check_suffix name temp_suffix
+
+(* a rename is only durable once the directory entry it rewrote is on
+   disk. Best-effort: some filesystems refuse fsync on a directory
+   descriptor, and the file's own bytes are already synced *)
+let fsync_dir dir =
+  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
+  | exception Unix.Unix_error _ -> ()
+
 let write_atomic ?(fsync = true) ?(digest = false) path fill =
   let buf = Buffer.create 4096 in
   fill buf;
   if digest then Buffer.add_string buf (digest_trailer (Buffer.contents buf));
   let dir = Filename.dirname path in
   mkdir_p dir;
-  let tmp = Filename.temp_file ~temp_dir:dir ".hydra-durable" ".tmp" in
+  let tmp = Filename.temp_file ~temp_dir:dir temp_prefix temp_suffix in
   let ok = ref false in
   Fun.protect
     ~finally:(fun () -> if not !ok then try Sys.remove tmp with _ -> ())
@@ -47,7 +65,8 @@ let write_atomic ?(fsync = true) ?(digest = false) path fill =
           done;
           if fsync then Unix.fsync fd);
       Sys.rename tmp path;
-      ok := true)
+      ok := true;
+      if fsync then fsync_dir dir)
 
 let slurp path =
   let ic = open_in_bin path in

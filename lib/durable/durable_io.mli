@@ -1,12 +1,14 @@
 (** Hardened file I/O shared by every durable artifact HYDRA writes —
-    summaries, solve-cache entries, run journals, audit reports.
+    summaries, solve-cache and run-scoped store entries, ledger records,
+    audit reports.
 
     Two disciplines, one module:
 
     - {b atomicity}: {!write_atomic} builds the payload in a buffer,
       writes it to a temp file in the destination directory, fsyncs, and
       renames into place, so readers never observe a torn file and a
-      crash mid-write leaves the previous version intact;
+      crash mid-write leaves the previous version intact (plus, at
+      worst, an orphan temp file: see {!is_temp_file});
     - {b integrity}: an optional digest trailer line
       ([#hydra-digest md5 <hex>]) over the preceding bytes lets
       {!read_verified} detect silent truncation or bit rot and raise a
@@ -36,7 +38,17 @@ val write_atomic :
     publishes the buffer's contents at [path] atomically (temp file in
     the same directory + rename). [?digest] (default [false]) appends a
     digest trailer. [?fsync] (default [true]) fsyncs the temp file
-    before the rename. *)
+    before the rename and the containing directory after it, so once
+    the call returns the new content survives a crash under [path]; the
+    directory fsync is best-effort (filesystems that refuse it on a
+    directory are tolerated). With [~fsync:false] the write is atomic
+    but a crash may lose it. *)
+
+val is_temp_file : string -> bool
+(** Whether a basename is one of {!write_atomic}'s temp files
+    ([.hydra-durable*.tmp]). A kill between the temp file's creation and
+    its rename leaves one behind; nothing reads it, and maintenance
+    passes may delete it. *)
 
 val read_verified : string -> string
 (** Read [path] wholesale. When the content ends in a digest trailer,

@@ -1,7 +1,6 @@
 (* Run ledger. One self-verifying JSON file per run; the directory is
    the database. Listing never raises on a bad record — a torn or
-   bit-rotted file becomes an [l_corrupt] entry, mirroring how Journal
-   skips corrupt lines. *)
+   bit-rotted file becomes an [l_corrupt] entry. *)
 
 module Durable_io = Hydra_durable.Durable_io
 

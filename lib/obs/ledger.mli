@@ -11,16 +11,17 @@
     on.
 
     Records are written atomically through [hydra.durable] with a
-    digest trailer; {!runs} tolerates corrupt or torn records exactly
-    like [Journal] tolerates corrupt lines — they are skipped and
-    reported, never raised. *)
+    digest trailer; {!runs} tolerates corrupt or torn records — they
+    are skipped and reported, never raised. *)
 
 type view = {
   v_rel : string;
   v_status : string;  (** ["exact"] / ["relaxed"] / ["fallback"] *)
   v_fingerprint : string;  (** [Formulate.fingerprint], [""] if unknown *)
   v_cache : string;  (** cache disposition word, [""] when cache off *)
-  v_journal : string;  (** ["replayed"] / ["solved"], [""] when no journal *)
+  v_journal : string;
+      (** how the [--state-dir] store served the view: ["replayed"] /
+          ["solved"], [""] when no state dir *)
   v_seconds : float;
 }
 
@@ -33,7 +34,7 @@ type run = {
   r_seconds : float;
   r_views : view list;
   r_journal : (string * int) list;
-      (** journal aggregate counts (e.g. [replayed]/[solved]), [[]] when
+      (** state-dir aggregate counts (e.g. [replayed]/[solved]), [[]] when
           no state dir was used *)
   r_metrics : Json.t;  (** final [Obs.metrics_json ()] snapshot *)
   r_events : Obs.event list;

@@ -6,8 +6,9 @@
 #
 # `dune runtest` includes the crash-safety battery (test_chaos.ml: the
 # fault-injection sweep proving crash/resume byte-identity at every
-# registered site) and the chaos.t cram test (a real `kill` through the
-# CLI, resumed from the run journal).
+# registered site, and every crash state of a finished state dir) and
+# the chaos.t cram test (a real `kill` through the CLI, resumed from the
+# --state-dir store).
 #
 # The gate re-runs the cheap bench targets (smoke, audit, cache,
 # robust, obs, synth, serve, solve) and compares their fresh
@@ -24,7 +25,9 @@
 # The tail is a run-ledger smoke (two archived regenerations of the
 # same spec, listed and diffed — the diff must pass clean under the
 # strictest deterministic gate and fail (exit 5) under an impossible
-# injected threshold) followed by a fixed-seed `hydra fuzz` smoke:
+# injected threshold), a --state-dir smoke (the state dir scrubs clean
+# as a cache directory and a second run replays every view), a live
+# endpoint smoke, and a fixed-seed `hydra fuzz` smoke:
 # 25 synthesized workloads through the full invariant battery, run
 # twice to assert the sweep itself is byte-deterministic. The
 # nightly-sized sweep is `dune build @fuzz` (100 workloads).
@@ -72,6 +75,25 @@ else
 fi
 
 echo "obs smoke: ledger, list and gated diff ok"
+
+# ---- state-dir smoke ----
+# a --state-dir run leaves a plain durable store: the cache tooling
+# scrubs it clean, and a second run replays every view from it
+
+"$hydra" summary "$obs_tmp/ci.hydra" -o "$obs_tmp/state1.summary" \
+  --state-dir "$obs_tmp/state" > /dev/null
+"$hydra" cache scrub --cache-dir "$obs_tmp/state" > "$obs_tmp/scrub.out" \
+  || { echo "state smoke: scrub of the state dir failed" >&2; exit 1; }
+grep -q ', 0 bad, ' "$obs_tmp/scrub.out" \
+  || { echo "state smoke: scrub found bad entries" >&2; cat "$obs_tmp/scrub.out" >&2; exit 1; }
+"$hydra" summary "$obs_tmp/ci.hydra" -o "$obs_tmp/state2.summary" \
+  --state-dir "$obs_tmp/state" > "$obs_tmp/state.out"
+views=$(grep -c '^  view ' "$obs_tmp/state.out")
+grep -q "note: journal: $views view(s) replayed, 0 recorded" "$obs_tmp/state.out" \
+  || { echo "state smoke: second run did not replay all $views views" >&2; cat "$obs_tmp/state.out" >&2; exit 1; }
+cmp "$obs_tmp/state1.summary" "$obs_tmp/state2.summary"
+
+echo "state smoke: state dir scrubs clean, $views/$views views replayed"
 
 # ---- live telemetry endpoint smoke ----
 # a --serve run scraped with the built-in client while it executes,

@@ -291,6 +291,48 @@ let test_corrupt_entry_resolves () =
       Alcotest.(check bool) "repaired cache hits again" true
         (List.for_all (( = ) Formulate.Cache_hit) (dispositions warm)))
 
+let test_hits_counted_after_decode () =
+  (* a well-formed entry under S's key, digest and all, whose vector has
+     the wrong length: the store reads it fine, the solve path rejects
+     it. It must count as the miss it is, in both tallies *)
+  with_cache (fun c ->
+      let spec = Cc_parser.parse spec_text in
+      let run c =
+        Pipeline.regenerate ~cache:c spec.Cc_parser.schema spec.Cc_parser.ccs
+      in
+      let cold = run c in
+      let s_key =
+        (List.find (fun (v : Pipeline.view_stats) -> v.Pipeline.rel = "S")
+           cold.Pipeline.views)
+          .Pipeline.fingerprint
+      in
+      Cache.store c ~key:s_key "hydra-solve 2\nrung exact\n1 0\nbasis -\n";
+      let c = Cache.create ~dir:(Cache.dir c) in
+      let m_hit = Hydra_obs.Obs.counter "cache.hit" in
+      let was_enabled = Hydra_obs.Obs.enabled () in
+      Hydra_obs.Obs.set_enabled true;
+      let before = Hydra_obs.Obs.counter_value m_hit in
+      let warm =
+        Fun.protect
+          ~finally:(fun () -> Hydra_obs.Obs.set_enabled was_enabled)
+          (fun () -> run c)
+      in
+      let obs_hits = Hydra_obs.Obs.counter_value m_hit - before in
+      Alcotest.(check (list (pair string bool)))
+        "only S misses"
+        [ ("S", false); ("T", true); ("R", true) ]
+        (List.map
+           (fun (v : Pipeline.view_stats) ->
+             (v.Pipeline.rel, v.Pipeline.cache = Formulate.Cache_hit))
+           warm.Pipeline.views);
+      Alcotest.(check int) "stats.hits = views served" 2
+        (Cache.stats c).Cache.hits;
+      Alcotest.(check int) "stats.misses" 1 (Cache.stats c).Cache.misses;
+      Alcotest.(check int) "cache.hit counter = views served" 2 obs_hits;
+      Alcotest.(check string) "rejected entry re-solves identically"
+        (summary_bytes cold.Pipeline.summary)
+        (summary_bytes warm.Pipeline.summary))
+
 let test_relaxed_outcomes_replay () =
   (* an infeasible workload lands on the Relaxed rung; its closest-
      feasible solution must replay from the cache exactly like an exact
@@ -364,6 +406,8 @@ let suite =
           `Quick test_corrupt_entry_resolves;
         Alcotest.test_case "relaxed outcomes replay with violations" `Quick
           test_relaxed_outcomes_replay;
+        Alcotest.test_case "hits are counted after the entry decodes" `Quick
+          test_hits_counted_after_decode;
       ] );
   ]
 

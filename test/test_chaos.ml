@@ -1,8 +1,9 @@
 (* The crash-safety battery: deterministic fault injection (hydra.chaos),
-   hardened durable I/O, the write-ahead run journal, retry supervision,
-   and the headline acceptance property — kill a regeneration at any
-   registered site, resume with the same --state-dir, and the summary
-   comes out byte-identical to an uninterrupted run, at any jobs count. *)
+   hardened durable I/O, retry supervision, the crash states of the
+   run-scoped store, and the headline acceptance property — kill a
+   regeneration at any registered site, resume with the same
+   --state-dir, and the summary comes out byte-identical to an
+   uninterrupted run, at any jobs count. *)
 
 module Chaos = Hydra_chaos.Chaos
 module Durable_io = Hydra_durable.Durable_io
@@ -10,7 +11,6 @@ module Cache = Hydra_cache.Cache
 module Pool = Hydra_par.Pool
 module Supervisor = Hydra_par.Supervisor
 module Obs = Hydra_obs.Obs
-module Journal = Hydra_core.Journal
 module Formulate = Hydra_core.Formulate
 module Pipeline = Hydra_core.Pipeline
 module Summary = Hydra_core.Summary
@@ -185,88 +185,6 @@ let test_malformed_trailer () =
       match Durable_io.read_verified path with
       | _ -> Alcotest.fail "malformed trailer must not verify"
       | exception Durable_io.Corrupt _ -> ())
-
-(* ---- the run journal ---- *)
-
-let with_journal_dir f =
-  let dir = tmpdir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
-let test_journal_roundtrip_reopen () =
-  with_journal_dir (fun dir ->
-      let j = Journal.open_ ~dir in
-      Alcotest.(check (option string)) "fresh journal misses" None
-        (Journal.find j ~key:"aaa");
-      Journal.append j ~view:"S" ~key:"aaa" "rung exact 0\n1 2 3\n";
-      Journal.append j ~view:"T" ~key:"bbb" "rung relaxed 2\n4 5\n";
-      Alcotest.(check (option string)) "served from memory"
-        (Some "rung exact 0\n1 2 3\n")
-        (Journal.find j ~key:"aaa");
-      let st = Journal.stats j in
-      Alcotest.(check int) "appended" 2 st.Journal.j_appended;
-      Alcotest.(check int) "nothing pre-existing" 0 st.Journal.j_loaded;
-      Journal.close j;
-      Journal.close j (* idempotent *);
-      let j2 = Journal.open_ ~dir in
-      let st2 = Journal.stats j2 in
-      Alcotest.(check int) "both records reload" 2 st2.Journal.j_loaded;
-      Alcotest.(check int) "nothing skipped" 0 st2.Journal.j_skipped;
-      Alcotest.(check (option string)) "payload survives reopen"
-        (Some "rung relaxed 2\n4 5\n")
-        (Journal.find j2 ~key:"bbb");
-      Alcotest.(check int) "replay counted" 1
-        (Journal.stats j2).Journal.j_replayed)
-
-let test_journal_escaping () =
-  with_journal_dir (fun dir ->
-      let j = Journal.open_ ~dir in
-      let payload = "tab\t newline\n backslash\\ cr\r mixed\\t end" in
-      Journal.append j ~view:"weird\tview\n" ~key:"cc dd\tee" payload;
-      Journal.close j;
-      let j2 = Journal.open_ ~dir in
-      Alcotest.(check (option string)) "hostile bytes roundtrip"
-        (Some payload)
-        (Journal.find j2 ~key:"cc dd\tee"))
-
-let test_journal_torn_tail () =
-  with_journal_dir (fun dir ->
-      let j = Journal.open_ ~dir in
-      Journal.append j ~view:"S" ~key:"aaa" "one";
-      Journal.append j ~view:"T" ~key:"bbb" "two";
-      Journal.close j;
-      (* simulate a crash mid-append: a partial, newline-less record *)
-      let oc =
-        open_out_gen [ Open_append; Open_binary ] 0o644 (Journal.path j)
-      in
-      output_string oc "hydra-journal 0123abcd torn";
-      close_out oc;
-      let j2 = Journal.open_ ~dir in
-      let st = Journal.stats j2 in
-      Alcotest.(check int) "intact records load" 2 st.Journal.j_loaded;
-      Alcotest.(check int) "torn tail skipped" 1 st.Journal.j_skipped;
-      (* appending after the torn tail must not fuse with the debris *)
-      Journal.append j2 ~view:"R" ~key:"ccc" "three";
-      Journal.close j2;
-      let j3 = Journal.open_ ~dir in
-      let st3 = Journal.stats j3 in
-      Alcotest.(check int) "post-tear append is intact" 3 st3.Journal.j_loaded;
-      Alcotest.(check (option string)) "new record readable" (Some "three")
-        (Journal.find j3 ~key:"ccc"))
-
-let test_journal_corrupt_line_skipped () =
-  with_journal_dir (fun dir ->
-      let j = Journal.open_ ~dir in
-      Journal.append j ~view:"S" ~key:"aaa" "one";
-      Journal.append j ~view:"T" ~key:"bbb" "two";
-      Journal.close j;
-      (* flip one byte inside the first record's payload area *)
-      let raw = Bytes.of_string (read_file (Journal.path j)) in
-      Bytes.set raw (Bytes.length raw - 3) 'X';
-      write_file (Journal.path j) (Bytes.to_string raw);
-      let j2 = Journal.open_ ~dir in
-      let st = Journal.stats j2 in
-      Alcotest.(check int) "clean record loads" 1 st.Journal.j_loaded;
-      Alcotest.(check int) "bit rot skipped, not fatal" 1 st.Journal.j_skipped)
 
 (* ---- retry supervision ---- *)
 
@@ -636,6 +554,84 @@ let test_materialize_shard_faults_aggregate () =
               | e -> Alcotest.fail (Printexc.to_string e))
             fs)
 
+(* ---- crash states of the run-scoped store ----
+
+   Start from a finished run's state dir and enumerate the states a
+   crash (or later damage) can leave it in: every subset of entries
+   missing, every byte-prefix of each entry, every one-bit flip of each
+   entry, an orphan temp file. In each, the resumed summary must be
+   byte-identical to the reference run, and a view must replay from the
+   store exactly when its entry is intact, so a damaged entry is a miss
+   and never a wrong value. *)
+
+let test_state_crash_states () =
+  let sdir = tmpdir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf sdir)
+    (fun () ->
+      let finished = regen ~state_dir:sdir ~jobs:1 () in
+      let store = Cache.create_with Cache.Durable ~dir:sdir in
+      let entries =
+        List.map
+          (fun (v : Pipeline.view_stats) ->
+            let path = Cache.entry_path store ~key:v.Pipeline.fingerprint in
+            (v.Pipeline.rel, path, read_file path))
+          finished.Pipeline.views
+      in
+      Alcotest.(check int) "one entry per view, nothing else" 3
+        (Array.length (Sys.readdir sdir));
+      let case label ~intact damage =
+        rm_rf sdir;
+        Durable_io.mkdir_p sdir;
+        List.iter (fun (_, path, bytes) -> write_file path bytes) entries;
+        damage ();
+        let r = regen ~state_dir:sdir ~jobs:1 () in
+        Alcotest.(check string)
+          (label ^ ": resume is byte-identical")
+          (Lazy.force baseline_bytes)
+          (summary_bytes r.Pipeline.summary);
+        List.iter
+          (fun (v : Pipeline.view_stats) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: view %s replays iff its entry is intact"
+                 label v.Pipeline.rel)
+              (List.mem v.Pipeline.rel intact)
+              (v.Pipeline.journal = Formulate.Cache_hit))
+          r.Pipeline.views
+      in
+      let rels = List.map (fun (rel, _, _) -> rel) entries in
+      for mask = 0 to (1 lsl List.length entries) - 1 do
+        let deleted i = mask land (1 lsl i) <> 0 in
+        case
+          (Printf.sprintf "deleted subset %d" mask)
+          ~intact:(List.filteri (fun i _ -> not (deleted i)) rels)
+          (fun () ->
+            List.iteri
+              (fun i (_, path, _) -> if deleted i then Sys.remove path)
+              entries)
+      done;
+      List.iter
+        (fun (rel, path, bytes) ->
+          let others = List.filter (( <> ) rel) rels in
+          for n = 0 to String.length bytes - 1 do
+            case
+              (Printf.sprintf "%s truncated to %d bytes" rel n)
+              ~intact:others
+              (fun () -> write_file path (String.sub bytes 0 n));
+            (* bit rot: the entry's digests must reject any one flip *)
+            case
+              (Printf.sprintf "%s byte %d flipped" rel n)
+              ~intact:others
+              (fun () ->
+                let b = Bytes.of_string bytes in
+                Bytes.set b n (Char.chr (Char.code bytes.[n] lxor 1));
+                write_file path (Bytes.to_string b))
+          done)
+        entries;
+      case "orphan temp file" ~intact:rels (fun () ->
+          let _, _, bytes = List.hd entries in
+          write_file (Filename.concat sdir ".hydra-durable0f1e2d.tmp") bytes))
+
 (* ---- qcheck sweep: random site / trigger / parallelism ---- *)
 
 let small_spec_text =
@@ -721,17 +717,6 @@ let suite =
         Alcotest.test_case "malformed trailer raises Corrupt" `Quick
           test_malformed_trailer;
       ] );
-    ( "journal",
-      [
-        Alcotest.test_case "append/find roundtrip across reopen" `Quick
-          test_journal_roundtrip_reopen;
-        Alcotest.test_case "hostile bytes are escaped" `Quick
-          test_journal_escaping;
-        Alcotest.test_case "torn tail skipped; later appends intact" `Quick
-          test_journal_torn_tail;
-        Alcotest.test_case "corrupt line skipped, never fatal" `Quick
-          test_journal_corrupt_line_skipped;
-      ] );
     ( "supervisor",
       [
         Alcotest.test_case "backoff is deterministic and bounded" `Quick
@@ -771,6 +756,8 @@ let suite =
           test_crash_resume_battery_par;
         Alcotest.test_case "completed run replays fully from the journal"
           `Quick test_completed_run_replays_fully;
+        Alcotest.test_case "every crash state of the state dir resumes"
+          `Quick test_state_crash_states;
         Alcotest.test_case "transient solve fault is invisible in the output"
           `Quick test_transient_solve_fault_transparent;
         Alcotest.test_case "shard faults aggregate per worker" `Quick
