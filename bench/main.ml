@@ -708,11 +708,7 @@ let par () =
   let statuses r =
     List.map
       (fun (v : Pipeline.view_stats) ->
-        ( v.Pipeline.rel,
-          match v.Pipeline.status with
-          | Pipeline.Exact -> "exact"
-          | Pipeline.Relaxed _ -> "relaxed"
-          | Pipeline.Fallback _ -> "fallback" ))
+        (v.Pipeline.rel, Pipeline.status_word v.Pipeline.status))
       r.Pipeline.views
   in
   let run jobs =
@@ -796,11 +792,7 @@ let cache_bench () =
   let statuses (r : Pipeline.result) =
     List.map
       (fun (v : Pipeline.view_stats) ->
-        ( v.Pipeline.rel,
-          match v.Pipeline.status with
-          | Pipeline.Exact -> "exact"
-          | Pipeline.Relaxed _ -> "relaxed"
-          | Pipeline.Fallback _ -> "fallback" ))
+        (v.Pipeline.rel, Pipeline.status_word v.Pipeline.status))
       r.Pipeline.views
   in
   let run () = Pipeline.regenerate ~sizes ~cache T.schema ccs in
@@ -910,37 +902,10 @@ let obs_bench () =
       let on, on_t = best run in
       Progress.stop ticker;
       let prom_written = Sys.file_exists prom in
-      let subcommand = "bench-obs" in
       let id =
         Ledger.record ~dir:scratch
-          {
-            Ledger.r_subcommand = subcommand;
-            r_config_digest = Ledger.config_digest ~subcommand [ "wls" ];
-            r_spec_digest = "wls";
-            r_jobs = 1;
-            r_exit = 0;
-            r_seconds = on_t;
-            r_views =
-              List.map
-                (fun (v : Pipeline.view_stats) ->
-                  {
-                    Ledger.v_rel = v.Pipeline.rel;
-                    v_status =
-                      (match v.Pipeline.status with
-                      | Pipeline.Exact -> "exact"
-                      | Pipeline.Relaxed _ -> "relaxed"
-                      | Pipeline.Fallback _ -> "fallback");
-                    v_fingerprint = v.Pipeline.fingerprint;
-                    v_cache = "";
-                    v_journal = "";
-                    v_seconds = v.Pipeline.solve_seconds;
-                  })
-                on.Pipeline.views;
-            r_journal = [];
-            r_metrics = Obs.metrics_json ();
-            r_events = Obs.recent_events ();
-            r_folded = Flame.folded_string (Flame.spans collector);
-          }
+          (Pipeline.to_ledger ~subcommand:"bench-obs" ~spec_digest:"wls"
+             ~jobs:1 ~exit_code:0 ~spans:(Flame.spans collector) on)
       in
       let listing = Ledger.runs ~dir:scratch in
       let archived =

@@ -40,83 +40,87 @@ let resolve_jobs = function
   | Some n -> n
   | None -> Pool.default_jobs ()
 
-(* shared observability flags: any of them switches the global obs
-   registry on; HYDRA_OBS covers the no-flag case (parsed in [main]) *)
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Append one JSON line per finished span and event to $(docv) \
-           (JSONL trace).")
+(* ---- telemetry ----
 
-let metrics_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:
-          "Write a JSON snapshot of all counters, gauges, histograms and \
-           span aggregates to $(docv) when the command exits.")
+   Every export is a rendering of one run record (Ledger.run). One span
+   collector exists per process, created as soon as any telemetry is on
+   (a flag, or a HYDRA_OBS token, the endpoint included). *)
 
-let setup_obs trace metrics_out =
-  (match trace with
-  | Some path ->
-      Obs.add_sink (Obs.jsonl_sink path);
-      Obs.set_enabled true
-  | None -> ());
-  match metrics_out with
-  | Some path ->
-      Obs.set_metrics_out path;
-      Obs.set_enabled true
-  | None -> ()
+let collector : Flame.collector option ref = ref None
 
-let flame_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "flame-out" ] ~docv:"FILE"
-        ~doc:
-          "Write folded stacks (flamegraph.pl-compatible, one \
-           $(i,path value_us) line per distinct span path) to $(docv) when \
-           the command exits (implies metric collection).")
-
-let chrome_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "chrome-out" ] ~docv:"FILE"
-        ~doc:
-          "Write a Chrome trace-event JSON timeline of every span to \
-           $(docv) when the command exits — opens directly in Perfetto, \
-           chrome://tracing or speedscope; concurrent domains land in \
-           separate lanes (implies metric collection).")
-
-(* one shared span collector feeds --flame-out, --chrome-out and the run
-   ledger's folded stacks. The sinks write on close, which
-   [at_exit Obs.finish] triggers — so the exports survive the degraded
-   exit codes 3/4, like metrics *)
-let setup_span_exports ?(need_collector = false) flame_out chrome_out =
-  if flame_out = None && chrome_out = None && not need_collector then None
-  else begin
+let telemetry_on () =
+  Obs.set_enabled true;
+  if Option.is_none !collector then begin
     let c = Flame.create () in
-    Obs.add_sink (Flame.sink ?out:flame_out c);
-    (match chrome_out with
-    | None -> ()
-    | Some path ->
-        (* piggybacks on the collector above instead of collecting a
-           second span list; only the close action differs *)
-        Obs.add_sink
-          {
-            Obs.sink_span = (fun _ -> ());
-            sink_event = (fun _ -> ());
-            sink_close =
-              (fun () -> Hydra_obs.Trace_event.write path (Flame.spans c));
-          });
-    Obs.set_enabled true;
-    Some c
+    Obs.add_sink (Flame.sink c);
+    collector := Some c
   end
+
+let collected_spans () =
+  match !collector with Some c -> Flame.spans c | None -> []
+
+(* The exit-time file exports, one (file, rendering) row per
+   --metrics-out / --flame-out / --chrome-out / HYDRA_OBS metrics=. They
+   are written from [at_exit], so they survive the degraded exit codes
+   3/4, and they render [final_record] when the subcommand built one,
+   else the live registry at exit. *)
+let exports : (string * Ledger.format) list ref = ref []
+let final_record : Ledger.run option ref = ref None
+
+let export path fmt =
+  telemetry_on ();
+  exports := (path, fmt) :: !exports
+
+let write_exports () =
+  let r =
+    lazy
+      (match !final_record with
+      | Some r -> r
+      | None -> Ledger.current ~spans:(collected_spans ()) ())
+  in
+  List.iter
+    (fun (path, fmt) ->
+      Hydra_durable.Durable_io.write_atomic ~fsync:false path (fun b ->
+          Buffer.add_string b (Ledger.render fmt (Lazy.force r))))
+    (List.rev !exports)
+
+(* --trace and the file exports, as one setup action the command runs
+   first (inside its error handling) *)
+let telemetry_args =
+  let file name doc =
+    Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+  in
+  let setup trace metrics_out flame_out chrome_out () =
+    Option.iter
+      (fun path ->
+        Obs.add_sink (Obs.jsonl_sink path);
+        telemetry_on ())
+      trace;
+    List.iter
+      (fun (path, fmt) -> Option.iter (fun p -> export p fmt) path)
+      [
+        (metrics_out, Ledger.Metrics_json);
+        (flame_out, Ledger.Folded);
+        (chrome_out, Ledger.Chrome);
+      ]
+  in
+  Term.(
+    const setup
+    $ file "trace"
+        "Append one JSON line per finished span and event to $(docv) \
+         (JSONL trace)."
+    $ file "metrics-out"
+        "Write a JSON snapshot of all counters, gauges, histograms and \
+         span aggregates to $(docv) when the command exits."
+    $ file "flame-out"
+        "Write folded stacks (flamegraph.pl-compatible, one \
+         $(i,path value_us) line per distinct span path) to $(docv) when \
+         the command exits (implies metric collection)."
+    $ file "chrome-out"
+        "Write a Chrome trace-event JSON timeline of every span to \
+         $(docv) when the command exits — opens directly in Perfetto, \
+         chrome://tracing or speedscope; concurrent domains land in \
+         separate lanes (implies metric collection).")
 
 (* run telemetry ledger: --obs-dir beats HYDRA_OBS_DIR; absent both, no
    archiving. Shared by the recording commands and the `hydra obs`
@@ -131,7 +135,7 @@ let obs_dir_arg =
           "Run telemetry ledger directory. Each instrumented run archives \
            one atomic, digest-checked record (configuration fingerprints, \
            per-view outcomes, the final metrics snapshot with \
-           percentiles, the event log, folded stacks) under $(docv); \
+           percentiles, the event log, every span) under $(docv); \
            $(b,hydra obs list/show/diff/top/prune) analyze them. Defaults \
            to $(b,HYDRA_OBS_DIR) when set.")
 
@@ -157,7 +161,7 @@ let start_resource_sampler () =
   match !resource_sampler with
   | Some _ -> ()
   | None ->
-      Obs.set_enabled true;
+      telemetry_on ();
       let t = Resource.start () in
       resource_sampler := Some t;
       at_exit (fun () -> Resource.stop t)
@@ -168,7 +172,7 @@ let start_progress ?obs_dir period =
   match !progress_ticker with
   | Some _ -> () (* one ticker per process, flag beats env by order *)
   | None ->
-      Obs.set_enabled true;
+      telemetry_on ();
       start_resource_sampler ();
       let prom_out =
         match obs_dir with
@@ -260,13 +264,13 @@ let serve_arg =
 
 let live_server : Serve.t option ref = ref None
 
-let start_live_serve ?obs_dir ?spans port =
+let start_live_serve ?obs_dir port =
   match !live_server with
   | Some _ -> () (* one endpoint per process, same rule as the ticker *)
   | None -> (
-      Obs.set_enabled true;
+      telemetry_on ();
       start_resource_sampler ();
-      match Serve.start ?obs_dir ?spans ~live:true ~port () with
+      match Serve.start ?obs_dir ~spans:collected_spans ~live:true ~port () with
       | Ok s ->
           live_server := Some s;
           Printf.eprintf "obs serve: listening on http://127.0.0.1:%d\n%!"
@@ -468,12 +472,6 @@ let supervision_of ~task_retries ~task_backoff =
     base_backoff_s = max 0.0 task_backoff;
   }
 
-let disposition_word = function
-  | Hydra_core.Formulate.Cache_off -> "off"
-  | Hydra_core.Formulate.Cache_bypass -> "bypass"
-  | Hydra_core.Formulate.Cache_hit -> "hit"
-  | Hydra_core.Formulate.Cache_miss -> "miss"
-
 let spec_arg =
   let doc = "Spec file with table and cc declarations." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"SPEC" ~doc)
@@ -492,12 +490,6 @@ let status_line (v : Hydra_core.Pipeline.view_stats) =
       Printf.sprintf "relaxed (%d CC%s violated)" (List.length vs)
         (if List.length vs = 1 then "" else "s")
   | Hydra_core.Pipeline.Fallback reason -> "fallback: " ^ reason
-
-let status_word (v : Hydra_core.Pipeline.view_stats) =
-  match v.Hydra_core.Pipeline.status with
-  | Hydra_core.Pipeline.Exact -> "exact"
-  | Hydra_core.Pipeline.Relaxed _ -> "relaxed"
-  | Hydra_core.Pipeline.Fallback _ -> "fallback"
 
 (* machine-readable run report: the whole pipeline result plus the final
    metrics snapshot, as one JSON object on stdout *)
@@ -529,7 +521,7 @@ let run_report_json ?audit ?cache ~jobs out (result : Hydra_core.Pipeline.result
     Json.Obj
       [
         ("rel", Json.String v.rel);
-        ("status", Json.String (status_word v));
+        ("status", Json.String (status_word v.status));
         ( "fallback_reason",
           match v.status with
           | Fallback r -> Json.String r
@@ -595,116 +587,6 @@ let run_report_json ?audit ?cache ~jobs out (result : Hydra_core.Pipeline.result
     @ cache_json
     @ match audit with Some a -> [ ("audit", a) ] | None -> [])
 
-(* text rendering of the metrics registry, aligned name/value pairs;
-   with [?result]/[?cache], the resume story of the run (how the state
-   dir and the solve cache served it) follows the tables — the same counts
-   --json always carried *)
-let print_metrics_report ?cache ?result () =
-  let snap = Obs.snapshot () in
-  let kvs = Obs.flatten snap in
-  print_string "metrics report:\n";
-  List.iter
-    (fun (k, v) ->
-      if Float.is_integer v && Float.abs v < 1e15 then
-        Printf.printf "  %-44s %d\n" k (int_of_float v)
-      else Printf.printf "  %-44s %.6f\n" k v)
-    kvs;
-  let populated =
-    List.filter (fun (_, (p50, p95, p99)) -> p50 +. p95 +. p99 > 0.0)
-      (Obs.percentiles snap)
-  in
-  if populated <> [] then begin
-    print_string "histogram percentiles (p50 / p95 / p99):\n";
-    List.iter
-      (fun (k, (p50, p95, p99)) ->
-        Printf.printf "  %-44s %.6f / %.6f / %.6f\n" k p50 p95 p99)
-      populated
-  end;
-  match result with
-  | None -> ()
-  | Some (r : Hydra_core.Pipeline.result) ->
-      let views = r.Hydra_core.Pipeline.views in
-      let nj d =
-        List.length
-          (List.filter
-             (fun (v : Hydra_core.Pipeline.view_stats) ->
-               v.Hydra_core.Pipeline.journal = d)
-             views)
-      in
-      print_string "resume story:\n";
-      if
-        List.exists
-          (fun (v : Hydra_core.Pipeline.view_stats) ->
-            v.Hydra_core.Pipeline.journal <> Hydra_core.Formulate.Cache_off)
-          views
-      then
-        Printf.printf "  journal: %d view(s) replayed, %d solved fresh\n"
-          (nj Hydra_core.Formulate.Cache_hit)
-          (nj Hydra_core.Formulate.Cache_miss)
-      else print_string "  journal: off\n";
-      (match cache with
-      | Some c ->
-          let s = Hydra_cache.Cache.stats c in
-          Printf.printf "  cache: %d hit(s), %d miss(es), %d store(s)\n"
-            s.Hydra_cache.Cache.hits s.Hydra_cache.Cache.misses
-            s.Hydra_cache.Cache.stores
-      | None -> print_string "  cache: off\n")
-
-(* archive the finished run in the --obs-dir ledger; the confirmation
-   goes to stderr so --json stdout stays parseable *)
-let record_obs_run ~dir ~subcommand ~spec_path ~jobs ~exit_code ~collector
-    ~state_dir (result : Hydra_core.Pipeline.result) =
-  let open Hydra_core.Pipeline in
-  let spec_digest =
-    try Digest.to_hex (Digest.file spec_path) with Sys_error _ -> ""
-  in
-  let views =
-    List.map
-      (fun (v : view_stats) ->
-        {
-          Ledger.v_rel = v.rel;
-          v_status = status_word v;
-          v_fingerprint = v.fingerprint;
-          v_cache = disposition_word v.cache;
-          v_journal = disposition_word v.journal;
-          v_seconds = v.solve_seconds;
-        })
-      result.views
-  in
-  let nj d =
-    List.length
-      (List.filter (fun (v : view_stats) -> v.journal = d) result.views)
-  in
-  let journal =
-    match state_dir with
-    | None -> []
-    | Some _ ->
-        [
-          ("replayed", nj Hydra_core.Formulate.Cache_hit);
-          ("solved", nj Hydra_core.Formulate.Cache_miss);
-        ]
-  in
-  let run =
-    {
-      Ledger.r_subcommand = subcommand;
-      r_config_digest = Ledger.config_digest ~subcommand [ spec_digest ];
-      r_spec_digest = spec_digest;
-      r_jobs = jobs;
-      r_exit = exit_code;
-      r_seconds = result.total_seconds;
-      r_views = views;
-      r_journal = journal;
-      r_metrics = Obs.metrics_json ();
-      r_events = Obs.recent_events ();
-      r_folded =
-        (match collector with
-        | Some c -> Flame.folded_string (Flame.spans c)
-        | None -> "");
-    }
-  in
-  let id = Ledger.record ~dir run in
-  Printf.eprintf "obs: run %s archived -> %s\n%!" id dir
-
 let summary_cmd =
   let out =
     Arg.(
@@ -746,22 +628,15 @@ let summary_cmd =
              summary file is still written.")
   in
   let run spec_path out deadline_s max_nodes jobs cache_dir state_dir chaos
-      solve_mode task_retries task_backoff trace metrics_out audit_out
-      flame_out chrome_out obs_dir progress serve report json =
-    setup_obs trace metrics_out;
-    let collector =
-      setup_span_exports
-        ~need_collector:(obs_dir <> None || serve <> None)
-        flame_out chrome_out
-    in
+      solve_mode task_retries task_backoff telemetry audit_out obs_dir
+      progress serve report json =
+    telemetry ();
     (match progress with Some p -> start_progress ?obs_dir p | None -> ());
     (match serve with
-    | Some port ->
-        let spans = Option.map (fun c () -> Flame.spans c) collector in
-        start_live_serve ?obs_dir ?spans port
+    | Some port -> start_live_serve ?obs_dir port
     | None -> ());
     if report || json || audit_out <> None || obs_dir <> None then
-      Obs.set_enabled true;
+      telemetry_on ();
     arm_chaos chaos;
     let jobs = resolve_jobs jobs in
     let spec = or_die (read_spec spec_path) in
@@ -864,18 +739,30 @@ let summary_cmd =
           print_audit_line records reconciles path
       | None -> ()
     end;
-    if report && not json then print_metrics_report ?cache ~result ();
     let d = result.Hydra_core.Pipeline.diagnostics in
     let exit_code =
       if d.Hydra_core.Pipeline.fallback_views > 0 then 4
       else if d.Hydra_core.Pipeline.relaxed_views > 0 then 3
       else 0
     in
-    (match obs_dir with
-    | Some dir ->
-        record_obs_run ~dir ~subcommand:"summary" ~spec_path ~jobs
-          ~exit_code ~collector ~state_dir result
-    | None -> ());
+    let spec_digest =
+      try Digest.to_hex (Digest.file spec_path) with Sys_error _ -> ""
+    in
+    let record =
+      Hydra_core.Pipeline.to_ledger ~subcommand:"summary" ~spec_digest ~jobs
+        ~exit_code ~spans:(collected_spans ()) result
+    in
+    final_record := Some record;
+    (* the confirmation goes to stderr so --json stdout stays parseable *)
+    let id =
+      match obs_dir with
+      | Some dir ->
+          let id = Ledger.record ~dir record in
+          Printf.eprintf "obs: run %s archived -> %s\n%!" id dir;
+          id
+      | None -> "current"
+    in
+    if report && not json then print_string (Ledger.report ~id record);
     (* with --serve attached, keep the final state scrapeable until the
        operator (or the test harness) sends SIGTERM *)
     serve_linger ();
@@ -884,13 +771,12 @@ let summary_cmd =
   let doc = "Build a database summary from a schema + CC spec." in
   Cmd.v (Cmd.info "summary" ~doc)
     Term.(
-      const (fun a b c d e f g h i j k l m n o p q r s t u ->
-          protecting (run a b c d e f g h i j k l m n o p q r s t) u)
+      const (fun a b c d e f g h i j k l m n o p q r ->
+          protecting (run a b c d e f g h i j k l m n o p q) r)
       $ spec_arg $ out $ deadline $ max_nodes $ jobs_arg $ cache_dir_arg
       $ state_dir_arg $ chaos_arg $ solve_mode_arg $ task_retries_arg
-      $ task_backoff_arg $ trace_arg $ metrics_out_arg $ audit_out_arg
-      $ flame_out_arg $ chrome_out_arg $ obs_dir_arg $ progress_arg
-      $ serve_arg $ report $ json)
+      $ task_backoff_arg $ telemetry_args $ audit_out_arg $ obs_dir_arg
+      $ progress_arg $ serve_arg $ report $ json)
 
 (* ---- materialize ---- *)
 
@@ -939,11 +825,9 @@ let validate_cmd =
             "Execute against the dynamic tuple generator instead of \
              materialized tables.")
   in
-  let run spec_path summary_path dynamic jobs trace metrics_out audit_out
-      flame_out chrome_out =
-    setup_obs trace metrics_out;
-    ignore (setup_span_exports flame_out chrome_out);
-    if audit_out <> None then Obs.set_enabled true;
+  let run spec_path summary_path dynamic jobs telemetry audit_out =
+    telemetry ();
+    if audit_out <> None then telemetry_on ();
     let jobs = resolve_jobs jobs in
     let spec = or_die (read_spec spec_path) in
     let summary =
@@ -988,9 +872,9 @@ let validate_cmd =
   Cmd.v
     (Cmd.info "validate" ~doc)
     Term.(
-      const (fun a b c d e f g h i -> protecting (run a b c d e f g h) i)
-      $ spec_arg $ summary_pos_arg $ dynamic $ jobs_arg $ trace_arg
-      $ metrics_out_arg $ audit_out_arg $ flame_out_arg $ chrome_out_arg)
+      const (fun a b c d e f -> protecting (run a b c d e) f)
+      $ spec_arg $ summary_pos_arg $ dynamic $ jobs_arg $ telemetry_args
+      $ audit_out_arg)
 
 (* ---- extract (the client-site flow of Fig. 2) ---- *)
 
@@ -1129,32 +1013,6 @@ let run_ref_arg idx docv =
   in
   Arg.(required & pos idx (some string) None & info [] ~docv ~doc)
 
-let doc_str doc name =
-  match Json.member name doc with Some (Json.String s) -> s | _ -> ""
-
-let doc_int doc name =
-  match Json.member name doc with Some (Json.Int i) -> i | _ -> 0
-
-let doc_float doc name =
-  match Json.member name doc with
-  | Some (Json.Float f) -> f
-  | Some (Json.Int i) -> float_of_int i
-  | _ -> 0.0
-
-let doc_list doc name =
-  match Json.member name doc with Some (Json.List l) -> l | _ -> []
-
-(* exact/relaxed/fallback tally of a run document's views *)
-let rung_tally doc =
-  List.fold_left
-    (fun (e, r, f) v ->
-      match doc_str v "status" with
-      | "exact" -> (e + 1, r, f)
-      | "relaxed" -> (e, r + 1, f)
-      | "fallback" -> (e, r, f + 1)
-      | _ -> (e, r, f))
-    (0, 0, 0) (doc_list doc "views")
-
 (* resource metrics carry wall-clock time or process state (RSS, GC
    words), so they are only gated by an explicit per-metric threshold,
    never by --default-threshold *)
@@ -1169,12 +1027,10 @@ let obs_list_cmd =
     let l = Ledger.runs ~dir in
     List.iter
       (fun (e : Ledger.entry) ->
-        let ex, rx, fb = rung_tally e.Ledger.e_doc in
+        let r = e.Ledger.e_run in
+        let ex, rx, fb = Ledger.rungs r in
         Printf.printf "%s  %-10s jobs %-3d exit %d  views %d/%d/%d\n"
-          e.Ledger.e_id
-          (doc_str e.Ledger.e_doc "subcommand")
-          (doc_int e.Ledger.e_doc "jobs")
-          (doc_int e.Ledger.e_doc "exit")
+          e.Ledger.e_id r.Ledger.r_subcommand r.Ledger.r_jobs r.Ledger.r_exit
           ex rx fb)
       l.Ledger.l_entries;
     List.iter
@@ -1204,59 +1060,7 @@ let obs_show_cmd =
   let run obs_dir ref_ events_n =
     let dir = require_obs_dir obs_dir in
     let e = or_die (Ledger.find ~dir ref_) in
-    let doc = e.Ledger.e_doc in
-    let ex, rx, fb = rung_tally doc in
-    Printf.printf "run %s\n" e.Ledger.e_id;
-    Printf.printf "  subcommand    %s\n" (doc_str doc "subcommand");
-    Printf.printf "  config digest %s\n" (doc_str doc "config_digest");
-    Printf.printf "  spec digest   %s\n" (doc_str doc "spec_digest");
-    Printf.printf "  jobs          %d\n" (doc_int doc "jobs");
-    Printf.printf "  exit          %d\n" (doc_int doc "exit");
-    Printf.printf "  seconds       %.6f\n" (doc_float doc "seconds");
-    Printf.printf "  views         %d exact, %d relaxed, %d fallback\n" ex rx
-      fb;
-    List.iter
-      (fun v ->
-        let fp = doc_str v "fingerprint" in
-        let fp = if fp = "" then "-" else String.sub fp 0 (min 12 (String.length fp)) in
-        Printf.printf "    %-20s %-8s cache %-6s journal %-8s lp %s  %.6fs\n"
-          (doc_str v "rel") (doc_str v "status") (doc_str v "cache")
-          (doc_str v "journal") fp (doc_float v "seconds"))
-      (doc_list doc "views");
-    (match Json.member "journal" doc with
-    | Some (Json.Obj (_ :: _ as fields)) ->
-        Printf.printf "  journal       %s\n"
-          (String.concat ", "
-             (List.map
-                (fun (k, v) ->
-                  Printf.sprintf "%d %s"
-                    (match v with Json.Int i -> i | _ -> 0)
-                    k)
-                fields))
-    | _ -> ());
-    let kvs = Ledger.metric_kvs doc in
-    if kvs <> [] then begin
-      print_string "  metrics:\n";
-      List.iter
-        (fun (k, v) ->
-          if Float.is_integer v && Float.abs v < 1e15 then
-            Printf.printf "    %-44s %d\n" k (int_of_float v)
-          else Printf.printf "    %-44s %.6f\n" k v)
-        kvs
-    end;
-    if events_n > 0 then begin
-      let evs = doc_list doc "events" in
-      let skip = max 0 (List.length evs - events_n) in
-      let evs = List.filteri (fun i _ -> i >= skip) evs in
-      if evs <> [] then begin
-        print_string "  events:\n";
-        List.iter
-          (fun ev ->
-            Printf.printf "    [%s] %s\n" (doc_str ev "level")
-              (doc_str ev "msg"))
-          evs
-      end
-    end
+    print_string (Ledger.report ~events:events_n ~id:e.Ledger.e_id e.Ledger.e_run)
   in
   let doc = "Render one archived run's full report." in
   Cmd.v (Cmd.info "show" ~doc)
@@ -1318,8 +1122,8 @@ let obs_diff_cmd =
     let dir = require_obs_dir obs_dir in
     let ea = or_die (Ledger.find ~dir a_ref) in
     let eb = or_die (Ledger.find ~dir b_ref) in
-    let ka = Ledger.metric_kvs ea.Ledger.e_doc in
-    let kb = Ledger.metric_kvs eb.Ledger.e_doc in
+    let ka = Ledger.metric_kvs ea.Ledger.e_run in
+    let kb = Ledger.metric_kvs eb.Ledger.e_run in
     let names = List.sort_uniq compare (List.map fst ka @ List.map fst kb) in
     let value l n = Option.value ~default:0.0 (List.assoc_opt n l) in
     let eps = 1e-9 in
@@ -1370,18 +1174,12 @@ let obs_top_cmd =
   let run obs_dir ref_ top_n =
     let dir = require_obs_dir obs_dir in
     let e = or_die (Ledger.find ~dir ref_) in
-    let kvs = Ledger.metric_kvs e.Ledger.e_doc in
     let take n l = List.filteri (fun i _ -> i < n) l in
     let desc (_, a) (_, b) = compare (b : float) a in
     let spans =
-      List.filter_map
-        (fun (k, v) ->
-          if
-            String.starts_with ~prefix:"span." k
-            && String.ends_with ~suffix:".seconds" k
-          then Some (String.sub k 5 (String.length k - 13), v)
-          else None)
-        kvs
+      List.map
+        (fun (k, (_, seconds, _, _)) -> (k, seconds))
+        (Obs.snapshot_spans e.Ledger.e_run.Ledger.r_metrics)
     in
     Printf.printf "slowest spans of %s:\n" e.Ledger.e_id;
     List.iter
@@ -1389,8 +1187,9 @@ let obs_top_cmd =
       (take top_n (List.sort desc spans));
     let views =
       List.map
-        (fun v -> ((doc_str v "rel", doc_str v "status"), doc_float v "seconds"))
-        (doc_list e.Ledger.e_doc "views")
+        (fun (v : Ledger.view) ->
+          ((v.Ledger.v_rel, v.Ledger.v_status), v.Ledger.v_seconds))
+        e.Ledger.e_run.Ledger.r_views
     in
     print_string "slowest views:\n";
     List.iter
@@ -1700,14 +1499,16 @@ let main =
 
 let () =
   Obs.init_from_env ();
+  Option.iter
+    (fun path -> export path Ledger.Metrics_json)
+    (Obs.env_value "metrics" Option.some);
+  if Obs.enabled () then telemetry_on ();
   (* HYDRA_OBS progress=N starts the live exporter even for subcommands
      without a --progress flag; HYDRA_OBS_DIR routes metrics.prom there *)
   (match Progress.period_from_env () with
   | Some p -> start_progress ?obs_dir:(Sys.getenv_opt "HYDRA_OBS_DIR") p
   | None -> ());
-  (* HYDRA_OBS serve=PORT attaches the live endpoint to any subcommand;
-     no span collector exists this early, so /runs/current/trace is
-     only populated by the --serve flag *)
+  (* HYDRA_OBS serve=PORT attaches the live endpoint to any subcommand *)
   (match Serve.port_from_env () with
   | Some port ->
       start_live_serve ?obs_dir:(Sys.getenv_opt "HYDRA_OBS_DIR") port
@@ -1715,8 +1516,10 @@ let () =
   (* HYDRA_CHAOS arms fault injection for every subcommand, including
      those without a --chaos flag (e.g. materialize) *)
   Chaos.init_from_env ();
-  (* metrics files must land even on the degraded-summary exit codes *)
-  at_exit Obs.finish;
+  (* the file exports must land even on the degraded-summary exit codes *)
+  at_exit (fun () ->
+      write_exports ();
+      Obs.finish ());
   let code = Cmd.eval main in
   (* env-attached endpoints on subcommands without their own linger
      call (everything but summary) keep the final state up here *)

@@ -458,3 +458,36 @@ let regenerate ?(sizes = []) ?(max_nodes = 2000) ?(policy = `Low_corner)
 
 let total_lp_vars result =
   List.fold_left (fun acc v -> acc + v.num_lp_vars) 0 result.views
+
+(* ---- the run record ---- *)
+
+let status_word = function
+  | Exact -> "exact"
+  | Relaxed _ -> "relaxed"
+  | Fallback _ -> "fallback"
+
+let disposition_word = function
+  | Formulate.Cache_off -> "off"
+  | Formulate.Cache_bypass -> "bypass"
+  | Formulate.Cache_hit -> "hit"
+  | Formulate.Cache_miss -> "miss"
+
+let to_ledger ~subcommand ~spec_digest ~jobs ~exit_code ?(spans = []) r =
+  let module L = Hydra_obs.Ledger in
+  let journaled d = List.length (List.filter (fun v -> v.journal = d) r.views) in
+  let view v =
+    { L.v_rel = v.rel; v_status = status_word v.status;
+      v_fingerprint = v.fingerprint; v_cache = disposition_word v.cache;
+      v_journal = disposition_word v.journal; v_seconds = v.solve_seconds }
+  in
+  { L.r_subcommand = subcommand;
+    r_config_digest = L.config_digest ~subcommand [ spec_digest ];
+    r_spec_digest = spec_digest; r_jobs = jobs; r_exit = exit_code;
+    r_seconds = r.total_seconds; r_views = List.map view r.views;
+    r_journal =
+      (if journaled Formulate.Cache_off = List.length r.views then []
+       else
+         [ ("replayed", journaled Formulate.Cache_hit);
+           ("solved", journaled Formulate.Cache_miss) ]);
+    r_metrics = Obs.snapshot (); r_events = Obs.recent_events ();
+    r_spans = spans }

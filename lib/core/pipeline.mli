@@ -158,3 +158,18 @@ val regenerate :
     to the caller, as the fault-injection harness requires. *)
 
 val total_lp_vars : result -> int
+
+(** {2 The run record} *)
+
+val status_word : view_status -> string
+(** ["exact"] / ["relaxed"] / ["fallback"]. *)
+
+val disposition_word : Formulate.cache_disposition -> string
+(** ["off"] / ["bypass"] / ["hit"] / ["miss"]. *)
+
+val to_ledger :
+  subcommand:string -> spec_digest:string -> jobs:int -> exit_code:int ->
+  ?spans:Hydra_obs.Obs.span list -> result -> Hydra_obs.Ledger.run
+(** The finished run as its ledger record, in the words above, with the
+    registry snapshot and event ring read now. The state-dir aggregate is
+    [[]] when no view consulted a state dir. *)

@@ -7,11 +7,7 @@ type collector = { mutable spans : Obs.span list; m : Mutex.t }
 
 let create () = { spans = []; m = Mutex.create () }
 
-let spans c =
-  Mutex.lock c.m;
-  let ss = List.rev c.spans in
-  Mutex.unlock c.m;
-  ss
+let spans c = Mutex.protect c.m (fun () -> List.rev c.spans)
 
 let folded span_list =
   let by_id = Hashtbl.create 64 in
@@ -62,21 +58,9 @@ let folded_string span_list =
     (folded span_list);
   Buffer.contents b
 
-let write_folded path span_list =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (folded_string span_list))
-
-let sink ?out c =
+let sink c =
   {
-    Obs.sink_span =
-      (fun sp ->
-        Mutex.lock c.m;
-        c.spans <- sp :: c.spans;
-        Mutex.unlock c.m);
+    Obs.sink_span = (fun sp -> Mutex.protect c.m (fun () -> c.spans <- sp :: c.spans));
     sink_event = (fun _ -> ());
-    sink_close =
-      (fun () ->
-        match out with None -> () | Some path -> write_folded path (spans c));
+    sink_close = (fun () -> ());
   }

@@ -13,11 +13,8 @@ type collector
 
 val create : unit -> collector
 
-val sink : ?out:string -> collector -> Obs.sink
-(** A sink that records every finished span into the collector. With
-    [?out], closing the sink (e.g. via [Obs.finish]) writes the folded
-    stacks to that file — this is how [--flame-out] survives the CLI's
-    degraded-exit paths. *)
+val sink : collector -> Obs.sink
+(** A sink that records every finished span into the collector. *)
 
 val spans : collector -> Obs.span list
 (** Collected spans, in completion order. Thread-safe. *)
@@ -29,6 +26,3 @@ val folded : Obs.span list -> (string * int) list
 
 val folded_string : Obs.span list -> string
 (** {!folded} rendered one ["path value\n"] line per entry. *)
-
-val write_folded : string -> Obs.span list -> unit
-(** Write {!folded_string} to a file. *)

@@ -26,8 +26,13 @@ let escape buf s =
 let float_repr f =
   if not (Float.is_finite f) then "null"
   else
-    (* shortest representation that still round-trips typical durations *)
-    let s = Printf.sprintf "%.12g" f in
+    (* the fewest significant digits, from 15, that parse back to the
+       same float; 17 always do *)
+    let rec shortest digits =
+      let s = Printf.sprintf "%.*g" digits f in
+      if digits >= 17 || float_of_string s = f then s else shortest (digits + 1)
+    in
+    let s = shortest 15 in
     (* ensure the token stays a number for strict parsers *)
     if String.contains s '.' || String.contains s 'e' || String.contains s 'n'
     then s
@@ -261,3 +266,25 @@ let parse s =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
+
+(* ---- decoding ---- *)
+
+exception Decode of string
+
+let field key j =
+  match member key j with
+  | Some v -> v
+  | None -> raise (Decode ("missing field " ^ key))
+
+let str = function String s -> s | _ -> raise (Decode "expected a string")
+let int = function Int i -> i | _ -> raise (Decode "expected an integer")
+
+(* null is how a non-finite float was written *)
+let num = function
+  | Float f -> f
+  | Int i -> float_of_int i
+  | Null -> Float.nan
+  | _ -> raise (Decode "expected a number")
+
+let list = function List l -> l | _ -> raise (Decode "expected a list")
+let obj = function Obj f -> f | _ -> raise (Decode "expected an object")

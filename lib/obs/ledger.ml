@@ -24,10 +24,18 @@ type run = {
   r_seconds : float;
   r_views : view list;
   r_journal : (string * int) list;
-  r_metrics : Json.t;
+  r_metrics : Obs.snapshot;
   r_events : Obs.event list;
-  r_folded : string;
+  r_spans : Obs.span list;
 }
+
+let current ?(spans = []) ?(seconds = 0.0) () =
+  {
+    r_subcommand = ""; r_config_digest = ""; r_spec_digest = ""; r_jobs = 0;
+    r_exit = 0; r_seconds = seconds; r_views = []; r_journal = [];
+    r_metrics = Obs.snapshot (); r_events = Obs.recent_events ();
+    r_spans = spans;
+  }
 
 let config_digest ~subcommand parts =
   Digest.to_hex (Digest.string (String.concat "\x00" (subcommand :: parts)))
@@ -67,49 +75,91 @@ let record_filenames dir =
 let next_seq dir =
   1 + List.fold_left (fun acc (seq, _) -> max acc seq) 0 (record_filenames dir)
 
-(* ---- record ---- *)
+(* ---- record codec ---- *)
 
-let event_json (ev : Obs.event) =
+let run_json ~id ~seq r =
+  let str k v = (k, Json.String v) and int k v = (k, Json.Int v) in
+  let view v =
+    Json.Obj
+      [
+        str "rel" v.v_rel; str "status" v.v_status;
+        str "fingerprint" v.v_fingerprint; str "cache" v.v_cache;
+        str "journal" v.v_journal; ("seconds", Json.Float v.v_seconds);
+      ]
+  in
   Json.Obj
     [
-      ("time", Json.Float ev.Obs.ev_time);
-      ("level", Json.String (Obs.level_name ev.Obs.ev_level));
-      ("msg", Json.String ev.Obs.ev_msg);
-      ( "attrs",
-        Json.Obj
-          (List.map (fun (k, v) -> (k, Obs.value_json v)) ev.Obs.ev_attrs) );
+      str "format" format_tag; str "id" id; int "seq" seq;
+      str "subcommand" r.r_subcommand; str "config_digest" r.r_config_digest;
+      str "spec_digest" r.r_spec_digest; int "jobs" r.r_jobs;
+      int "exit" r.r_exit; ("seconds", Json.Float r.r_seconds);
+      ("views", Json.List (List.map view r.r_views));
+      ("journal", Json.Obj (List.map (fun (k, v) -> int k v) r.r_journal));
+      ("metrics", Obs.snapshot_json r.r_metrics);
+      ("events", Json.List (List.map Obs.event_json r.r_events));
+      ("spans", Json.List (List.map Obs.span_json r.r_spans));
     ]
 
-let view_json v =
-  Json.Obj
-    [
-      ("rel", Json.String v.v_rel);
-      ("status", Json.String v.v_status);
-      ("fingerprint", Json.String v.v_fingerprint);
-      ("cache", Json.String v.v_cache);
-      ("journal", Json.String v.v_journal);
-      ("seconds", Json.Float v.v_seconds);
-    ]
-
-let doc_of_run ~id ~seq r =
-  Json.Obj
-    [
-      ("format", Json.String format_tag);
-      ("id", Json.String id);
-      ("seq", Json.Int seq);
-      ("subcommand", Json.String r.r_subcommand);
-      ("config_digest", Json.String r.r_config_digest);
-      ("spec_digest", Json.String r.r_spec_digest);
-      ("jobs", Json.Int r.r_jobs);
-      ("exit", Json.Int r.r_exit);
-      ("seconds", Json.Float r.r_seconds);
-      ("views", Json.List (List.map view_json r.r_views));
-      ( "journal",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.r_journal) );
-      ("metrics", r.r_metrics);
-      ("events", Json.List (List.map event_json r.r_events));
-      ("folded", Json.String r.r_folded);
-    ]
+let run_of_json doc =
+  let str k j = Json.str (Json.field k j) and int k j = Json.int (Json.field k j) in
+  let num k j = Json.num (Json.field k j) in
+  let each decode k j = List.map decode (Json.list (Json.field k j)) in
+  let attrs j =
+    List.map
+      (fun (k, v) ->
+        ( k,
+          match v with
+          | Json.String s -> Obs.Str s
+          | Json.Int i -> Obs.Int i
+          | Json.Bool b -> Obs.Bool b
+          | v -> Obs.Float (Json.num v) ))
+      (Json.obj (Json.field "attrs" j))
+  in
+  let view j =
+    {
+      v_rel = str "rel" j; v_status = str "status" j;
+      v_fingerprint = str "fingerprint" j; v_cache = str "cache" j;
+      v_journal = str "journal" j; v_seconds = num "seconds" j;
+    }
+  in
+  let event j =
+    match Obs.level_of_name (str "level" j) with
+    | None -> raise (Json.Decode "unknown event level")
+    | Some l ->
+        { Obs.ev_time = num "time" j; ev_level = l; ev_msg = str "msg" j; ev_attrs = attrs j }
+  in
+  let span j =
+    {
+      Obs.sp_id = int "id" j; sp_parent = int "parent" j; sp_name = str "name" j;
+      sp_start = num "start" j; sp_end = num "end" j; sp_attrs = attrs j;
+    }
+  in
+  match
+    {
+      r_subcommand = str "subcommand" doc;
+      r_config_digest = str "config_digest" doc;
+      r_spec_digest = str "spec_digest" doc;
+      r_jobs = int "jobs" doc;
+      r_exit = int "exit" doc;
+      r_seconds = num "seconds" doc;
+      r_views = each view "views" doc;
+      r_journal =
+        List.map (fun (k, v) -> (k, Json.int v)) (Json.obj (Json.field "journal" doc));
+      r_metrics =
+        (match Obs.snapshot_of_json (Json.field "metrics" doc) with
+        | Ok snap -> snap
+        | Error m -> raise (Json.Decode m));
+      r_events = each event "events" doc;
+      (* records written before spans were archived carry folded stacks
+         instead: they load with no spans *)
+      r_spans =
+        (match Json.member "spans" doc with
+        | None -> []
+        | Some l -> List.map span (Json.list l));
+    }
+  with
+  | r -> Ok r
+  | exception Json.Decode m -> Error m
 
 let record ~dir r =
   Durable_io.mkdir_p dir;
@@ -119,13 +169,13 @@ let record ~dir r =
   let id = Printf.sprintf "run-%06d-%s" seq digest8 in
   let path = Filename.concat dir (filename ~seq ~digest8) in
   Durable_io.write_atomic ~digest:true path (fun b ->
-      Buffer.add_string b (Json.to_string_pretty (doc_of_run ~id ~seq r));
+      Buffer.add_string b (Json.to_string_pretty (run_json ~id ~seq r));
       Buffer.add_char b '\n');
   id
 
 (* ---- listing ---- *)
 
-type entry = { e_id : string; e_seq : int; e_path : string; e_doc : Json.t }
+type entry = { e_id : string; e_seq : int; e_path : string; e_run : run }
 
 type listing = {
   l_entries : entry list;
@@ -142,13 +192,15 @@ let load_entry dir seq fn =
       | Error e -> Error ("bad json: " ^ e)
       | Ok doc -> (
           match Json.member "format" doc with
-          | Some (Json.String t) when t = format_tag ->
+          | Some (Json.String t) when t = format_tag -> (
               let id =
                 match Json.member "id" doc with
                 | Some (Json.String s) -> s
                 | _ -> Filename.remove_extension fn
               in
-              Ok { e_id = id; e_seq = seq; e_path = path; e_doc = doc }
+              match run_of_json doc with
+              | Ok r -> Ok { e_id = id; e_seq = seq; e_path = path; e_run = r }
+              | Error m -> Error ("bad record: " ^ m))
           | _ -> Error "not a hydra-ledger/1 record"))
 
 let runs ~dir =
@@ -209,42 +261,80 @@ let prune ~dir ?(before = 0) ?keep () =
     l.l_corrupt;
   (List.map (fun e -> e.e_id) victims, List.map fst l.l_corrupt)
 
-(* ---- metric flattening for diff ---- *)
+(* ---- renderings ---- *)
 
-let num = function
-  | Json.Int i -> Some (float_of_int i)
-  | Json.Float f -> Some f
-  | _ -> None
+let rungs r =
+  let n status = List.length (List.filter (fun v -> v.v_status = status) r.r_views) in
+  (n "exact", n "relaxed", n "fallback")
 
-let obj_fields = function Json.Obj fields -> fields | _ -> []
+let metric_kvs r =
+  Obs.flatten r.r_metrics
+  @ List.concat_map
+      (fun (k, (p50, p95, p99)) ->
+        [ (k ^ ".p50", p50); (k ^ ".p95", p95); (k ^ ".p99", p99) ])
+      (Obs.percentiles r.r_metrics)
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let metric_kvs doc =
-  match Json.member "metrics" doc with
-  | None -> []
-  | Some metrics ->
-      let get name = Option.value ~default:Json.Null (Json.member name metrics) in
-      let plain j =
-        List.filter_map
-          (fun (k, v) -> Option.map (fun f -> (k, f)) (num v))
-          (obj_fields j)
-      in
-      let hist_fields (k, v) =
-        List.filter_map
-          (fun field ->
-            match Json.member field v with
-            | Some j -> Option.map (fun f -> (k ^ "." ^ field, f)) (num j)
-            | None -> None)
-          [ "count"; "sum"; "p50"; "p95"; "p99" ]
-      in
-      let span_fields (k, v) =
-        List.filter_map
-          (fun field ->
-            match Json.member field v with
-            | Some j -> Option.map (fun f -> ("span." ^ k ^ "." ^ field, f)) (num j)
-            | None -> None)
-          [ "count"; "seconds" ]
-      in
-      plain (get "counters") @ plain (get "gauges")
-      @ List.concat_map hist_fields (obj_fields (get "histograms"))
-      @ List.concat_map span_fields (obj_fields (get "spans"))
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
+type format = Chrome | Folded | Prometheus | Metrics_json
+
+let render fmt r =
+  match fmt with
+  | Chrome -> Trace_event.to_string r.r_spans ^ "\n"
+  | Folded -> Flame.folded_string r.r_spans
+  | Prometheus -> Prom.render r.r_metrics
+  | Metrics_json -> Json.to_string_pretty (Obs.snapshot_json r.r_metrics) ^ "\n"
+
+let report ?(events = 10) ~id r =
+  let b = Buffer.create 4096 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let section title rows f =
+    if rows <> [] then begin
+      line "  %s:" title;
+      List.iter f rows
+    end
+  in
+  let get k l = Option.value ~default:0 (List.assoc_opt k l) in
+  let ex, rx, fb = rungs r in
+  line "run %s" id;
+  line "  subcommand    %s" r.r_subcommand;
+  line "  config digest %s" r.r_config_digest;
+  line "  spec digest   %s" r.r_spec_digest;
+  line "  jobs          %d" r.r_jobs;
+  line "  exit          %d" r.r_exit;
+  line "  seconds       %.6f" r.r_seconds;
+  line "  views         %d exact, %d relaxed, %d fallback" ex rx fb;
+  List.iter
+    (fun v ->
+      let fp = v.v_fingerprint in
+      line "    %-20s %-8s cache %-6s journal %-8s lp %s  %.6fs" v.v_rel
+        v.v_status v.v_cache v.v_journal
+        (if fp = "" then "-" else String.sub fp 0 (min 12 (String.length fp)))
+        v.v_seconds)
+    r.r_views;
+  section "metrics" (Obs.flatten r.r_metrics) (fun (k, v) ->
+      if Float.is_integer v && Float.abs v < 1e15 then
+        line "    %-44s %d" k (int_of_float v)
+      else line "    %-44s %.6f" k v);
+  section "histogram percentiles (p50 / p95 / p99)"
+    (List.filter
+       (fun (_, (p50, p95, p99)) -> p50 +. p95 +. p99 > 0.0)
+       (Obs.percentiles r.r_metrics))
+    (fun (k, (p50, p95, p99)) ->
+      line "    %-44s %.6f / %.6f / %.6f" k p50 p95 p99);
+  let skip = List.length r.r_events - events in
+  section "events"
+    (List.filteri (fun i _ -> i >= skip) r.r_events)
+    (fun ev -> line "    [%s] %s" (Obs.level_name ev.Obs.ev_level) ev.Obs.ev_msg);
+  (* last, the resume story: how the state dir and the solve cache
+     served the run *)
+  line "resume story:";
+  if r.r_journal = [] then line "  journal: off"
+  else
+    line "  journal: %d view(s) replayed, %d solved fresh"
+      (get "replayed" r.r_journal) (get "solved" r.r_journal);
+  let counters = Obs.snapshot_counters r.r_metrics in
+  if List.exists (fun v -> v.v_cache <> "off") r.r_views then
+    line "  cache: %d hit(s), %d miss(es), %d store(s)" (get "cache.hit" counters)
+      (get "cache.miss" counters) (get "cache.store" counters)
+  else line "  cache: off";
+  Buffer.contents b

@@ -18,10 +18,13 @@ type view = {
   v_rel : string;
   v_status : string;  (** ["exact"] / ["relaxed"] / ["fallback"] *)
   v_fingerprint : string;  (** [Formulate.fingerprint], [""] if unknown *)
-  v_cache : string;  (** cache disposition word, [""] when cache off *)
+  v_cache : string;
+      (** how the solve cache served the view: ["hit"] / ["miss"] /
+          ["bypass"], ["off"] when no cache was used *)
   v_journal : string;
-      (** how the [--state-dir] store served the view: ["replayed"] /
-          ["solved"], [""] when no state dir *)
+      (** how the [--state-dir] store served the view, in the same
+          words: ["hit"] means replayed, ["miss"] solved fresh, ["off"]
+          no state dir *)
   v_seconds : float;
 }
 
@@ -34,17 +37,33 @@ type run = {
   r_seconds : float;
   r_views : view list;
   r_journal : (string * int) list;
-      (** state-dir aggregate counts (e.g. [replayed]/[solved]), [[]] when
-          no state dir was used *)
-  r_metrics : Json.t;  (** final [Obs.metrics_json ()] snapshot *)
+      (** state-dir aggregate counts ([replayed]/[solved]), [[]] when no
+          state dir was used *)
+  r_metrics : Obs.snapshot;  (** the registry at the end of the run *)
   r_events : Obs.event list;
-  r_folded : string;  (** folded stacks, [""] when no collector ran *)
+  r_spans : Obs.span list;
+      (** every span the collector held, [[]] when none ran (and for
+          records written before spans were archived) *)
 }
+(** The one record of a run. Every telemetry export — the ledger file,
+    the endpoint's routes, the exit-time files and the text report — is
+    a rendering of it. *)
+
+val current : ?spans:Obs.span list -> ?seconds:float -> unit -> run
+(** The live registry as a record with no run outcome yet: metrics
+    snapshot and event ring now, the given spans, [?seconds] elapsed
+    (default 0), empty identity fields and views. *)
 
 val config_digest : subcommand:string -> string list -> string
 (** Hex digest over the subcommand name and the given configuration
     parts (spec digest, relevant flags). Deliberately excludes
     inputs that vary per host (e.g. the resolved jobs count). *)
+
+val run_json : id:string -> seq:int -> run -> Json.t
+(** The record as archived: a [hydra-ledger/1] document. Reading it back
+    ({!runs}, {!find}) is exact; a document without a [spans] field
+    (written before spans were archived; it carries [folded] instead)
+    loads with no spans. *)
 
 val record : dir:string -> run -> string
 (** Archive the run; creates [dir] as needed and returns the run id. *)
@@ -53,7 +72,7 @@ type entry = {
   e_id : string;
   e_seq : int;
   e_path : string;
-  e_doc : Json.t;
+  e_run : run;
 }
 
 type listing = {
@@ -75,9 +94,25 @@ val prune :
     Corrupt record files are always deleted. Returns
     [(removed run ids, removed corrupt filenames)]. *)
 
-val metric_kvs : Json.t -> (string * float) list
-(** Flatten a run document's stored metrics snapshot for diffing:
-    counters and gauges under their own names, histograms as
-    [name.count]/[name.sum]/[name.p50]/[name.p95]/[name.p99], span
-    aggregates as [span.name.count]/[span.name.seconds]. Sorted by
-    name; allocation words are excluded, mirroring [Obs.flatten]. *)
+(** {2 Renderings} *)
+
+val rungs : run -> int * int * int
+(** Views per rung: [(exact, relaxed, fallback)]. *)
+
+val metric_kvs : run -> (string * float) list
+(** Flat metrics for diffing: {!Obs.flatten} plus
+    [name.p50]/[name.p95]/[name.p99] per histogram, sorted by name. *)
+
+type format =
+  | Chrome  (** {!Trace_event} JSON, newline-terminated *)
+  | Folded  (** {!Flame.folded_string} *)
+  | Prometheus  (** {!Prom.render} of the metrics *)
+  | Metrics_json  (** pretty {!Obs.snapshot_json}, newline-terminated *)
+
+val render : format -> run -> string
+
+val report : ?events:int -> id:string -> run -> string
+(** The text report: the [run ID] header and identity fields, per-view
+    outcomes, the metrics table, populated histogram percentiles, the
+    last [?events] (default 10) events, and last the resume story (how
+    the state dir and the solve cache served the run). *)

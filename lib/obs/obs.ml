@@ -589,60 +589,78 @@ let span_alloc snap =
     (fun (k, (_, _, minor, major)) -> (k, (minor, major)))
     snap.snap_spans
 
+(* a bucket's JSON key: its inclusive upper bound in %g, "+inf" for the
+   overflow bucket *)
+let bucket_key i =
+  if i = num_buckets - 1 then "+inf" else Printf.sprintf "%g" (bucket_upper i)
+
 let snapshot_json snap =
-  let buckets_json buckets =
-    (* only non-empty buckets, keyed by their inclusive upper bound *)
-    let fields = ref [] in
-    Array.iteri
-      (fun i n ->
-        if n > 0 then
-          let key =
-            if i = 0 then Printf.sprintf "%g" (ldexp 1.0 min_exp)
-            else if i = num_buckets - 1 then "+inf"
-            else Printf.sprintf "%g" (bucket_upper i)
-          in
-          fields := (key, Json.Int n) :: !fields)
-      buckets;
-    Json.Obj (List.rev !fields)
+  let each f l = Json.Obj (List.map (fun (k, v) -> (k, f v)) l) in
+  let float name v = (name, Json.Float v) in
+  let hist ((count, sum, buckets) as h) =
+    let p50, p95, p99 = hist_percentiles h in
+    let nonempty =
+      List.filter (fun i -> buckets.(i) > 0) (List.init num_buckets Fun.id)
+    in
+    Json.Obj
+      [
+        ("count", Json.Int count); float "sum" sum; float "p50" p50;
+        float "p95" p95; float "p99" p99;
+        ( "buckets",
+          Json.Obj (List.map (fun i -> (bucket_key i, Json.Int buckets.(i))) nonempty) );
+      ]
+  in
+  let span (count, seconds, minor, major) =
+    Json.Obj
+      [
+        ("count", Json.Int count); float "seconds" seconds;
+        float "minor_words" minor; float "major_words" major;
+      ]
   in
   Json.Obj
     [
-      ( "counters",
-        Json.Obj
-          (List.map (fun (k, v) -> (k, Json.Int v)) snap.snap_counters) );
-      ( "gauges",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) snap.snap_gauges)
-      );
-      ( "histograms",
-        Json.Obj
-          (List.map
-             (fun (k, ((count, sum, buckets) as h)) ->
-               let p50, p95, p99 = hist_percentiles h in
-               ( k,
-                 Json.Obj
-                   [
-                     ("count", Json.Int count);
-                     ("sum", Json.Float sum);
-                     ("p50", Json.Float p50);
-                     ("p95", Json.Float p95);
-                     ("p99", Json.Float p99);
-                     ("buckets", buckets_json buckets);
-                   ] ))
-             snap.snap_hists) );
-      ( "spans",
-        Json.Obj
-          (List.map
-             (fun (k, (count, seconds, minor, major)) ->
-               ( k,
-                 Json.Obj
-                   [
-                     ("count", Json.Int count);
-                     ("seconds", Json.Float seconds);
-                     ("minor_words", Json.Float minor);
-                     ("major_words", Json.Float major);
-                   ] ))
-             snap.snap_spans) );
+      ("counters", each (fun v -> Json.Int v) snap.snap_counters);
+      ("gauges", each (fun v -> Json.Float v) snap.snap_gauges);
+      ("histograms", each hist snap.snap_hists);
+      ("spans", each span snap.snap_spans);
     ]
+
+(* percentiles are derived, so they are recomputed rather than read;
+   bucket keys are looked up among the encoder's own strings, because
+   parsing a %g key as a float can land it above its bucket's bound *)
+let snapshot_of_json j =
+  let index = Hashtbl.create num_buckets in
+  for i = 0 to num_buckets - 1 do
+    Hashtbl.replace index (bucket_key i) i
+  done;
+  let hist h =
+    let buckets = Array.make num_buckets 0 in
+    List.iter
+      (fun (key, n) ->
+        match Hashtbl.find_opt index key with
+        | Some i -> buckets.(i) <- Json.int n
+        | None -> raise (Json.Decode ("histogram bucket " ^ key)))
+      (Json.obj (Json.field "buckets" h));
+    (Json.int (Json.field "count" h), Json.num (Json.field "sum" h), buckets)
+  in
+  let span s =
+    let f name = Json.num (Json.field name s) in
+    (Json.int (Json.field "count" s), f "seconds", f "minor_words",
+     f "major_words")
+  in
+  let each decode name =
+    List.map (fun (k, v) -> (k, decode v)) (Json.obj (Json.field name j))
+  in
+  match
+    {
+      snap_counters = each Json.int "counters";
+      snap_gauges = each Json.num "gauges";
+      snap_hists = each hist "histograms";
+      snap_spans = each span "spans";
+    }
+  with
+  | snap -> Ok snap
+  | exception Json.Decode m -> Error ("metrics snapshot: " ^ m)
 
 let metrics_json () = snapshot_json (snapshot ())
 
@@ -683,40 +701,39 @@ let text_sink oc =
     sink_close = (fun () -> ());
   }
 
+let attrs_json attrs =
+  Json.Obj (List.map (fun (k, v) -> (k, value_json v)) attrs)
+
+let span_fields sp =
+  [
+    ("id", Json.Int sp.sp_id);
+    ("parent", Json.Int sp.sp_parent);
+    ("name", Json.String sp.sp_name);
+    ("start", Json.Float sp.sp_start);
+    ("end", Json.Float sp.sp_end);
+    ("attrs", attrs_json sp.sp_attrs);
+  ]
+
+let event_fields ev =
+  [
+    ("time", Json.Float ev.ev_time);
+    ("level", Json.String (level_name ev.ev_level));
+    ("msg", Json.String ev.ev_msg);
+    ("attrs", attrs_json ev.ev_attrs);
+  ]
+
+let span_json sp = Json.Obj (span_fields sp)
+let event_json ev = Json.Obj (event_fields ev)
+
 let jsonl_sink path =
   let oc = open_out path in
-  let attrs_json attrs =
-    Json.Obj (List.map (fun (k, v) -> (k, value_json v)) attrs)
+  let line ty fields =
+    output_string oc (Json.to_string (Json.Obj (("type", Json.String ty) :: fields)));
+    output_char oc '\n'
   in
   {
-    sink_span =
-      (fun sp ->
-        output_string oc
-          (Json.to_string
-             (Json.Obj
-                [
-                  ("type", Json.String "span");
-                  ("id", Json.Int sp.sp_id);
-                  ("parent", Json.Int sp.sp_parent);
-                  ("name", Json.String sp.sp_name);
-                  ("start", Json.Float sp.sp_start);
-                  ("end", Json.Float sp.sp_end);
-                  ("attrs", attrs_json sp.sp_attrs);
-                ]));
-        output_char oc '\n');
-    sink_event =
-      (fun ev ->
-        output_string oc
-          (Json.to_string
-             (Json.Obj
-                [
-                  ("type", Json.String "event");
-                  ("time", Json.Float ev.ev_time);
-                  ("level", Json.String (level_name ev.ev_level));
-                  ("msg", Json.String ev.ev_msg);
-                  ("attrs", attrs_json ev.ev_attrs);
-                ]));
-        output_char oc '\n');
+    sink_span = (fun sp -> line "span" (span_fields sp));
+    sink_event = (fun ev -> line "event" (event_fields ev));
     sink_close = (fun () -> close_out oc);
   }
 
@@ -749,55 +766,47 @@ let reset () =
   ring_count := 0;
   Mutex.unlock ring_m
 
-let metrics_out : string option ref = ref None
-let set_metrics_out path = metrics_out := Some path
-
-let write_metrics path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty (metrics_json ()));
-      output_char oc '\n')
-
 let finished = ref false
 
 let finish () =
   if not !finished then begin
     finished := true;
-    (match !metrics_out with Some path -> write_metrics path | None -> ());
     List.iter (fun s -> s.sink_close ()) !sinks;
     sinks := []
   end
 
+(* [HYDRA_OBS]-style specs: comma-separated [key=VALUE] or bare tokens *)
+let spec_tokens spec =
+  List.map
+    (fun tok ->
+      let tok = String.trim tok in
+      match String.index_opt tok '=' with
+      | Some i ->
+          (String.sub tok 0 i, Some (String.sub tok (i + 1) (String.length tok - i - 1)))
+      | None -> (tok, None))
+    (String.split_on_char ',' spec)
+
+let spec_value key parse spec =
+  List.fold_left
+    (fun acc -> function
+      | k, Some v when k = key -> ( match parse v with None -> acc | x -> x)
+      | _ -> acc)
+    None (spec_tokens spec)
+
+let env_spec () = Option.value ~default:"" (Sys.getenv_opt "HYDRA_OBS")
+let env_value key parse = spec_value key parse (env_spec ())
+
 let init_from_env () =
-  match Sys.getenv_opt "HYDRA_OBS" with
-  | None | Some "" -> ()
-  | Some spec ->
-      List.iter
-        (fun tok ->
-          let tok = String.trim tok in
-          match String.index_opt tok '=' with
-          | Some i ->
-              let key = String.sub tok 0 i in
-              let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-              (match key with
-              | "trace" ->
-                  add_sink (jsonl_sink v);
-                  set_enabled true
-              | "metrics" ->
-                  set_metrics_out v;
-                  set_enabled true
-              | "level" -> (
-                  match level_of_name v with
-                  | Some l -> set_sink_level l
-                  | None -> ())
-              | _ -> ())
-          | None -> (
-              match tok with
-              | "on" | "1" -> set_enabled true
-              | "text" ->
-                  add_sink (text_sink stderr);
-                  set_enabled true
-              | _ -> ()))
-        (String.split_on_char ',' spec)
+  List.iter
+    (function
+      | "trace", Some path ->
+          add_sink (jsonl_sink path);
+          set_enabled true
+      | "metrics", Some _ -> set_enabled true
+      | "level", Some l -> Option.iter set_sink_level (level_of_name l)
+      | ("on" | "1"), None -> set_enabled true
+      | "text", None ->
+          add_sink (text_sink stderr);
+          set_enabled true
+      | _ -> ())
+    (spec_tokens (env_spec ()))

@@ -116,6 +116,13 @@ type sink = {
   sink_close : unit -> unit;
 }
 
+val span_json : span -> Json.t
+(** [{id, parent, name, start, end, attrs}], as the JSONL sink and the
+    run ledger write a span. *)
+
+val event_json : event -> Json.t
+(** [{time, level, msg, attrs}]. *)
+
 val add_sink : sink -> unit
 
 val text_sink : out_channel -> sink
@@ -194,6 +201,15 @@ val diff : snapshot -> snapshot -> (string * float) list
     only — the metric delta attributable to the enclosed work. *)
 
 val snapshot_json : snapshot -> Json.t
+(** Counters, gauges, histograms (count, sum, p50/p95/p99 and the
+    non-empty buckets keyed by their [%g] upper bound, ["+inf"] for the
+    overflow bucket) and span aggregates with allocation words. *)
+
+val snapshot_of_json : Json.t -> (snapshot, string) result
+(** The exact inverse of {!snapshot_json}: percentiles are recomputed
+    from the buckets, and bucket keys are matched against the encoder's
+    own strings. *)
+
 val metrics_json : unit -> Json.t
 (** [snapshot_json (snapshot ())]. *)
 
@@ -203,19 +219,22 @@ val reset : unit -> unit
 (** Zero every registered metric, span aggregate and the event ring.
     Handles returned by {!counter}/{!gauge}/{!histogram} stay valid. *)
 
-val set_metrics_out : string -> unit
-(** Write a metrics snapshot to this path at {!finish} time. *)
-
-val write_metrics : string -> unit
-(** Write a pretty-printed metrics snapshot to the path right now. *)
-
 val init_from_env : unit -> unit
 (** Parse [HYDRA_OBS] — comma-separated [on], [text], [trace=FILE],
     [metrics=FILE], [level=LEVEL] — and enable the corresponding sinks.
+    [metrics=] only switches collection on: writing the file is the
+    caller's exit-time export (read the path with {!env_value}).
     [level=] only sets the sink threshold ({!set_sink_level}); it does
     not enable tracing by itself. Unknown tokens are ignored (the CLI
-    reads [progress=N] from the same variable). *)
+    reads [progress=N] and [serve=PORT] from the same variable). *)
+
+val spec_value : string -> (string -> 'a option) -> string -> 'a option
+(** [spec_value key parse spec]: the last value of a [key=VALUE] token
+    in a comma-separated [HYDRA_OBS]-style [spec] that [parse] accepts;
+    [None] when there is none. *)
+
+val env_value : string -> (string -> 'a option) -> 'a option
+(** {!spec_value} applied to [HYDRA_OBS]. *)
 
 val finish : unit -> unit
-(** Write the pending metrics file (if {!set_metrics_out} was called),
-    flush and close all sinks. Idempotent; safe from [at_exit]. *)
+(** Flush and close all sinks. Idempotent; safe from [at_exit]. *)

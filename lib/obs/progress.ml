@@ -113,21 +113,8 @@ let stop t =
     t.p_tick ()
   end
 
-let period_of_spec spec =
-  List.fold_left
-    (fun acc tok ->
-      let tok = String.trim tok in
-      match String.index_opt tok '=' with
-      | Some i when String.sub tok 0 i = "progress" -> (
-          let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-          match float_of_string_opt v with
-          | Some p when p > 0.0 -> Some p
-          | _ -> acc)
-      | _ -> acc)
-    None
-    (String.split_on_char ',' spec)
+let positive v =
+  match float_of_string_opt v with Some p when p > 0.0 -> Some p | _ -> None
 
-let period_from_env () =
-  match Sys.getenv_opt "HYDRA_OBS" with
-  | None | Some "" -> None
-  | Some spec -> period_of_spec spec
+let period_of_spec = Obs.spec_value "progress" positive
+let period_from_env () = Obs.env_value "progress" positive

@@ -81,19 +81,6 @@ let render snap =
         spans);
   Buffer.contents b
 
-(* Archived runs keep only a flat (name, value) metric view, so the
-   richer counter/histogram typing is gone: render everything as a
-   gauge. Good enough to browse a finished run with the same tooling
-   that scrapes a live one. *)
-let render_kvs kvs =
-  let b = Buffer.create 2048 in
-  List.iter
-    (fun (k, v) ->
-      let n = metric_name k in
-      Printf.bprintf b "# TYPE %s gauge\n%s %s\n" n n (float_str v))
-    kvs;
-  Buffer.contents b
-
 let write ?(fsync = false) path snap =
   Durable_io.write_atomic ~fsync path (fun b ->
       Buffer.add_string b (render snap))

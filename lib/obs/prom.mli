@@ -12,13 +12,6 @@
 
 val render : Obs.snapshot -> string
 
-val render_kvs : (string * float) list -> string
-(** Render a flat [(name, value)] metric list (e.g.
-    {!Ledger.metric_kvs} of an archived run) with every series typed
-    [gauge] — the typed counter/histogram structure is not preserved in
-    ledger records. Names are prefixed/sanitized exactly like
-    {!render}; ordering follows the input list. *)
-
 val write : ?fsync:bool -> string -> Obs.snapshot -> unit
 (** Atomically replace [path] with {!render} of the snapshot
     (temp + rename via [hydra.durable]), so a scraper never reads a torn

@@ -5,98 +5,48 @@
 
 module Http = Hydra_net.Http
 module Server = Hydra_net.Server
-module Client = Hydra_net.Client
 
-type t = { srv : Server.t }
+type t = Server.t
 
 let prom_content_type = "text/plain; version=0.0.4; charset=utf-8"
 
-let doc_str doc name =
-  match Json.member name doc with Some (Json.String s) -> s | _ -> ""
+let json_doc doc = Http.json (Json.to_string_pretty doc ^ "\n")
 
-let doc_int doc name =
-  match Json.member name doc with Some (Json.Int i) -> i | _ -> 0
-
-let doc_list doc name =
-  match Json.member name doc with Some (Json.List l) -> l | _ -> []
-
-let rung_tally doc =
-  List.fold_left
-    (fun (e, r, f) v ->
-      match doc_str v "status" with
-      | "exact" -> (e + 1, r, f)
-      | "relaxed" -> (e, r + 1, f)
-      | "fallback" -> (e, r, f + 1)
-      | _ -> (e, r, f))
-    (0, 0, 0) (doc_list doc "views")
-
-let json_doc ?status doc = Http.json ?status (Json.to_string_pretty doc ^ "\n")
-
-let latest_entry dir =
-  match (Ledger.runs ~dir).Ledger.l_entries with
-  | [] -> None
-  | entries -> Some (List.nth entries (List.length entries - 1))
-
-let listing_doc dir =
-  let l = Ledger.runs ~dir in
+let listing_doc obs_dir =
+  let l =
+    match obs_dir with
+    | Some dir -> Ledger.runs ~dir
+    | None -> { Ledger.l_entries = []; l_corrupt = [] }
+  in
+  let str k v = (k, Json.String v) and int k v = (k, Json.Int v) in
+  let run (e : Ledger.entry) =
+    let r = e.Ledger.e_run in
+    let exact, relaxed, fallback = Ledger.rungs r in
+    Json.Obj
+      [
+        str "id" e.Ledger.e_id; int "seq" e.Ledger.e_seq;
+        str "subcommand" r.Ledger.r_subcommand; int "jobs" r.Ledger.r_jobs;
+        int "exit" r.Ledger.r_exit;
+        ( "views",
+          Json.Obj [ int "exact" exact; int "relaxed" relaxed; int "fallback" fallback ] );
+      ]
+  in
+  let corrupt (file, reason) = Json.Obj [ str "file" file; str "reason" reason ] in
   Json.Obj
     [
-      ( "runs",
-        Json.List
-          (List.map
-             (fun e ->
-               let exact, relaxed, fallback = rung_tally e.Ledger.e_doc in
-               Json.Obj
-                 [
-                   ("id", Json.String e.Ledger.e_id);
-                   ("seq", Json.Int e.Ledger.e_seq);
-                   ("subcommand", Json.String (doc_str e.Ledger.e_doc "subcommand"));
-                   ("jobs", Json.Int (doc_int e.Ledger.e_doc "jobs"));
-                   ("exit", Json.Int (doc_int e.Ledger.e_doc "exit"));
-                   ( "views",
-                     Json.Obj
-                       [
-                         ("exact", Json.Int exact);
-                         ("relaxed", Json.Int relaxed);
-                         ("fallback", Json.Int fallback);
-                       ] );
-                 ])
-             l.Ledger.l_entries) );
-      ( "corrupt",
-        Json.List
-          (List.map
-             (fun (file, reason) ->
-               Json.Obj
-                 [ ("file", Json.String file); ("reason", Json.String reason) ])
-             l.Ledger.l_corrupt) );
+      ("runs", Json.List (List.map run l.Ledger.l_entries));
+      ("corrupt", Json.List (List.map corrupt l.Ledger.l_corrupt));
     ]
 
-(* Rebuild Progress.stats from an archived run's flat metric list. *)
-let stats_of_kvs kvs =
-  let get name =
-    match List.assoc_opt name kvs with
-    | Some v -> int_of_float v
-    | None -> 0
-  in
-  {
-    Progress.hb_done = get "pipeline.progress.done_views";
-    hb_total = get "pipeline.progress.total_views";
-    hb_exact = get "pipeline.views.exact";
-    hb_relaxed = get "pipeline.views.relaxed";
-    hb_fallback = get "pipeline.views.fallback";
-    hb_cache_hits = get "cache.hit";
-    hb_retries = get "par.supervisor.retries";
-  }
-
-let progress_doc ?elapsed_s (st : Progress.stats) =
-  let views_per_sec, eta_seconds = Progress.rate_eta ?elapsed_s st in
+let progress_doc ~elapsed_s (st : Progress.stats) =
+  let views_per_sec, eta_seconds = Progress.rate_eta ~elapsed_s st in
   let opt_float = function
     | Some v -> Json.Float v
     | None -> Json.Null
   in
   Json.Obj
     [
-      ("line", Json.String (Progress.render ?elapsed_s st));
+      ("line", Json.String (Progress.render ~elapsed_s st));
       ("done_views", Json.Int st.Progress.hb_done);
       ("total_views", Json.Int st.Progress.hb_total);
       ("exact", Json.Int st.Progress.hb_exact);
@@ -110,72 +60,34 @@ let progress_doc ?elapsed_s (st : Progress.stats) =
 
 let no_ledger = "no run ledger attached (start with --obs-dir)"
 
-let metrics_route ~live ~obs_dir () =
-  if live then
-    Http.response ~content_type:prom_content_type
-      (Prom.render (Obs.snapshot ()))
-  else
-    match obs_dir with
-    | None -> Http.not_found no_ledger
-    | Some dir -> (
-        match latest_entry dir with
-        | None -> Http.not_found "no runs archived"
-        | Some e ->
-            Http.response ~content_type:prom_content_type
-              (Prom.render_kvs (Ledger.metric_kvs e.Ledger.e_doc)))
+(* A run reference resolved to the ledger entry it names. [current] is
+   the live registry (live mode only), anything else an archived run.
+   [None] names the run /metrics and /progress describe: the live one,
+   else the latest archived. *)
+let resolve ~live ~obs_dir ~spans ~started ref_ =
+  let archived f =
+    match obs_dir with None -> Error no_ledger | Some dir -> f dir
+  in
+  match ref_ with
+  | (None | Some "current") when live ->
+      let seconds = Mclock.now () -. started in
+      Ok
+        { Ledger.e_id = "current"; e_seq = 0; e_path = "";
+          e_run = Ledger.current ~spans:(spans ()) ~seconds () }
+  | Some r -> archived (fun dir -> Ledger.find ~dir r)
+  | None ->
+      archived (fun dir ->
+          match List.rev (Ledger.runs ~dir).Ledger.l_entries with
+          | e :: _ -> Ok e
+          | [] -> Error "no runs archived")
 
-let progress_route ~live ~obs_dir ~started () =
-  if live then
-    let elapsed_s = Mclock.now () -. started in
-    json_doc
-      (progress_doc ~elapsed_s (Progress.stats_of_snapshot (Obs.snapshot ())))
-  else
-    match obs_dir with
-    | None -> Http.not_found no_ledger
-    | Some dir -> (
-        match latest_entry dir with
-        | None -> Http.not_found "no runs archived"
-        | Some e -> json_doc (progress_doc (stats_of_kvs (Ledger.metric_kvs e.Ledger.e_doc))))
-
-let current_doc () =
-  Json.Obj
-    [
-      ("id", Json.String "current");
-      ("live", Json.Bool true);
-      ("metrics", Obs.metrics_json ());
-    ]
-
-let run_route ~live ~obs_dir r =
-  if live && r = "current" then json_doc (current_doc ())
-  else
-    match obs_dir with
-    | None -> Http.not_found no_ledger
-    | Some dir -> (
-        match Ledger.find ~dir r with
-        | Ok e -> json_doc e.Ledger.e_doc
-        | Error msg -> Http.not_found msg)
-
-let trace_route ~live ~obs_dir ~spans r =
-  if live && r = "current" then
-    match spans with
-    | Some spans ->
-        Http.json (Trace_event.to_string (spans ()))
-    | None -> Http.not_found "trace collector not attached"
-  else
-    match obs_dir with
-    | None -> Http.not_found no_ledger
-    | Some dir -> (
-        match Ledger.find ~dir r with
-        | Ok e ->
-            Http.not_found
-              (Printf.sprintf
-                 "trace not archived for %s; traces are live-only \
-                  (/runs/current/trace)"
-                 e.Ledger.e_id)
-        | Error msg -> Http.not_found msg)
-
-let handler ?obs_dir ?(live = false) ?spans () =
+let handler ?obs_dir ?(live = false) ?(spans = fun () -> []) () =
   let started = Mclock.now () in
+  let with_run ref_ render =
+    match resolve ~live ~obs_dir ~spans ~started ref_ with
+    | Ok e -> render e e.Ledger.e_run
+    | Error msg -> Http.not_found msg
+  in
   fun (req : Http.request) ->
     if req.Http.meth <> "GET" then
       Http.text ~status:405 "method not allowed\n"
@@ -186,41 +98,36 @@ let handler ?obs_dir ?(live = false) ?spans () =
       in
       match segments with
       | [ "healthz" ] -> Http.text "ok\n"
-      | [ "metrics" ] -> metrics_route ~live ~obs_dir ()
-      | [ "progress" ] -> progress_route ~live ~obs_dir ~started ()
-      | [ "runs" ] -> (
-          match obs_dir with
-          | Some dir -> json_doc (listing_doc dir)
-          | None when live ->
-              json_doc (Json.Obj [ ("runs", Json.List []); ("corrupt", Json.List []) ])
-          | None -> Http.not_found no_ledger)
-      | [ "runs"; r ] -> run_route ~live ~obs_dir r
-      | [ "runs"; r; "trace" ] -> trace_route ~live ~obs_dir ~spans r
+      | [ "metrics" ] ->
+          with_run None (fun _ run ->
+              Http.response ~content_type:prom_content_type
+                (Ledger.render Ledger.Prometheus run))
+      | [ "progress" ] ->
+          with_run None (fun _ run ->
+              json_doc
+                (progress_doc ~elapsed_s:run.Ledger.r_seconds
+                   (Progress.stats_of_snapshot run.Ledger.r_metrics)))
+      | [ "runs" ] -> json_doc (listing_doc obs_dir)
+      | [ "runs"; r ] ->
+          with_run (Some r) (fun e run ->
+              let doc = Ledger.run_json ~id:e.Ledger.e_id ~seq:e.Ledger.e_seq run in
+              json_doc
+                (Json.Obj (Json.obj doc @ [ ("live", Json.Bool (e.Ledger.e_id = "current")) ])))
+      | [ "runs"; r; "trace" ] ->
+          with_run (Some r) (fun _ run ->
+              Http.json (Ledger.render Ledger.Chrome run))
       | _ -> Http.not_found ("no route for " ^ req.Http.path)
 
 let start ?obs_dir ?live ?spans ~port () =
-  match Server.start ~port (handler ?obs_dir ?live ?spans ()) with
-  | Ok srv -> Ok { srv }
-  | Error msg -> Error msg
+  Server.start ~port (handler ?obs_dir ?live ?spans ())
 
-let port t = Server.port t.srv
-let stop t = Server.stop t.srv
+let port = Server.port
+let stop = Server.stop
 
-let port_of_spec spec =
-  List.fold_left
-    (fun acc tok ->
-      let tok = String.trim tok in
-      match String.index_opt tok '=' with
-      | Some i when String.sub tok 0 i = "serve" -> (
-          let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-          match int_of_string_opt v with
-          | Some p when p >= 0 && p <= 65535 -> Some p
-          | _ -> acc)
-      | _ -> acc)
-    None
-    (String.split_on_char ',' spec)
+let valid_port v =
+  match int_of_string_opt v with
+  | Some p when p >= 0 && p <= 65535 -> Some p
+  | _ -> None
 
-let port_from_env () =
-  match Sys.getenv_opt "HYDRA_OBS" with
-  | None | Some "" -> None
-  | Some spec -> port_of_spec spec
+let port_of_spec = Obs.spec_value "serve" valid_port
+let port_from_env () = Obs.env_value "serve" valid_port

@@ -1,26 +1,28 @@
 (** Live telemetry endpoint: the run ledger and the live metric
     registry over HTTP ({!Hydra_net}).
 
+    Every route that describes a run resolves its reference to one
+    {!Ledger.run} and renders it; the live run ([current], built from
+    the registry, the event ring and the span collector by
+    {!Ledger.current}) and archived runs go through the same code.
+
     Routes (GET only; everything else is 405):
     - [/healthz] — liveness probe, ["ok\n"].
-    - [/metrics] — Prometheus text. Live mode renders the current
-      registry snapshot through {!Prom.render}; archive mode renders
-      the latest ledger record's flat metrics through
-      {!Prom.render_kvs} (404 when no runs are archived yet).
-    - [/progress] — heartbeat JSON: the {!Progress} counters, the
-      rendered heartbeat line, and views/sec + ETA when estimable.
+    - [/metrics] — Prometheus text ({!Ledger.Prometheus}) of the live
+      run, else of the latest archived run (404 when none).
+    - [/progress] — heartbeat JSON of the same run: the {!Progress}
+      counters, the rendered heartbeat line, and views/sec + ETA when
+      estimable.
     - [/runs] — ledger listing JSON (id, seq, subcommand, jobs, exit,
       view rungs; corrupt files listed separately). Wall-clock fields
       are deliberately left to the per-run document so the listing is
       byte-stable for tests.
-    - [/runs/<ref>] — one archived run document, resolved like
-      [hydra obs show] (sequence number, full id, or unique prefix);
-      live mode additionally serves [/runs/current] from the registry.
-    - [/runs/<ref>/trace] — Chrome [traceEvents] JSON via
-      {!Trace_event}. Spans are not archived in ledger records (only
-      folded stacks are), so traces are live-only: [/runs/current/trace]
-      with a span collector attached; archived refs get a clean 404
-      explaining that.
+    - [/runs/<ref>] — one run document ({!Ledger.run_json} plus a
+      [live] flag), resolved like [hydra obs show] (sequence number,
+      full id, or unique prefix); live mode also serves
+      [/runs/current].
+    - [/runs/<ref>/trace] — Chrome [traceEvents] JSON
+      ({!Ledger.Chrome}), byte-equal to the run's [--chrome-out] file.
 
     Unknown paths and unknown run references return JSON 404 bodies,
     never a backtrace.
@@ -43,9 +45,9 @@ val handler :
   Hydra_net.Http.response
 (** The route table, exposed separately from the socket machinery so
     tests can exercise it without a listener. [?live] (default false)
-    selects registry-backed [/metrics], [/progress] and
-    [/runs/current]; [?obs_dir] backs the [/runs*] family and the
-    idle [/metrics]/[/progress] fallbacks. *)
+    adds the [current] run, which [/metrics] and [/progress] then
+    describe; [?spans] (default none) supplies its spans; [?obs_dir]
+    backs the archived runs. *)
 
 val start :
   ?obs_dir:string ->

@@ -2,8 +2,6 @@
    document (Chromium); the JSON-array-of-events form with ph:"X"
    complete events is the subset every viewer accepts. *)
 
-module Durable_io = Hydra_durable.Durable_io
-
 (* root ancestor per span, parent links chased with memoization; the
    fuel bound makes a (malformed) parent cycle terminate as a root *)
 let root_index span_list =
@@ -113,8 +111,3 @@ let to_json span_list =
     ]
 
 let to_string span_list = Json.to_string (to_json span_list)
-
-let write path span_list =
-  Durable_io.write_atomic ~fsync:false path (fun b ->
-      Buffer.add_string b (to_string span_list);
-      Buffer.add_char b '\n')

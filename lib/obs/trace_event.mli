@@ -19,6 +19,3 @@ val to_json : Obs.span list -> Json.t
     parent id and attributes. *)
 
 val to_string : Obs.span list -> string
-
-val write : string -> Obs.span list -> unit
-(** Atomically write {!to_string} to a file (temp + rename). *)

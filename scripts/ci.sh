@@ -25,8 +25,10 @@
 # The tail is a run-ledger smoke (two archived regenerations of the
 # same spec, listed and diffed — the diff must pass clean under the
 # strictest deterministic gate and fail (exit 5) under an impossible
-# injected threshold), a --state-dir smoke (the state dir scrubs clean
-# as a cache directory and a second run replays every view), a live
+# injected threshold — and the first run's trace served back from the
+# ledger byte-equal to its --chrome-out file), a --state-dir smoke (the
+# state dir scrubs clean as a cache directory and a second run replays
+# every view), a live
 # endpoint smoke, and a fixed-seed `hydra fuzz` smoke:
 # 25 synthesized workloads through the full invariant battery, run
 # twice to assert the sweep itself is byte-deterministic. The
@@ -54,7 +56,8 @@ cc |sigma(S.A in [20,60))(S)| = 400;
 SPEC
 
 "$hydra" summary "$obs_tmp/ci.hydra" -o "$obs_tmp/a.summary" \
-  --obs-dir "$obs_tmp/ledger" --progress 60 > /dev/null 2>&1
+  --obs-dir "$obs_tmp/ledger" --progress 60 \
+  --chrome-out "$obs_tmp/a.trace.json" > /dev/null 2>&1
 "$hydra" summary "$obs_tmp/ci.hydra" -o "$obs_tmp/b.summary" \
   --obs-dir "$obs_tmp/ledger" > /dev/null 2>&1
 cmp "$obs_tmp/a.summary" "$obs_tmp/b.summary"
@@ -74,7 +77,22 @@ else
   [ "$rc" -eq 5 ] || { echo "obs smoke: expected exit 5, got $rc" >&2; exit 1; }
 fi
 
-echo "obs smoke: ledger, list and gated diff ok"
+# the archived run renders back post hoc: the ledger endpoint's trace
+# of run 1 is byte-equal to the run's own --chrome-out file
+"$hydra" obs serve --obs-dir "$obs_tmp/ledger" --port 0 > "$obs_tmp/ledger.serve" 2>&1 &
+ledger_pid=$!
+for _ in $(seq 1 150); do
+  grep -q 'listening on' "$obs_tmp/ledger.serve" 2>/dev/null && break
+  sleep 0.1
+done
+ledger_port=$(sed -n 's|.*http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$obs_tmp/ledger.serve")
+"$hydra" obs get --port "$ledger_port" /runs/1/trace > "$obs_tmp/a.trace.served"
+kill "$ledger_pid"
+wait "$ledger_pid" || { echo "obs smoke: ledger server did not exit clean" >&2; exit 1; }
+cmp "$obs_tmp/a.trace.json" "$obs_tmp/a.trace.served" \
+  || { echo "obs smoke: archived trace differs from --chrome-out" >&2; exit 1; }
+
+echo "obs smoke: ledger, list, gated diff and post-hoc trace ok"
 
 # ---- state-dir smoke ----
 # a --state-dir run leaves a plain durable store: the cache tooling

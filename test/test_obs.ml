@@ -646,9 +646,9 @@ let mk_run ?(subcommand = "summary") ?(jobs = 1) ?(views = []) () =
     r_seconds = 0.5;
     r_views = views;
     r_journal = [ ("replayed", 1); ("solved", 2) ];
-    r_metrics = Obs.metrics_json ();
+    r_metrics = Obs.snapshot ();
     r_events = [];
-    r_folded = "a;b 10\n";
+    r_spans = [ mk_span 1 (-1) "a" 0.0 0.5; mk_span 2 1 "b" 0.1 0.2 ];
   }
 
 let test_ledger_roundtrip () =
@@ -681,13 +681,10 @@ let test_ledger_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown seq must not resolve");
   (* run parameters survive the round trip *)
-  let e2 = List.nth l.Ledger.l_entries 1 in
-  Alcotest.(check bool) "jobs archived" true
-    (Json.member "jobs" e2.Ledger.e_doc = Some (Json.Int 4));
+  let e2 = (List.nth l.Ledger.l_entries 1).Ledger.e_run in
+  Alcotest.(check int) "jobs archived" 4 e2.Ledger.r_jobs;
   Alcotest.(check bool) "journal aggregates archived" true
-    (match Json.member "journal" e2.Ledger.e_doc with
-    | Some j -> Json.member "replayed" j = Some (Json.Int 1)
-    | None -> false)
+    (List.assoc_opt "replayed" e2.Ledger.r_journal = Some 1)
 
 let test_ledger_metric_kvs () =
   scrub ();
@@ -703,7 +700,7 @@ let test_ledger_metric_kvs () =
     | Ok e -> e
     | Error m -> Alcotest.failf "find: %s" m
   in
-  let kvs = Ledger.metric_kvs e.Ledger.e_doc in
+  let kvs = Ledger.metric_kvs e.Ledger.e_run in
   Alcotest.(check (option (float 0.0)))
     "counter surfaces" (Some 3.0)
     (List.assoc_opt "kv.counter" kvs);
@@ -1007,10 +1004,8 @@ let test_serve_routes () =
     (contains (ok "/runs/current") "\"live\": true");
   Alcotest.(check bool) "live trace" true
     (contains (ok "/runs/current/trace") "traceEvents");
-  let archived_trace = get_route h "/runs/1/trace" in
-  Alcotest.(check int) "archived trace is 404" 404 archived_trace.Http.status;
-  Alcotest.(check bool) "…and says traces are live-only" true
-    (contains archived_trace.Http.body "live-only");
+  Alcotest.(check bool) "archived trace" true
+    (contains (ok "/runs/1/trace") "traceEvents");
   Alcotest.(check int) "unknown run is 404" 404
     (get_route h "/runs/nope").Http.status;
   Alcotest.(check int) "unknown route is 404" 404
@@ -1038,10 +1033,10 @@ let test_serve_archive_mode () =
   scrub ();
   let m = get_route h "/metrics" in
   Alcotest.(check int) "latest run served" 200 m.Http.status;
-  Alcotest.(check bool) "ledger metrics render as gauges" true
-    (contains m.Http.body "# TYPE hydra_simplex_solves gauge");
-  Alcotest.(check bool) "values survive the flattening" true
-    (contains m.Http.body "hydra_simplex_solves 3");
+  Alcotest.(check bool) "ledger metrics render typed" true
+    (contains m.Http.body "# TYPE hydra_simplex_solves_total counter");
+  Alcotest.(check bool) "values survive the archive" true
+    (contains m.Http.body "hydra_simplex_solves_total 3");
   Alcotest.(check int) "archive mode has no current run" 404
     (get_route h "/runs/current").Http.status;
   let p = get_route h "/progress" in
@@ -1194,6 +1189,147 @@ let prop_serve_scrape_is_pure =
       ignore scrapes;
       fingerprint plain = fingerprint served)
 
+(* ---- one record, many renderings ---- *)
+
+(* finite floats of every magnitude (raw bit patterns cover subnormals
+   and the extremes), plus values %.12g used to lose *)
+let finite_float_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map Int64.float_of_bits ui64;
+        float;
+        oneofl [ 0.1 +. 0.2; 123456.78901234567; 1e-300; -0.0; 1.0 /. 3.0 ];
+      ])
+
+let prop_json_float_roundtrip =
+  QCheck.Test.make ~name:"JSON floats round-trip through text" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") finite_float_gen)
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      Json.parse (Json.to_string (Json.Float f)) = Ok (Json.Float f))
+
+(* a registry with counters, gauges, spans (real allocation words) and
+   histograms; one histogram always holds a value in every bucket *)
+let registry_gen =
+  let open QCheck.Gen in
+  let name = int_bound 5 in
+  let* counters = small_list (pair name (int_bound 1_000_000)) in
+  let* gauges = small_list (pair name finite_float_gen) in
+  let* obs = small_list (triple name (int_bound 63) (float_bound_inclusive 1.0)) in
+  let* spans = small_list (pair name (int_bound 50)) in
+  return (counters, gauges, obs, spans)
+
+(* a value inside bucket [b]: (upper/2, upper] scaled by [u], with the
+   edges of bucket 0 (non-positive values) and the overflow bucket *)
+let value_in_bucket b u =
+  if b = 0 then -.u
+  else if b = Obs.num_buckets - 1 then ldexp (1.0 +. u) 43
+  else Obs.bucket_upper b *. (0.5 +. (0.5 *. Float.max u 1e-9))
+
+let prop_snapshot_codec =
+  QCheck.Test.make ~name:"metrics snapshot codec round-trips" ~count:200
+    (QCheck.make registry_gen) (fun (counters, gauges, obs, spans) ->
+      scrub ();
+      Obs.set_enabled true;
+      let nm kind i = Printf.sprintf "codec.%s%d" kind i in
+      List.iter (fun (i, n) -> Obs.incr (Obs.counter (nm "c" i)) n) counters;
+      List.iter
+        (fun (i, v) ->
+          if Float.is_finite v then Obs.set_gauge (Obs.gauge (nm "g" i)) v)
+        gauges;
+      for b = 0 to Obs.num_buckets - 1 do
+        Obs.observe (Obs.histogram "codec.every_bucket") (value_in_bucket b 1.0)
+      done;
+      List.iter
+        (fun (i, b, u) -> Obs.observe (Obs.histogram (nm "h" i)) (value_in_bucket b u))
+        obs;
+      List.iter
+        (fun (i, n) ->
+          Obs.with_span (nm "s" i) (fun () -> ignore (Sys.opaque_identity (List.init n Fun.id))))
+        spans;
+      let snap = Obs.snapshot () in
+      scrub ();
+      match Json.parse (Json.to_string (Obs.snapshot_json snap)) with
+      | Error m -> QCheck.Test.fail_reportf "reparse: %s" m
+      | Ok doc -> Obs.snapshot_of_json doc = Ok snap)
+
+(* a real run's record, its archived copy, and each rendering of both *)
+let test_record_renderings () =
+  scrub ();
+  let c = Flame.create () in
+  Obs.add_sink (Flame.sink c);
+  Obs.set_enabled true;
+  let result = Pipeline.regenerate two_rel_schema two_rel_ccs in
+  let r =
+    Pipeline.to_ledger ~subcommand:"summary" ~spec_digest:"specdigest" ~jobs:1
+      ~exit_code:0 ~spans:(Flame.spans c) result
+  in
+  scrub ();
+  Alcotest.(check bool) "the record holds spans" true (r.Ledger.r_spans <> []);
+  with_tmp_dir @@ fun dir ->
+  let id = Ledger.record ~dir r in
+  let back =
+    match Ledger.find ~dir id with
+    | Ok e -> e.Ledger.e_run
+    | Error m -> Alcotest.failf "find: %s" m
+  in
+  List.iter
+    (fun (name, fmt) ->
+      Alcotest.(check string) name (Ledger.render fmt r) (Ledger.render fmt back))
+    [
+      ("chrome", Ledger.Chrome);
+      ("folded", Ledger.Folded);
+      ("prometheus", Ledger.Prometheus);
+      ("metrics json", Ledger.Metrics_json);
+    ];
+  Alcotest.(check string) "report" (Ledger.report ~id r) (Ledger.report ~id back);
+  Alcotest.(check bool) "the reloaded record equals the original" true (back = r)
+
+(* a record written before spans were archived: [folded], no [spans] *)
+let test_ledger_legacy_record () =
+  with_tmp_dir @@ fun dir ->
+  scrub ();
+  Obs.set_enabled true;
+  Obs.incr (Obs.counter "legacy.counter") 2;
+  let legacy_id = "run-000001-0badcafe" in
+  let doc =
+    match Ledger.run_json ~id:legacy_id ~seq:1 (mk_run ()) with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.filter (fun (k, _) -> k <> "spans") fields
+          @ [ ("folded", Json.String "a;b 10\n") ])
+    | _ -> Alcotest.fail "run_json is not an object"
+  in
+  scrub ();
+  Hydra_durable.Durable_io.write_atomic ~digest:true
+    (Filename.concat dir (legacy_id ^ ".json"))
+    (fun b ->
+      Buffer.add_string b (Json.to_string_pretty doc);
+      Buffer.add_char b '\n');
+  let fresh = Ledger.record ~dir (mk_run ()) in
+  let listed () =
+    let l = Ledger.runs ~dir in
+    (List.map (fun e -> e.Ledger.e_id) l.Ledger.l_entries, l.Ledger.l_corrupt)
+  in
+  Alcotest.(check (pair (list string) (list (pair string string))))
+    "lists, not corrupt" ([ legacy_id; fresh ], []) (listed ());
+  let old =
+    match Ledger.find ~dir "1" with
+    | Ok e -> e.Ledger.e_run
+    | Error m -> Alcotest.failf "find: %s" m
+  in
+  Alcotest.(check int) "no spans" 0 (List.length old.Ledger.r_spans);
+  Alcotest.(check bool) "shows" true
+    (contains (Ledger.report ~id:legacy_id old) "run run-000001-0badcafe");
+  Alcotest.(check (option (float 0.0)))
+    "diffs" (Some 2.0)
+    (List.assoc_opt "legacy.counter" (Ledger.metric_kvs old));
+  Alcotest.(check (pair (list string) (list string)))
+    "prune removes nothing" ([], []) (Ledger.prune ~dir ());
+  Alcotest.(check (pair (list string) (list (pair string string))))
+    "still listed after prune" ([ legacy_id; fresh ], []) (listed ())
+
 let suite =
   [
     ( "obs-core",
@@ -1250,6 +1386,12 @@ let suite =
         Alcotest.test_case "corrupt records tolerated" `Quick
           test_ledger_corrupt_tolerance;
         Alcotest.test_case "prune by count" `Quick test_ledger_prune_keep;
+        Alcotest.test_case "pre-span records still load" `Quick
+          test_ledger_legacy_record;
+        Alcotest.test_case "archived renderings equal live ones" `Quick
+          test_record_renderings;
+        QCheck_alcotest.to_alcotest prop_json_float_roundtrip;
+        QCheck_alcotest.to_alcotest prop_snapshot_codec;
       ] );
     ( "obs-serve",
       [
