@@ -655,7 +655,8 @@ cc |sigma(S.A in [20,60) and T.C in [2,3))(R join S join T)| = 30000;
           (Staged.stage person_partition);
         Test.make ~name:"simplex-person-fig4b" (Staged.stage person_lp);
         Test.make ~name:"solve-view-job-movie_info"
-          (Staged.stage (fun () -> Hydra_core.Formulate.solve_view job_view));
+          (Staged.stage (fun () ->
+               Hydra_core.Formulate.solve_view_robust job_view));
         Test.make ~name:"materialize-toy-82k-tuples"
           (Staged.stage (fun () -> Tuple_gen.materialize toy_summary));
         Test.make ~name:"dynamic-scan-80k-tuples"

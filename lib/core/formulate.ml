@@ -296,30 +296,6 @@ let result_of_counts (view : Preprocess.view) problems lp counts =
     lp_constraints = Lp.num_constraints lp;
   }
 
-let solve_view ?(max_nodes = 2000) ?deadline (view : Preprocess.view) =
-  if view.Preprocess.subviews = [] then trivial_result view
-  else begin
-    let problems, lp, _ =
-      Obs.with_span "view.formulate" (fun () -> formulate view)
-    in
-    let counts =
-      match
-        Obs.with_span "view.solve" (fun () ->
-            Int_feasible.solve ~max_nodes ?deadline lp)
-      with
-      | Int_feasible.Solution x -> counts_of_bigint x
-      | Int_feasible.Infeasible ->
-          err "infeasible cardinality constraints for view %s"
-            view.Preprocess.vrel
-      | Int_feasible.Gave_up ->
-          err "integer search budget exhausted for view %s"
-            view.Preprocess.vrel
-      | Int_feasible.Timeout ->
-          err "solve deadline exceeded for view %s" view.Preprocess.vrel
-    in
-    result_of_counts view problems lp counts
-  end
-
 (* ---- fault-tolerant solve (never raises) ---- *)
 
 type outcome =
@@ -357,28 +333,30 @@ let consistency_weight = Hydra_arith.Rat.of_int 1024
 
 let fingerprint_version = 1
 
-let render_fingerprint buf ~max_nodes ~retries (view : Preprocess.view) lp
-    n_cc_constraints =
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "hydra-fingerprint %d\n" fingerprint_version;
+(* The view signature both keys render: relation, attributes, domains,
+   CCs, grouping CCs and clique tree. [cards] adds the right-hand sides
+   (the view total and every cardinality); the warm key elides them. *)
+let render_signature buf ~cards (view : Preprocess.view) =
+  let add fmt = Printf.bprintf buf fmt in
+  let card n = if cards then Printf.sprintf " = %d" n else "" in
   add "view %s\n" view.Preprocess.vrel;
   add "attrs %s\n" (String.concat "," view.Preprocess.vattrs);
   List.iter
     (fun (a, (iv : Interval.t)) ->
       add "domain %s [%d,%d)\n" a iv.Interval.lo iv.Interval.hi)
     view.Preprocess.domains;
-  add "total %d\n" view.Preprocess.total;
+  if cards then add "total %d\n" view.Preprocess.total;
   List.iter
     (fun (vc : Preprocess.view_cc) ->
-      add "cc %s = %d\n" (Predicate.to_string vc.Preprocess.pred)
-        vc.Preprocess.card)
+      add "cc %s%s\n" (Predicate.to_string vc.Preprocess.pred)
+        (card vc.Preprocess.card))
     view.Preprocess.view_ccs;
   List.iter
     (fun (gc : Preprocess.group_cc) ->
-      add "group %s / %s = %d\n"
+      add "group %s / %s%s\n"
         (String.concat "," gc.Preprocess.g_attrs)
         (Predicate.to_string gc.Preprocess.g_pred)
-        gc.Preprocess.g_card)
+        (card gc.Preprocess.g_card))
     view.Preprocess.group_ccs;
   List.iter
     (fun (n : Viewgraph.tree_node) ->
@@ -388,16 +366,20 @@ let render_fingerprint buf ~max_nodes ~retries (view : Preprocess.view) lp
         (match n.Viewgraph.parent with
         | Some p -> string_of_int p
         | None -> "-"))
-    view.Preprocess.subviews;
-  add "budget max_nodes=%d retries=%d\n" max_nodes retries;
-  add "lp vars=%d constraints=%d cc_constraints=%d\n" (Lp.num_vars lp)
-    (Lp.num_constraints lp) n_cc_constraints;
-  add "%s" (Format.asprintf "%a" Lp.pp lp)
+    view.Preprocess.subviews
+
+let digest buf = Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let fingerprint_of_lp ~max_nodes ~retries view lp n_cc_constraints =
   let buf = Buffer.create 4096 in
-  render_fingerprint buf ~max_nodes ~retries view lp n_cc_constraints;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  let add fmt = Printf.bprintf buf fmt in
+  add "hydra-fingerprint %d\n" fingerprint_version;
+  render_signature buf ~cards:true view;
+  add "budget max_nodes=%d retries=%d\n" max_nodes retries;
+  add "lp vars=%d constraints=%d cc_constraints=%d\n" (Lp.num_vars lp)
+    (Lp.num_constraints lp) n_cc_constraints;
+  add "%s" (Format.asprintf "%a" Lp.pp lp);
+  digest buf
 
 let fingerprint ?(max_nodes = 2000) ?(retries = 1) (view : Preprocess.view) =
   if view.Preprocess.subviews = [] then
@@ -420,38 +402,14 @@ let fingerprint ?(max_nodes = 2000) ?(retries = 1) (view : Preprocess.view) =
 
 let warm_fingerprint_version = 1
 
-let warm_fingerprint_of_lp (view : Preprocess.view) lp =
+let warm_fingerprint_of_lp view lp =
   let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let add fmt = Printf.bprintf buf fmt in
   add "hydra-warm-fingerprint %d\n" warm_fingerprint_version;
-  add "view %s\n" view.Preprocess.vrel;
-  add "attrs %s\n" (String.concat "," view.Preprocess.vattrs);
-  List.iter
-    (fun (a, (iv : Interval.t)) ->
-      add "domain %s [%d,%d)\n" a iv.Interval.lo iv.Interval.hi)
-    view.Preprocess.domains;
-  List.iter
-    (fun (vc : Preprocess.view_cc) ->
-      add "cc %s\n" (Predicate.to_string vc.Preprocess.pred))
-    view.Preprocess.view_ccs;
-  List.iter
-    (fun (gc : Preprocess.group_cc) ->
-      add "group %s / %s\n"
-        (String.concat "," gc.Preprocess.g_attrs)
-        (Predicate.to_string gc.Preprocess.g_pred))
-    view.Preprocess.group_ccs;
-  List.iter
-    (fun (n : Viewgraph.tree_node) ->
-      add "clique %s sep %s parent %s\n"
-        (String.concat "," n.Viewgraph.clique)
-        (String.concat "," n.Viewgraph.separator)
-        (match n.Viewgraph.parent with
-        | Some p -> string_of_int p
-        | None -> "-"))
-    view.Preprocess.subviews;
+  render_signature buf ~cards:false view;
   add "lp vars=%d constraints=%d\n" (Lp.num_vars lp) (Lp.num_constraints lp);
   add "%s" (Format.asprintf "%a" Lp.pp_structure lp);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  digest buf
 
 (* a terminal basis, one tableau column index per row; "-" when none
    was captured *)

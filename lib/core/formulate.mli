@@ -40,12 +40,6 @@ val refine_shared : subview_problem list -> subview_problem list
     partitions' boundaries along each such attribute (a global cut set,
     so projection keys coincide across sub-views). *)
 
-val solve_view :
-  ?max_nodes:int -> ?deadline:float -> Preprocess.view -> view_result
-(** Full formulation and integer solve for one view.
-    @raise Formulation_error on infeasibility, search-budget exhaustion,
-    or deadline expiry. *)
-
 (** {2 Fault-tolerant solve} *)
 
 type outcome =
@@ -108,7 +102,8 @@ val solve_view_robust :
   ?solve_mode:Hydra_lp.Simplex.mode ->
   Preprocess.view ->
   outcome * provenance
-(** Like {!solve_view} but never raises. On budget exhaustion the node
+(** Full formulation and integer solve for one view; never raises.
+    Formulation errors come back as [Failed]. On budget exhaustion the node
     budget is escalated 4x up to [retries] times (default 1); on
     infeasibility — or exhaustion after all retries — the system is
     re-solved by {!Relax} with consistency constraints weighted 1024x so
@@ -134,7 +129,7 @@ val solve_view_robust :
 
     [solve_mode] (default [Exact]) selects the LP engine:
     [Float_first] runs the double-precision shadow simplex and verifies
-    its terminal basis exactly (see {!Hydra_lp.Basis_verify}), falling
+    its terminal basis exactly (see {!Hydra_lp.Simplex.solve}), falling
     back to the all-exact path on any numerical ambiguity. In
     float-first mode, when [?cache] is supplied, solves also publish an
     advisory warm-start hint keyed by a {e structural} fingerprint (the

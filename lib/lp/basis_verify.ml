@@ -1,14 +1,143 @@
 open Hydra_arith
 module Obs = Hydra_obs.Obs
 
+(* registry handles are created once at load time; every update is a
+   single flag test when tracing is disabled *)
+let m_pivots = Obs.counter "simplex.pivots"
+let m_degenerate = Obs.counter "simplex.degenerate_pivots"
+let m_bland = Obs.counter "simplex.bland_fallbacks"
 let m_verify_repairs = Obs.counter "simplex.verify_repairs"
 
-(* Exact verification of a candidate basis (from the float instance or
-   a cache warm-start): reconstruct the basis inverse in Rat, check
-   primal feasibility exactly, and resume the exact instance of the
-   simplex engine from that state. From a basis that is in fact optimal,
-   finishing costs one pricing pass per phase and zero pivots; any
-   pivots performed are a repair. *)
+(* The exact arithmetic: every sign question is decided, never Unsure.
+   Each Rat product allocates, so the kernels skip zero entries. *)
+module Exact_arith = struct
+  type t = {
+    cols : (int * Rat.t) list array;
+    binv : Rat.t array array;
+    xb : Rat.t array;
+    y : Rat.t array;
+    d : Rat.t array;
+    mutable c : Rat.t array;
+  }
+
+  let of_int c =
+    if c > 0 then Pivot.Pos else if c < 0 then Pivot.Neg else Pivot.Zero
+  let sign q = of_int (Rat.sign q)
+
+  let set_costs s c = s.c <- c
+
+  let price s basis =
+    let m = Array.length s.y in
+    Array.fill s.y 0 m Rat.zero;
+    for k = 0 to m - 1 do
+      let cb = s.c.(basis.(k)) in
+      if not (Rat.is_zero cb) then
+        let row = s.binv.(k) in
+        for i = 0 to m - 1 do
+          if not (Rat.is_zero row.(i)) then
+            s.y.(i) <- Rat.add s.y.(i) (Rat.mul cb row.(i))
+        done
+    done
+
+  let reduced_cost s j =
+    sign
+      (List.fold_left
+         (fun acc (i, k) -> Rat.sub acc (Rat.mul s.y.(i) k))
+         s.c.(j) s.cols.(j))
+
+  let column s j =
+    Array.iteri
+      (fun i row ->
+        s.d.(i) <-
+          List.fold_left
+            (fun acc (r, k) -> Rat.add acc (Rat.mul row.(r) k))
+            Rat.zero s.cols.(j))
+      s.binv
+
+  let column_sign s i = sign s.d.(i)
+
+  let ratio s i l =
+    of_int (Rat.compare (Rat.mul s.xb.(i) s.d.(l)) (Rat.mul s.xb.(l) s.d.(i)))
+
+  let basic_sign s i = sign s.xb.(i)
+
+  let artificial_sum s basis ~art_first =
+    let sum = ref Rat.zero in
+    Array.iteri
+      (fun i bi -> if bi >= art_first then sum := Rat.add !sum s.xb.(i))
+      basis;
+    sign !sum
+
+  (* B^-1 update: scale the pivot row, eliminate it elsewhere *)
+  let update_binv s r =
+    let m = Array.length s.d in
+    let inv_dr = Rat.inv s.d.(r) in
+    let prow = s.binv.(r) in
+    for kx = 0 to m - 1 do
+      prow.(kx) <- Rat.mul prow.(kx) inv_dr
+    done;
+    for i = 0 to m - 1 do
+      let f = s.d.(i) in
+      if i <> r && not (Rat.is_zero f) then begin
+        let row = s.binv.(i) in
+        for kx = 0 to m - 1 do
+          if not (Rat.is_zero prow.(kx)) then
+            row.(kx) <- Rat.sub row.(kx) (Rat.mul f prow.(kx))
+        done
+      end
+    done
+
+  let pivot s r ~degenerate =
+    (* a degenerate step is zero: xb does not move *)
+    if not degenerate then begin
+      let step = Rat.div s.xb.(r) s.d.(r) in
+      Array.iteri
+        (fun i di ->
+          if i <> r then s.xb.(i) <- Rat.sub s.xb.(i) (Rat.mul step di))
+        s.d;
+      s.xb.(r) <- step
+    end;
+    update_binv s r
+
+  let count = function
+    | Pivot.Pivot -> Obs.incr m_pivots 1
+    | Pivot.Degenerate -> Obs.incr m_degenerate 1
+    | Pivot.Bland_fallback -> Obs.incr m_bland 1
+end
+
+module Engine = Pivot.Make (Exact_arith)
+
+type run = { outcome : Pivot.outcome; basis : int array; xb : Rat.t array }
+
+(* Both phases (and the artificial drive-out between them) from the
+   primal-feasible basis state [(binv, basis, xb)], which it mutates *)
+let run_phases ?pivots ~budget (t : Pivot.tableau) binv basis xb ~objective
+    iter_count =
+  let m = t.Pivot.m in
+  let s =
+    {
+      Exact_arith.cols = t.Pivot.cols;
+      binv;
+      xb;
+      y = Array.make m Rat.zero;
+      d = Array.make m Rat.zero;
+      c = [||];
+    }
+  in
+  let outcome =
+    Engine.run ?pivots ~budget t s basis ~objective iter_count
+  in
+  { outcome; basis; xb }
+
+let cold ~budget (t : Pivot.tableau) basis ~objective iter_count =
+  (* identity basis inverse; xb = b *)
+  let m = t.Pivot.m in
+  let binv =
+    Array.init m (fun i ->
+        Array.init m (fun j -> if i = j then Rat.one else Rat.zero))
+  in
+  run_phases ~budget t binv basis (Array.copy t.Pivot.b) ~objective
+    iter_count
 
 (* Gauss-Jordan inversion of the m x m matrix whose columns are
    [t.cols.(basis.(j))]; None when the candidate is singular (or refers
@@ -71,15 +200,11 @@ let factorize t basis =
     with Exit -> None
   end
 
-(* [Some (status, terminal basis)] when [cand] factorizes to a primal
-   feasible basis; [None] (try the next rung) when it is singular or
-   infeasible *)
-let verify_from ~budget t ~objective ~nvars iter_count cand =
+let verify ~budget t ~objective iter_count cand =
   match factorize t cand with
   | None -> None
   | Some binv ->
       let m = t.Pivot.m in
-      let basis = Array.copy cand in
       let xb = Array.make m Rat.zero in
       for i = 0 to m - 1 do
         let row = binv.(i) in
@@ -93,37 +218,10 @@ let verify_from ~budget t ~objective ~nvars iter_count cand =
       if Array.exists (fun v -> Rat.sign v < 0) xb then None
       else begin
         let pivots = ref 0 in
-        let st =
-          Simplex.run_phases ~pivots ~budget t binv basis xb ~objective
-            ~nvars iter_count
+        let r =
+          run_phases ~pivots ~budget t binv (Array.copy cand) xb ~objective
+            iter_count
         in
         if !pivots > 0 then Obs.incr m_verify_repairs 1;
-        Some (st, basis)
+        Some r
       end
-
-(* the rungs before the cold exact run: the warm basis, then the float
-   instance's terminal basis *)
-let solve ?objective ?deadline ?max_iters ?warm_basis ?basis_out lp =
-  let nvars = Lp.num_vars lp in
-  let rungs ~budget t basis0 iter_count =
-    let try_basis = verify_from ~budget t ~objective ~nvars iter_count in
-    match Option.bind warm_basis try_basis with
-    | Some r -> Some r
-    | None -> (
-        let cand = Array.copy basis0 in
-        match Simplex_f.run ~budget t cand ~objective ~nvars iter_count with
-        | Pivot.Optimal | Pivot.Infeasible | Pivot.Unbounded -> try_basis cand
-        | Pivot.Aborted -> None
-        | Pivot.Timeout ->
-            (* re-run exactly under the same budget so the verdict
-               (Timeout or not) matches what exact mode would report *)
-            None)
-  in
-  Simplex.solve_with ~rungs ?objective ?deadline ?max_iters ?basis_out lp
-
-let solve_mode ?objective ?deadline ?max_iters ?warm_basis ?basis_out mode lp
-    =
-  match mode with
-  | Simplex.Exact -> Simplex.solve ?objective ?deadline ?max_iters ?basis_out lp
-  | Simplex.Float_first ->
-      solve ?objective ?deadline ?max_iters ?warm_basis ?basis_out lp

@@ -1,48 +1,46 @@
-(** Exact verification / repair of candidate simplex bases.
+(** The exact instance of the simplex engine ({!Pivot.Make} over
+    {!Hydra_arith.Rat}) and exact verification of candidate bases.
 
-    The float-first degradation ladder, each rung falling through to the
-    next:
+    Private to [hydra.lp]: {!Simplex.solve} is the only caller, and it
+    owns the ladder these runs are rungs of.
 
-    + verify a cached warm-start basis (when given);
-    + run the float instance of the simplex engine ({!Simplex_f}) and
-      verify its terminal basis;
-    + the all-exact path ({!Simplex.run_phases} from the artificial
-      start).
-
-    "Verify" means: reconstruct the basis inverse in {!Hydra_arith.Rat},
-    check primal feasibility exactly (singular or infeasible candidates
-    are rejected to the next rung), then resume the exact instance of
-    the same engine from that state. A basis that was in fact optimal finishes
-    with zero pivots; any pivots performed are a {e repair}, counted on
-    the [simplex.verify_repairs] obs counter. Every reported solution is
-    produced by exact arithmetic in all cases. *)
+    "Verify" means: reconstruct the basis inverse in
+    {!Hydra_arith.Rat}, check primal feasibility exactly (singular or
+    infeasible candidates are rejected), then resume the exact engine
+    from that state. A basis that was in fact optimal finishes with zero
+    pivots; any pivots performed are a {e repair}, counted on the
+    [simplex.verify_repairs] obs counter. Exact pivots are counted on
+    [simplex.pivots], [simplex.degenerate_pivots] and
+    [simplex.bland_fallbacks]. *)
 
 open Hydra_arith
 
-val solve :
-  ?objective:(int * Rat.t) list ->
-  ?deadline:float ->
-  ?max_iters:int ->
-  ?warm_basis:int array ->
-  ?basis_out:int array option ref ->
-  Lp.t ->
-  Simplex.status
-(** Float-first drop-in for {!Simplex.solve} — same contract, same
-    budget semantics (on a float-side timeout the exact path re-runs
-    under the same budget so the verdict matches exact mode's).
-    [warm_basis] is a terminal basis from a structurally identical LP
-    (cached from an earlier run); it is verified first and silently
-    discarded when singular, stale, or infeasible. *)
+type run = {
+  outcome : Pivot.outcome;  (** never [Aborted]: exact signs are decided *)
+  basis : int array;  (** the terminal basis *)
+  xb : Rat.t array;  (** the basic values, row by row *)
+}
 
-val solve_mode :
-  ?objective:(int * Rat.t) list ->
-  ?deadline:float ->
-  ?max_iters:int ->
-  ?warm_basis:int array ->
-  ?basis_out:int array option ref ->
-  Simplex.mode ->
-  Lp.t ->
-  Simplex.status
-(** Dispatch on {!Simplex.mode}: {!Simplex.Exact} calls
-    {!Simplex.solve} (ignoring [warm_basis]), {!Simplex.Float_first}
-    calls {!solve}. *)
+val cold :
+  budget:Pivot.budget ->
+  Pivot.tableau ->
+  int array ->
+  objective:(int * Rat.t) list option ->
+  int ref ->
+  run
+(** [cold ~budget t basis ~objective iter_count] runs both phases
+    exactly from the slack/artificial start [basis], mutating it into
+    the terminal basis. [iter_count] counts pricing passes against
+    [budget]. *)
+
+val verify :
+  budget:Pivot.budget ->
+  Pivot.tableau ->
+  objective:(int * Rat.t) list option ->
+  int ref ->
+  int array ->
+  run option
+(** [verify ~budget t ~objective iter_count cand] factorizes the
+    candidate basis [cand] (left unmodified) and resumes the exact
+    engine from it; [None] when [cand] is malformed, singular or primal
+    infeasible. *)

@@ -65,10 +65,10 @@ let solve ?(max_nodes = 2000) ?deadline ?(mode = Simplex.Exact) ?warm_basis
        tableau shape nor is worth caching *)
     let root = bounds = [] in
     let solved =
-      Basis_verify.solve_mode ?deadline
+      Simplex.solve ~mode ?deadline
         ?warm_basis:(if root then warm_basis else None)
         ?basis_out:(if root then root_basis else None)
-        mode sub
+        sub
     in
     match solved with
     | Simplex.Timeout -> raise Timed_out

@@ -8,7 +8,7 @@
     iteration/deadline budget. The arithmetic [F] holds the numbers,
     runs the dense kernels, and answers each sign question the engine
     asks as [Pos | Neg | Zero | Unsure]. There are two instances: exact
-    rationals ({!Simplex}), which never answer [Unsure], and doubles
+    rationals ({!Basis_verify}), which never answer [Unsure], and doubles
     with a forward error bound on every decision ({!Simplex_f}), which
     answer [Unsure] when the bound is not cleared; the engine then
     aborts.
@@ -103,13 +103,14 @@ module Make (F : ARITH) : sig
     F.t ->
     int array ->
     objective:(int * Rat.t) list option ->
-    nvars:int ->
     int ref ->
     outcome
-  (** [run ~budget t s basis ~objective ~nvars iter_count] runs phase I,
+  (** [run ~budget t s basis ~objective iter_count] runs phase I,
       the artificial drive-out and phase II from the primal-feasible
       state [s] over [basis], mutating both; [basis] holds the terminal
       basis on return. From a basis that is already optimal this
       performs no pivots. [iter_count] counts pricing passes against the
-      budget; [pivots], when given, counts basis changes. *)
+      budget; [pivots], when given, counts basis changes. Objective
+      variables must be structural columns ({!Simplex.solve} checks
+      them). *)
 end

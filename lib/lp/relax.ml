@@ -59,8 +59,7 @@ let solve ?deadline ?max_iters ?(max_nodes = 2000) ?(mode = Simplex.Exact)
             Lp.Ge c.Lp.rhs)
     (Lp.constraints lp);
   match
-    Basis_verify.solve_mode ~objective:!objective ?deadline ?max_iters mode
-      lp'
+    Simplex.solve ~mode ~objective:!objective ?deadline ?max_iters lp'
   with
   | Simplex.Timeout -> Timeout
   | Simplex.Infeasible | Simplex.Unbounded ->

@@ -319,6 +319,5 @@ end
 
 module Engine = Pivot.Make (Float_arith)
 
-let run ~budget t basis ~objective ~nvars iter_count =
-  Engine.run ~budget t (Float_arith.create t basis) basis ~objective ~nvars
-    iter_count
+let run ~budget t basis ~objective iter_count =
+  Engine.run ~budget t (Float_arith.create t basis) basis ~objective iter_count

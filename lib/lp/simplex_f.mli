@@ -19,10 +19,9 @@ val run :
   Pivot.tableau ->
   int array ->
   objective:(int * Rat.t) list option ->
-  nvars:int ->
   int ref ->
   Pivot.outcome
-(** [run ~budget t basis ~objective ~nvars iter_count] runs the float
+(** [run ~budget t basis ~objective iter_count] runs the float
     engine from the artificial/slack start basis, which it mutates into
     the candidate terminal basis (unless the outcome is
     [Pivot.Aborted] or [Pivot.Timeout]). Shares the caller's

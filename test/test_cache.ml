@@ -196,6 +196,28 @@ let test_fingerprint_sensitivity () =
   Alcotest.(check bool) "retries changes every fingerprint" false
     (List.exists2 (fun (_, a) (_, b) -> a = b) base retried)
 
+(* The keys are content addresses, so the renderings behind them are
+   frozen: a float-first run of [spec_text] stores one solve entry and
+   one warm-start hint per view, under exactly these names. *)
+let test_entry_names_stable () =
+  with_cache (fun c ->
+      let spec = Cc_parser.parse spec_text in
+      ignore
+        (Pipeline.regenerate ~cache:c
+           ~solve_mode:Hydra_lp.Simplex.Float_first spec.Cc_parser.schema
+           spec.Cc_parser.ccs);
+      Alcotest.(check (list string))
+        "solve and warm keys"
+        [
+          "0540dc05f9de4ff8731b3bbe6751d504.entry";
+          "23d3cbee36acaf234b8984b507532c0c.entry";
+          "49146bd2c76ec6dd6ad6b9383153a009.entry";
+          "5e57c6e344159154aab8b579d9094e0a.entry";
+          "7bf1d0deeee56cde07d73f40b49ae663.entry";
+          "dc9d448b3a1f57faab66b7e0f4fddc0a.entry";
+        ]
+        (List.sort compare (Array.to_list (Sys.readdir (Cache.dir c)))))
+
 (* ---- the replay contract through the pipeline ---- *)
 
 let summary_bytes s =
@@ -395,6 +417,8 @@ let suite =
           test_fingerprint_canonical;
         Alcotest.test_case "content and budget changes miss" `Quick
           test_fingerprint_sensitivity;
+        Alcotest.test_case "entry names are stable" `Quick
+          test_entry_names_stable;
       ] );
     ( "cache-replay",
       [

@@ -3,6 +3,7 @@
 
 open Hydra_arith
 open Hydra_lp
+module Obs = Hydra_obs.Obs
 
 let rat = Rat.of_int
 
@@ -227,14 +228,55 @@ let test_residuals () =
   Alcotest.(check bool) "check rejects" false (Lp.check lp [| rat 4 |]);
   Alcotest.(check bool) "negative rejected" false (Lp.check lp [| rat (-5) |])
 
+(* counters are registered by name: these are the cells the solver bumps *)
+let m_solves = Obs.counter "simplex.solves"
+let m_iterations = Obs.counter "simplex.iterations"
+let m_float_pivots = Obs.counter "simplex.float_pivots"
+
 let test_stats_populated () =
+  Obs.set_enabled true;
   let lp = Lp.create () in
   let x = Lp.add_var lp () in
   Lp.add_eq lp [ (x, Rat.one) ] (rat 5);
+  let solves0 = Obs.counter_value m_solves in
+  let iters0 = Obs.counter_value m_iterations in
   ignore (Simplex.solve lp);
-  let st = Simplex.last_stats () in
-  Alcotest.(check bool) "iterations counted" true (st.Simplex.iterations > 0);
-  Alcotest.(check int) "rows" 1 st.Simplex.rows
+  Alcotest.(check int) "one solve counted" (solves0 + 1)
+    (Obs.counter_value m_solves);
+  Alcotest.(check bool) "iterations counted" true
+    (Obs.counter_value m_iterations > iters0)
+
+(* an objective naming a variable the LP does not have is rejected up
+   front, whatever the system and the mode, before any pivot *)
+let test_objective_variable_checked () =
+  Obs.set_enabled true;
+  let systems =
+    [
+      ( "infeasible",
+        fun lp x ->
+          Lp.add_eq lp [ (x, Rat.one) ] (rat 5);
+          Lp.add_eq lp [ (x, Rat.one) ] (rat 7) );
+      ("feasible", fun lp x -> Lp.add_eq lp [ (x, Rat.one) ] (rat 5));
+      ("no constraints", fun _ _ -> ());
+    ]
+  in
+  List.iter
+    (fun (name, build) ->
+      List.iter
+        (fun mode ->
+          let lp = Lp.create () in
+          build lp (Lp.add_var lp ());
+          let label =
+            Printf.sprintf "%s, %s" name (Simplex.mode_to_string mode)
+          in
+          let floats0 = Obs.counter_value m_float_pivots in
+          Alcotest.check_raises label
+            (Invalid_argument "Simplex.solve: objective variable") (fun () ->
+              ignore (Simplex.solve ~mode ~objective:[ (7, Rat.one) ] lp));
+          Alcotest.(check int) (label ^ ": no float pivot") floats0
+            (Obs.counter_value m_float_pivots))
+        [ Simplex.Exact; Simplex.Float_first ])
+    systems
 
 let test_big_cardinalities () =
   (* exabyte-scale counts: 10^18 rows split across two regions *)
@@ -365,6 +407,8 @@ let suite =
         Alcotest.test_case "big cardinalities" `Quick test_big_cardinalities;
         Alcotest.test_case "residuals and check" `Quick test_residuals;
         Alcotest.test_case "solver statistics" `Quick test_stats_populated;
+        Alcotest.test_case "objective variable checked up front" `Quick
+          test_objective_variable_checked;
         Alcotest.test_case "wall-clock deadline" `Quick test_simplex_deadline;
         Alcotest.test_case "iteration budget" `Quick
           test_simplex_iteration_budget;

@@ -15,7 +15,6 @@ module Rat = Hydra_arith.Rat
 module Bigint = Hydra_arith.Bigint
 module Lp = Hydra_lp.Lp
 module Simplex = Hydra_lp.Simplex
-module Basis_verify = Hydra_lp.Basis_verify
 module Int_feasible = Hydra_lp.Int_feasible
 module Obs = Hydra_obs.Obs
 module Cache = Hydra_cache.Cache
@@ -26,6 +25,7 @@ module Cc_parser = Hydra_workload.Cc_parser
    increments *)
 let m_repairs = Obs.counter "simplex.verify_repairs"
 let m_float_pivots = Obs.counter "simplex.float_pivots"
+let m_iterations = Obs.counter "simplex.iterations"
 let m_warm_hit = Obs.counter "cache.warm_hit"
 
 let cases =
@@ -125,7 +125,7 @@ let pp_status = function
    exact verification made no repair, the float path is the exact path,
    so the terminal bases agree too *)
 let prop_simplex_differential =
-  QCheck.Test.make ~name:"Basis_verify.solve = Simplex.solve (exact Rat)"
+  QCheck.Test.make ~name:"Simplex Float_first = Exact"
     ~count:cases (QCheck.make lp_case_gen) (fun case ->
       Obs.set_enabled true;
       let objective = objective_of case in
@@ -135,7 +135,8 @@ let prop_simplex_differential =
       in
       let repairs0 = Obs.counter_value m_repairs in
       let ff =
-        Basis_verify.solve ?objective ~basis_out:ff_basis (build_lp case)
+        Simplex.solve ~mode:Simplex.Float_first ?objective ~basis_out:ff_basis
+          (build_lp case)
       in
       if not (status_equal exact ff) then
         QCheck.Test.fail_reportf "exact %s <> float-first %s" (pp_status exact)
@@ -174,6 +175,29 @@ let prop_int_feasible_differential =
       | _ -> QCheck.Test.fail_report "verdicts differ between modes");
       true)
 
+(* under every iteration budget up to past the cold exact run's own
+   count, both modes give the same verdict: a float run that times out
+   hands over to the exact run under the same budget and count *)
+let prop_budget_verdicts =
+  QCheck.Test.make ~name:"budget verdicts agree across modes" ~count:cases
+    (QCheck.make lp_case_gen) (fun case ->
+      Obs.set_enabled true;
+      let objective = objective_of case in
+      let solve ?max_iters mode =
+        Simplex.solve ~mode ?objective ?max_iters (build_lp case)
+      in
+      let iters0 = Obs.counter_value m_iterations in
+      ignore (solve Simplex.Exact);
+      let cold = Obs.counter_value m_iterations - iters0 in
+      for k = 0 to cold + 2 do
+        let exact = solve ~max_iters:k Simplex.Exact
+        and ff = solve ~max_iters:k Simplex.Float_first in
+        if not (status_equal exact ff) then
+          QCheck.Test.fail_reportf "max_iters %d: exact %s <> float-first %s"
+            k (pp_status exact) (pp_status ff)
+      done;
+      true)
+
 (* ---- pinned adversarial case: repair fires, result still exact ---- *)
 
 (* Objective (1 + 2^-50)*x0 + x1 over x0 + x1 = 1. The float shadow
@@ -204,7 +228,7 @@ let test_adversarial_repair () =
   let repairs0 = Obs.counter_value m_repairs in
   let floats0 = Obs.counter_value m_float_pivots in
   let lp, objective = mk () in
-  let ff = Basis_verify.solve ~objective lp in
+  let ff = Simplex.solve ~mode:Simplex.Float_first ~objective lp in
   if not (status_equal exact ff) then
     Alcotest.failf "float-first %s <> exact %s" (pp_status ff)
       (pp_status exact);
@@ -223,7 +247,7 @@ let test_decisive_costs_not_repaired () =
   Lp.add_eq lp [ (x0, Rat.one); (x1, Rat.one) ] Rat.one;
   let objective = [ (x0, Rat.of_int 2); (x1, Rat.one) ] in
   let repairs0 = Obs.counter_value m_repairs in
-  (match Basis_verify.solve ~objective lp with
+  (match Simplex.solve ~mode:Simplex.Float_first ~objective lp with
   | Simplex.Feasible x ->
       Alcotest.(check bool) "optimum is (0, 1)" true
         (Rat.is_zero x.(0) && Rat.equal x.(1) Rat.one)
@@ -243,23 +267,48 @@ let test_warm_basis_direct () =
     lp
   in
   let captured = ref None in
-  let cold = Basis_verify.solve ~basis_out:captured (mk ()) in
+  let cold =
+    Simplex.solve ~mode:Simplex.Float_first ~basis_out:captured (mk ())
+  in
   let basis =
     match !captured with
     | Some b -> b
     | None -> Alcotest.fail "no terminal basis captured"
   in
   (* a valid warm basis verifies to the same exact solution *)
-  let warm = Basis_verify.solve ~warm_basis:basis (mk ()) in
+  let warm =
+    Simplex.solve ~mode:Simplex.Float_first ~warm_basis:basis (mk ())
+  in
   if not (status_equal cold warm) then
     Alcotest.failf "warm %s <> cold %s" (pp_status warm) (pp_status cold);
   (* garbage warm bases are silently discarded, never wrong answers *)
   List.iter
     (fun bad ->
-      let r = Basis_verify.solve ~warm_basis:bad (mk ()) in
+      let r = Simplex.solve ~mode:Simplex.Float_first ~warm_basis:bad (mk ()) in
       if not (status_equal cold r) then
         Alcotest.failf "bad warm basis changed the answer: %s" (pp_status r))
-    [ [| 999; 0 |]; [| 0 |]; [| 0; 0 |]; [| 0; 1; 2 |] ]
+    [ [| 999; 0 |]; [| 0 |]; [| 0; 0 |]; [| 0; 1; 2 |] ];
+  (* exact mode ignores the hint: same answer and terminal basis as
+     without one, with no verification and no float run *)
+  let plain_basis = ref None and hinted_basis = ref None in
+  let plain =
+    Simplex.solve ~mode:Simplex.Exact ~basis_out:plain_basis (mk ())
+  in
+  let repairs0 = Obs.counter_value m_repairs in
+  let floats0 = Obs.counter_value m_float_pivots in
+  let hinted =
+    Simplex.solve ~mode:Simplex.Exact ~warm_basis:basis
+      ~basis_out:hinted_basis (mk ())
+  in
+  if not (status_equal plain hinted) then
+    Alcotest.failf "exact with hint %s <> exact %s" (pp_status hinted)
+      (pp_status plain);
+  Alcotest.(check (option (array int)))
+    "exact terminal basis ignores the hint" !plain_basis !hinted_basis;
+  Alcotest.(check int) "no repair in exact mode" repairs0
+    (Obs.counter_value m_repairs);
+  Alcotest.(check int) "no float pivot in exact mode" floats0
+    (Obs.counter_value m_float_pivots)
 
 (* warm hints end-to-end: same workload shape, one CC total edited *)
 let spec_base =
@@ -387,7 +436,11 @@ let () =
         ] );
       ( "differential",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_simplex_differential; prop_int_feasible_differential ] );
+          [
+            prop_simplex_differential;
+            prop_int_feasible_differential;
+            prop_budget_verdicts;
+          ] );
       ( "repair",
         [
           Alcotest.test_case "adversarial suboptimal basis is repaired" `Quick
