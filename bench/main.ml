@@ -772,12 +772,95 @@ let par () =
 
 (* ---- Cache: cold vs warm incremental regeneration (hydra.cache) ---- *)
 
+(* best-effort cleanup of a scratch cache directory *)
+let remove_cache_dir dir =
+  try
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  with _ -> ()
+
+(* The drift leg: JOB summarized cold in float-first mode on a fresh
+   cache, then re-summarized after the client drifts from sf=100 to
+   sf=110 — CCs re-extracted, identical LP structure, so every solved
+   view warm-starts from a structural hint. CODD factor 9 (hbench's
+   seed 1) leaves five of the hints primal infeasible; the dual phase
+   repairs them. *)
+let drift_leg () =
+  let module Cache = Hydra_cache.Cache in
+  let module Simplex = Hydra_lp.Simplex in
+  let k = 9 in
+  let scaled_ccs db =
+    Workload.scale_ccs (float_of_int k)
+      (Workload.extract_ccs ~jobs:1 db (Lazy.force job_wl))
+  in
+  let dir = Filename.temp_file "hydra_bench_drift" "" in
+  Sys.remove dir;
+  let cache = Cache.create ~dir in
+  let run sf ccs =
+    Pipeline.regenerate
+      ~sizes:(List.map (fun (r, n) -> (r, n * k)) (J.sizes ~sf))
+      ~jobs:1 ~solve_mode:Simplex.Float_first ~cache J.schema ccs
+  in
+  let cold, cold_t = time (fun () -> run sf (scaled_ccs (Lazy.force job_db))) in
+  let drifted = scaled_ccs (J.generate ~sf:110 ()) in
+  let counters =
+    [ "cache.warm_hit"; "simplex.dual_pivots"; "simplex.float_pivots";
+      "simplex.verify_repairs" ]
+  in
+  let values () =
+    List.map (fun c -> Obs.counter_value (Obs.counter c)) counters
+  in
+  let before = values () in
+  let re, re_t = time (fun () -> run 110 drifted) in
+  remove_cache_dir dir;
+  let delta = List.combine counters (List.map2 ( - ) (values ()) before) in
+  let all_exact =
+    List.for_all
+      (fun (r : Pipeline.result) ->
+        List.for_all
+          (fun (v : Pipeline.view_stats) -> v.Pipeline.status = Pipeline.Exact)
+          r.Pipeline.views)
+      [ cold; re ]
+  in
+  let count c = List.assoc c delta in
+  Printf.printf "drift: cold %.3fs, re-summary %.3fs; %d warm hints, %d dual \
+                 pivots, %d float pivots, %d verify repairs\n"
+    cold_t re_t (count "cache.warm_hit") (count "simplex.dual_pivots")
+    (count "simplex.float_pivots") (count "simplex.verify_repairs");
+  List.iter
+    (fun (v : Pipeline.view_stats) ->
+      match List.assoc_opt "simplex.dual_pivots" v.Pipeline.metrics with
+      | Some n -> Printf.printf "  %-18s %3.0f dual pivots\n" v.Pipeline.rel n
+      | None -> ())
+    re.Pipeline.views;
+  if not all_exact then begin
+    Printf.eprintf "cache: a drift-leg view fell off the Exact rung\n";
+    exit 1
+  end;
+  (* seconds are resource keys; the tallies and the flag are exact *)
+  ( "drift",
+    Json.Obj
+      [
+        ("cold", Json.Obj [ ("seconds", Json.Float cold_t) ]);
+        ("resummary", Json.Obj [ ("seconds", Json.Float re_t) ]);
+        ("warm_hints", Json.Int (count "cache.warm_hit"));
+        ("dual_pivots", Json.Int (count "simplex.dual_pivots"));
+        ("float_pivots", Json.Int (count "simplex.float_pivots"));
+        ("verify_repairs", Json.Int (count "simplex.verify_repairs"));
+        ("all_exact", Json.Bool all_exact);
+      ] )
+
 let cache_bench () =
   header "Cache: content-addressed solve cache, cold vs warm (WLs)"
     "not in the paper: re-running an unchanged workload replays every \
      per-view solve from the on-disk cache — 100% hits, byte-identical \
-     summary, no solver work";
+     summary, no solver work; a drifted JOB client re-summarizes from \
+     warm hints";
   let module Cache = Hydra_cache.Cache in
+  let drift = drift_leg () in
+  (* the metrics snapshot covers the WLs legs alone; the drift leg
+     gates its own tallies above *)
+  Obs.reset ();
   let ccs = Lazy.force wls_ccs in
   let sizes = Lazy.force tpcds_sizes in
   let dir = Filename.temp_file "hydra_bench_cache" "" in
@@ -814,13 +897,7 @@ let cache_bench () =
     (cold_t /. Float.max warm_t 1e-9);
   Printf.printf "warm summary %s\n"
     (if identical then "byte-identical to cold" else "DIVERGED from cold");
-  (* best-effort cleanup of the scratch cache directory *)
-  (try
-     Array.iter
-       (fun f -> Sys.remove (Filename.concat dir f))
-       (Sys.readdir dir);
-     Unix.rmdir dir
-   with _ -> ());
+  remove_cache_dir dir;
   if not identical then begin
     Printf.eprintf
       "cache: warm regeneration diverged from cold — replay contract broken\n";
@@ -844,6 +921,7 @@ let cache_bench () =
     ("warm_hits", Json.Int warm_hits);
     ("warm_misses", Json.Int warm_misses);
     ("identical", Json.Bool identical);
+    drift;
   ]
 
 (* ---- Obs: exporter-stack overhead, enabled vs disabled ---- *)

@@ -558,8 +558,10 @@ let solve_view_robust ?(max_nodes = 2000) ?(retries = 1) ?deadline ?cache
          [attempt] overwrites it on each escalation, keeping the last *)
       let root_basis = ref None in
       (* in float-first mode a structurally identical earlier solve —
-         same view and LP shape, edited right-hand sides — seeds exact
-         verification with its terminal basis instead of solving cold *)
+         same view and LP shape, edited right-hand sides — hands the
+         solver its terminal basis: a float run starts from it (a dual
+         phase repairs it when the edits left it primal infeasible) and
+         only its terminal basis is verified, instead of solving cold *)
       let warm_key = lazy (warm_fingerprint_of_lp view lp) in
       (* lazy so replayed (state/cache-hit) solves never touch the
          hint store; forced at most once across budget escalations *)

@@ -134,8 +134,9 @@ val solve_view_robust :
     float-first mode, when [?cache] is supplied, solves also publish an
     advisory warm-start hint keyed by a {e structural} fingerprint (the
     LP with right-hand sides elided), so a later solve of the same view
-    shape with edited CC totals starts exact verification from the
-    stored terminal basis instead of solving cold. Hints are advisory:
+    shape with edited CC totals starts from the stored terminal basis
+    (repairing it with a dual phase when the edits left it primal
+    infeasible) instead of solving cold. Hints are advisory:
     they are validated before use, never counted against the cache's
     hit/miss statistics, and cannot change results — only pivot
     counts. *)

@@ -18,6 +18,8 @@ module Exact_arith = struct
     y : Rat.t array;
     d : Rat.t array;
     mutable c : Rat.t array;
+    rc : Rat.t array;  (* per column: the last reduced cost computed *)
+    alpha : Rat.t array;  (* per column: the last dual-phase row entry *)
   }
 
   let of_int c =
@@ -40,10 +42,13 @@ module Exact_arith = struct
     done
 
   let reduced_cost s j =
-    sign
-      (List.fold_left
-         (fun acc (i, k) -> Rat.sub acc (Rat.mul s.y.(i) k))
-         s.c.(j) s.cols.(j))
+    let rc =
+      List.fold_left
+        (fun acc (i, k) -> Rat.sub acc (Rat.mul s.y.(i) k))
+        s.c.(j) s.cols.(j)
+    in
+    s.rc.(j) <- rc;
+    sign rc
 
   let column s j =
     Array.iteri
@@ -60,6 +65,24 @@ module Exact_arith = struct
     of_int (Rat.compare (Rat.mul s.xb.(i) s.d.(l)) (Rat.mul s.xb.(l) s.d.(i)))
 
   let basic_sign s i = sign s.xb.(i)
+
+  let compare_basic s i l = of_int (Rat.compare s.xb.(i) s.xb.(l))
+
+  let row_entry s r j =
+    let row = s.binv.(r) in
+    let a =
+      List.fold_left
+        (fun acc (i, k) -> Rat.add acc (Rat.mul row.(i) k))
+        Rat.zero s.cols.(j)
+    in
+    s.alpha.(j) <- a;
+    sign a
+
+  let dual_ratio s j k =
+    of_int
+      (Rat.compare
+         (Rat.mul s.rc.(k) s.alpha.(j))
+         (Rat.mul s.rc.(j) s.alpha.(k)))
 
   let artificial_sum s basis ~art_first =
     let sum = ref Rat.zero in
@@ -110,10 +133,11 @@ module Engine = Pivot.Make (Exact_arith)
 type run = { outcome : Pivot.outcome; basis : int array; xb : Rat.t array }
 
 (* Both phases (and the artificial drive-out between them) from the
-   primal-feasible basis state [(binv, basis, xb)], which it mutates *)
-let run_phases ?pivots ~budget (t : Pivot.tableau) binv basis xb ~objective
-    iter_count =
-  let m = t.Pivot.m in
+   basis state [(binv, basis, xb)], which it mutates; it must be primal
+   feasible unless [repair] runs the dual phase first *)
+let run_phases ?pivots ?repair ~budget (t : Pivot.tableau) binv basis xb
+    ~objective iter_count =
+  let m = t.Pivot.m and n = t.Pivot.n in
   let s =
     {
       Exact_arith.cols = t.Pivot.cols;
@@ -122,62 +146,76 @@ let run_phases ?pivots ~budget (t : Pivot.tableau) binv basis xb ~objective
       y = Array.make m Rat.zero;
       d = Array.make m Rat.zero;
       c = [||];
+      rc = Array.make n Rat.zero;
+      alpha = Array.make n Rat.zero;
     }
   in
   let outcome =
-    Engine.run ?pivots ~budget t s basis ~objective iter_count
+    Engine.run ?pivots ?repair ~budget t s basis ~objective iter_count
   in
   { outcome; basis; xb }
 
+let identity m = Pivot.identity m ~zero:Rat.zero ~one:Rat.one
+
 let cold ~budget (t : Pivot.tableau) basis ~objective iter_count =
   (* identity basis inverse; xb = b *)
-  let m = t.Pivot.m in
-  let binv =
-    Array.init m (fun i ->
-        Array.init m (fun j -> if i = j then Rat.one else Rat.zero))
-  in
-  run_phases ~budget t binv basis (Array.copy t.Pivot.b) ~objective
-    iter_count
+  run_phases ~budget t (identity t.Pivot.m) basis (Array.copy t.Pivot.b)
+    ~objective iter_count
 
 (* Gauss-Jordan inversion of the m x m matrix whose columns are
-   [t.cols.(basis.(j))]; None when the candidate is singular (or refers
-   to columns that do not exist — a corrupt cached basis). *)
+   [t.cols.(basis.(j))]; None when the candidate is singular. The
+   inverse is the same whatever the pivot order, but every entry an
+   elimination fills in is an allocated Rat, so the order keeps these
+   sparse 0/1 bases sparse: the sparsest columns go first, and each
+   pivots on the row with the fewest nonzeros (bmat and binv together,
+   ties to the lowest row) among those not yet pivoted. Column j's
+   pivot row is moved to row j, so binv ends as B^-1 in row order. *)
 let factorize t basis =
   let m = t.Pivot.m in
-  if Array.length basis <> m then None
-  else if Array.exists (fun j -> j < 0 || j >= t.Pivot.n) basis then None
-  else begin
-    let bmat = Array.make_matrix m m Rat.zero in
-    Array.iteri
-      (fun j bj ->
-        List.iter
-          (fun (i, k) -> bmat.(i).(j) <- Rat.add bmat.(i).(j) k)
-          t.Pivot.cols.(bj))
-      basis;
-    let binv =
-      Array.init m (fun i ->
-          Array.init m (fun j -> if i = j then Rat.one else Rat.zero))
-    in
-    try
-      for col = 0 to m - 1 do
+  let bmat = Array.make_matrix m m Rat.zero in
+  Array.iteri
+    (fun j bj ->
+      List.iter
+        (fun (i, k) -> bmat.(i).(j) <- Rat.add bmat.(i).(j) k)
+        t.Pivot.cols.(bj))
+    basis;
+  let binv = identity m in
+  let nonzeros row =
+    Array.fold_left (fun n q -> if Rat.is_zero q then n else n + 1) 0 row
+  in
+  let nnz = Array.map (fun row -> 1 + nonzeros row) bmat in
+  let pivoted = Array.make m false in
+  let width = Array.map (fun bj -> List.length t.Pivot.cols.(bj)) basis in
+  let order = Array.init m Fun.id in
+  Array.stable_sort (fun a b -> compare width.(a) width.(b)) order;
+  try
+    Array.iter
+      (fun col ->
         let p = ref (-1) in
-        for i = col to m - 1 do
-          if !p < 0 && not (Rat.is_zero bmat.(i).(col)) then p := i
+        for i = 0 to m - 1 do
+          if
+            (not pivoted.(i))
+            && (not (Rat.is_zero bmat.(i).(col)))
+            && (!p < 0 || nnz.(i) < nnz.(!p))
+          then p := i
         done;
         if !p < 0 then raise Exit;
         if !p <> col then begin
+          (* row [col] is not pivoted yet: only rows of earlier columns are *)
           let sw a =
             let tmp = a.(col) in
             a.(col) <- a.(!p);
             a.(!p) <- tmp
           in
           sw bmat;
-          sw binv
+          sw binv;
+          sw nnz
         end;
+        pivoted.(col) <- true;
         let inv_p = Rat.inv bmat.(col).(col) in
         let scale row =
           for k = 0 to m - 1 do
-            row.(k) <- Rat.mul row.(k) inv_p
+            if not (Rat.is_zero row.(k)) then row.(k) <- Rat.mul row.(k) inv_p
           done
         in
         scale bmat.(col);
@@ -187,20 +225,23 @@ let factorize t basis =
             let f = bmat.(i).(col) in
             let elim dst src =
               for k = 0 to m - 1 do
-                if not (Rat.is_zero src.(k)) then
-                  dst.(k) <- Rat.sub dst.(k) (Rat.mul f src.(k))
+                if not (Rat.is_zero src.(k)) then begin
+                  let was_zero = Rat.is_zero dst.(k) in
+                  dst.(k) <- Rat.sub dst.(k) (Rat.mul f src.(k));
+                  if was_zero <> Rat.is_zero dst.(k) then
+                    nnz.(i) <- (if was_zero then nnz.(i) + 1 else nnz.(i) - 1)
+                end
               done
             in
             elim bmat.(i) bmat.(col);
             elim binv.(i) binv.(col)
           end
-        done
-      done;
-      Some binv
-    with Exit -> None
-  end
+        done)
+      order;
+    Some binv
+  with Exit -> None
 
-let verify ~budget t ~objective iter_count cand =
+let verify ?(hint = false) ~budget t ~objective iter_count cand =
   match factorize t cand with
   | None -> None
   | Some binv ->
@@ -215,13 +256,17 @@ let verify ~budget t ~objective iter_count cand =
         done;
         xb.(i) <- !acc
       done;
-      if Array.exists (fun v -> Rat.sign v < 0) xb then None
+      if (not hint) && Array.exists (fun v -> Rat.sign v < 0) xb then None
       else begin
         let pivots = ref 0 in
-        let r =
-          run_phases ~pivots ~budget t binv (Array.copy cand) xb ~objective
-            iter_count
-        in
-        if !pivots > 0 then Obs.incr m_verify_repairs 1;
-        Some r
+        match
+          run_phases ~pivots ~repair:hint ~budget t binv (Array.copy cand) xb
+            ~objective iter_count
+        with
+        | { outcome = Pivot.Aborted; _ } ->
+            (* an exact run only aborts when the dual repair gave up *)
+            None
+        | r ->
+            if !pivots > 0 then Obs.incr m_verify_repairs 1;
+            Some r
       end

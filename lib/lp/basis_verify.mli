@@ -5,18 +5,25 @@
     owns the ladder these runs are rungs of.
 
     "Verify" means: reconstruct the basis inverse in
-    {!Hydra_arith.Rat}, check primal feasibility exactly (singular or
-    infeasible candidates are rejected), then resume the exact engine
-    from that state. A basis that was in fact optimal finishes with zero
-    pivots; any pivots performed are a {e repair}, counted on the
+    {!Hydra_arith.Rat}, check primal feasibility exactly, then resume
+    the exact engine from that state. A singular candidate is rejected.
+    A primal-infeasible one is rejected too, unless it is a warm-start
+    hint: a hint is repaired by the exact instance of the engine's dual
+    phase ({!Pivot.Make.run} [~repair:true]), and rejected only when
+    that phase gives up. A basis that was in fact optimal finishes with
+    zero pivots; any pivots performed, dual or primal, are a
+    {e repair}, counted once per verification on the
     [simplex.verify_repairs] obs counter. Exact pivots are counted on
     [simplex.pivots], [simplex.degenerate_pivots] and
-    [simplex.bland_fallbacks]. *)
+    [simplex.bland_fallbacks], dual pivots also on
+    [simplex.dual_pivots]. *)
 
 open Hydra_arith
 
 type run = {
-  outcome : Pivot.outcome;  (** never [Aborted]: exact signs are decided *)
+  outcome : Pivot.outcome;
+      (** never [Aborted]: exact signs are decided, and a repair that
+          gives up is a rejection *)
   basis : int array;  (** the terminal basis *)
   xb : Rat.t array;  (** the basic values, row by row *)
 }
@@ -34,6 +41,7 @@ val cold :
     [budget]. *)
 
 val verify :
+  ?hint:bool ->
   budget:Pivot.budget ->
   Pivot.tableau ->
   objective:(int * Rat.t) list option ->
@@ -41,6 +49,8 @@ val verify :
   int array ->
   run option
 (** [verify ~budget t ~objective iter_count cand] factorizes the
-    candidate basis [cand] (left unmodified) and resumes the exact
-    engine from it; [None] when [cand] is malformed, singular or primal
-    infeasible. *)
+    candidate basis [cand] (left unmodified; one in-range column index
+    per row) and resumes the exact engine from it; [None] when [cand] is
+    singular or primal infeasible. With [~hint:true] a primal-infeasible
+    [cand] is repaired by the dual phase instead, and [None] means the
+    repair gave up. *)

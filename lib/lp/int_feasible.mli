@@ -28,7 +28,7 @@ val solve :
     {!Hydra_obs.Mclock.now} instant (a monotonic clock) enforced both
     between nodes and inside each node's LP relaxation. [mode] (default
     {!Simplex.Exact}) selects the per-node solve path; [warm_basis]
-    seeds the root node's verification with a cached terminal basis and
+    seeds the root node's warm rung with a cached terminal basis and
     [root_basis] receives the root node's own terminal basis — both
     apply to the root LP only, since child nodes carry extra branching
     rows. *)

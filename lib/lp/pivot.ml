@@ -7,6 +7,9 @@
 
 open Hydra_arith
 module Mclock = Hydra_obs.Mclock
+module Obs = Hydra_obs.Obs
+
+let m_dual_pivots = Obs.counter "simplex.dual_pivots"
 
 type tableau = {
   m : int;
@@ -25,6 +28,9 @@ let out_of_budget budget iter_count =
   | Some d -> Mclock.now () > d
   | None -> false
 
+let identity m ~zero ~one =
+  Array.init m (fun i -> Array.init m (fun j -> if i = j then one else zero))
+
 type sign = Pos | Neg | Zero | Unsure
 
 type event = Pivot | Degenerate | Bland_fallback
@@ -41,6 +47,9 @@ module type ARITH = sig
   val column_sign : t -> int -> sign
   val ratio : t -> int -> int -> sign
   val basic_sign : t -> int -> sign
+  val compare_basic : t -> int -> int -> sign
+  val row_entry : t -> int -> int -> sign
+  val dual_ratio : t -> int -> int -> sign
   val artificial_sum : t -> int array -> art_first:int -> sign
   val pivot : t -> int -> degenerate:bool -> unit
   val count : event -> unit
@@ -152,33 +161,117 @@ module Make (F : ARITH) = struct
       end
     done
 
-  let run ?pivots ~budget t s basis ~objective iter_count =
+  (* The dual phase: from a dual-feasible basis, pivot until every basic
+     value is nonnegative. The leaving row holds the most negative xb;
+     the entering column minimizes d_j / -alpha_rj over the nonbasic
+     structural and slack columns with alpha_rj < 0, so every reduced
+     cost stays nonnegative. Ties break on the smallest basis index
+     (leaving) and the smallest column index (entering). After
+     [bland_after] consecutive zero-ratio pivots the leaving row is the
+     negative one with the smallest basis index (Bland's rule) until a
+     pivot makes progress. With no entering column the phase gives up
+     ([Aborted]): artificials may not enter, so that proves nothing. *)
+  let dual ?pivots ~budget t s basis in_basis iter_count =
+    let degenerate_run = ref 0 and was_bland = ref false in
+    let rec loop () =
+      let bland = !degenerate_run > bland_after in
+      if bland && not !was_bland then F.count Bland_fallback;
+      was_bland := bland;
+      let leave = ref (-1) in
+      for i = 0 to t.m - 1 do
+        if is Neg (F.basic_sign s i) then begin
+          let l = !leave in
+          if l < 0 then leave := i
+          else
+            (* under Bland's rule every negative row ties on value *)
+            match if bland then Zero else decided (F.compare_basic s i l) with
+            | Neg -> leave := i
+            | Zero -> if basis.(i) < basis.(l) then leave := i
+            | Pos | Unsure -> ()
+        end
+      done;
+      if !leave < 0 then Optimal
+      else begin
+        incr iter_count;
+        if out_of_budget budget !iter_count then Timeout
+        else begin
+          let r = !leave in
+          F.price s basis;
+          let enter = ref (-1) and zero_ratio = ref false in
+          for j = 0 to t.art_first - 1 do
+            if (not in_basis.(j)) && is Neg (F.row_entry s r j) then begin
+              (* d_j >= 0 holds exactly; a float answer of Neg is wrong *)
+              let dj = decided (F.reduced_cost s j) in
+              if dj = Neg then raise Undecided;
+              if !enter < 0 || is Neg (F.dual_ratio s j !enter) then begin
+                enter := j;
+                zero_ratio := dj = Zero
+              end
+            end
+          done;
+          if !enter < 0 then Aborted
+          else begin
+            let q = !enter in
+            F.count Pivot;
+            Obs.incr m_dual_pivots 1;
+            Option.iter incr pivots;
+            if !zero_ratio then incr degenerate_run else degenerate_run := 0;
+            F.column s q;
+            in_basis.(basis.(r)) <- false;
+            in_basis.(q) <- true;
+            basis.(r) <- q;
+            F.pivot s r ~degenerate:false;
+            loop ()
+          end
+        end
+      end
+    in
+    loop ()
+
+  (* phase I, the drive-out and phase II from a primal-feasible state *)
+  let phases ~optimize t s basis in_basis ~objective =
+    (* phase I: minimize the sum of artificials *)
+    F.set_costs s
+      (Array.init t.n (fun j ->
+           if j >= t.art_first then Rat.one else Rat.zero));
+    match optimize (fun _ -> true) with
+    | Timeout -> Timeout
+    | Unbounded -> Infeasible (* cannot happen: phase I is bounded below *)
+    | Optimal | Infeasible | Aborted -> (
+        match F.artificial_sum s basis ~art_first:t.art_first with
+        | Pos -> Infeasible
+        | Neg | Unsure -> Aborted
+        | Zero -> (
+            match objective with
+            | None -> Optimal
+            | Some obj ->
+                drive_out t s basis in_basis;
+                let c = Array.make t.n Rat.zero in
+                List.iter (fun (v, k) -> c.(v) <- Rat.add c.(v) k) obj;
+                F.set_costs s c;
+                (* artificials stay out in phase II *)
+                optimize (fun j -> j < t.art_first)))
+
+  let run ?pivots ?(repair = false) ~budget t s basis ~objective iter_count =
     let in_basis = Array.make t.n false in
     Array.iter (fun j -> in_basis.(j) <- true) basis;
     let optimize allowed =
       optimize ?pivots ~budget t s basis in_basis allowed iter_count
     in
     try
-      (* phase I: minimize the sum of artificials *)
-      F.set_costs s
-        (Array.init t.n (fun j ->
-             if j >= t.art_first then Rat.one else Rat.zero));
-      match optimize (fun _ -> true) with
-      | Timeout -> Timeout
-      | Unbounded -> Infeasible (* cannot happen: phase I is bounded below *)
-      | Optimal | Infeasible | Aborted -> (
-          match F.artificial_sum s basis ~art_first:t.art_first with
-          | Pos -> Infeasible
-          | Neg | Unsure -> Aborted
-          | Zero -> (
-              match objective with
-              | None -> Optimal
-              | Some obj ->
-                  drive_out t s basis in_basis;
-                  let c = Array.make t.n Rat.zero in
-                  List.iter (fun (v, k) -> c.(v) <- Rat.add c.(v) k) obj;
-                  F.set_costs s c;
-                  (* artificials stay out in phase II *)
-                  optimize (fun j -> j < t.art_first)))
+      let primal_feasible =
+        if not repair then Optimal
+        else begin
+          (* warm-start costs: zero on the start basis, so y = 0 and
+             every reduced cost is 0 or 1 — dual feasible, with an
+             informative ratio test *)
+          F.set_costs s
+            (Array.map (fun b -> if b then Rat.zero else Rat.one) in_basis);
+          dual ?pivots ~budget t s basis in_basis iter_count
+        end
+      in
+      match primal_feasible with
+      | Optimal -> phases ~optimize t s basis in_basis ~objective
+      | o -> o
     with Undecided -> Aborted
 end

@@ -1,10 +1,10 @@
-(** One two-phase revised simplex, written once over an abstract
-    arithmetic.
+(** One revised simplex, written once over an abstract arithmetic.
 
     Every decision that steers the pivot path lives here: round-robin
     pricing with the Bland's-rule fallback after 40 consecutive
     degenerate pivots, the ratio test and its smallest-basis-index
-    tie-break, phase I, the artificial drive-out, phase II and the
+    tie-break, phase I, the artificial drive-out, phase II, the dual
+    phase that repairs a primal-infeasible warm start, and the
     iteration/deadline budget. The arithmetic [F] holds the numbers,
     runs the dense kernels, and answers each sign question the engine
     asks as [Pos | Neg | Zero | Unsure]. There are two instances: exact
@@ -40,6 +40,10 @@ type budget = { deadline : float option; max_iters : int option }
     pivot would be needed, so an optimal basis is always reported as
     such and [Timeout] means real work was cut short. *)
 
+val identity : int -> zero:'a -> one:'a -> 'a array array
+(** [identity m ~zero ~one]: the m x m identity matrix, the basis
+    inverse of a slack/artificial start. *)
+
 type sign = Pos | Neg | Zero | Unsure
 
 (** What an instance may count on its own obs counters. *)
@@ -62,7 +66,8 @@ module type ARITH = sig
   (** [price s basis]: the simplex multipliers y = c_B . B^-1. *)
 
   val reduced_cost : t -> int -> sign
-  (** Sign of c_j - y.A_j, after [price]. *)
+  (** Sign of c_j - y.A_j, after [price]; the instance keeps the value
+      for [dual_ratio]. *)
 
   val column : t -> int -> unit
   (** d = B^-1 . A_j for column [j]. *)
@@ -75,6 +80,18 @@ module type ARITH = sig
 
   val basic_sign : t -> int -> sign
   (** Sign of the basic value xb_i. *)
+
+  val compare_basic : t -> int -> int -> sign
+  (** [compare_basic s i l]: sign of xb_i - xb_l. *)
+
+  val row_entry : t -> int -> int -> sign
+  (** [row_entry s r j]: sign of alpha_rj = (B^-1 . A_j)_r, which the
+      instance keeps for [dual_ratio]. *)
+
+  val dual_ratio : t -> int -> int -> sign
+  (** [dual_ratio s j k] for alpha_rj, alpha_rk < 0 (after [row_entry]
+      on both, and [reduced_cost] on both after [price]): sign of
+      d_j/(-alpha_rj) - d_k/(-alpha_rk), where d is the reduced cost. *)
 
   val artificial_sum : t -> int array -> art_first:int -> sign
   (** Sign of the summed basic values of the artificial columns. *)
@@ -93,11 +110,14 @@ type outcome =
   | Infeasible  (** phase I ended with artificials at a positive level *)
   | Unbounded
   | Timeout  (** budget exhausted while further pivots were needed *)
-  | Aborted  (** some sign decision was [Unsure] *)
+  | Aborted
+      (** some sign decision was [Unsure], or the dual phase found no
+          column to enter *)
 
 module Make (F : ARITH) : sig
   val run :
     ?pivots:int ref ->
+    ?repair:bool ->
     budget:budget ->
     tableau ->
     F.t ->
@@ -112,5 +132,17 @@ module Make (F : ARITH) : sig
       performs no pivots. [iter_count] counts pricing passes against the
       budget; [pivots], when given, counts basis changes. Objective
       variables must be structural columns ({!Simplex.solve} checks
-      them). *)
+      them).
+
+      With [~repair:true] the state may be primal infeasible: a dual
+      phase first pivots until every basic value is nonnegative, under
+      warm-start costs (zero on the start basis, one elsewhere, so the
+      start is dual feasible). It leaves on the most negative basic
+      value, enters by the minimum ratio d_j/(-alpha_rj) over the
+      structural and slack columns (artificials never enter), breaks
+      ties on the smallest index, and switches to Bland's rule after 40
+      consecutive zero-ratio pivots. With no column to enter it gives
+      up with [Aborted]; it never reports [Infeasible] itself. Each
+      dual pivot counts on the [simplex.dual_pivots] obs counter as
+      well as the instance's own pivot counter. *)
 end

@@ -84,24 +84,41 @@ let build_tableau lp =
   ({ Pivot.m; n; cols; b; art_first }, basis)
 
 (* The ladder: a rung that delivers a verified run is the answer, and
-   every other way down ends in the cold exact run. All rungs share the
-   budget and the iteration count. *)
+   every other way down ends in the cold exact run. The rungs are the
+   warm float run (else the hint itself, repaired exactly), the cold
+   float run, and the cold exact run. All rungs share the budget and the
+   iteration count. *)
 let ladder mode ~warm_basis ~budget t start ~objective iter_count =
-  let verify = Basis_verify.verify ~budget t ~objective iter_count in
+  let verify ?hint =
+    Basis_verify.verify ?hint ~budget t ~objective iter_count
+  in
+  (* a float run's terminal basis is verified once; a run that aborts or
+     times out hands its rung on (on the cold rung the exact run then
+     continues under the same budget and count, so a timeout verdict
+     matches exact mode's) *)
+  let float_run ~warm cand =
+    match Simplex_f.run ~warm ~budget t cand ~objective iter_count with
+    | Pivot.Optimal | Pivot.Infeasible | Pivot.Unbounded -> verify cand
+    | Pivot.Aborted | Pivot.Timeout -> None
+  in
+  let warm hint =
+    (* a hint from a cache is only trusted to be an int array *)
+    if
+      Array.length hint <> t.Pivot.m
+      || Array.exists (fun j -> j < 0 || j >= t.Pivot.n) hint
+    then None
+    else
+      match float_run ~warm:true (Array.copy hint) with
+      | Some r -> Some r
+      | None -> verify ~hint:true hint
+  in
   let verified =
     match mode with
     | Exact -> None
     | Float_first -> (
-        match Option.bind warm_basis verify with
+        match Option.bind warm_basis warm with
         | Some r -> Some r
-        | None -> (
-            let cand = Array.copy start in
-            match Simplex_f.run ~budget t cand ~objective iter_count with
-            | Pivot.Optimal | Pivot.Infeasible | Pivot.Unbounded -> verify cand
-            | Pivot.Aborted | Pivot.Timeout ->
-                (* the exact run continues under the same budget and
-                   count, so a timeout verdict matches exact mode's *)
-                None))
+        | None -> float_run ~warm:false (Array.copy start))
   in
   match verified with
   | Some r -> r
@@ -144,5 +161,5 @@ let solve ?(mode = Exact) ?warm_basis ?objective ?deadline ?max_iters
     | Pivot.Infeasible -> Infeasible
     | Pivot.Unbounded -> Unbounded
     | Pivot.Timeout -> Timeout
-    | Pivot.Aborted -> assert false (* exact signs are never Unsure *)
+    | Pivot.Aborted -> assert false (* exact runs never abort *)
   end

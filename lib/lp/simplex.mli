@@ -47,12 +47,15 @@ val solve :
     The one entry point into the LP engine.
 
     [mode] (default [Exact]) picks the ladder. [Float_first] tries, in
-    order: verifying [warm_basis] (a terminal basis from a structurally
-    identical LP, silently discarded when malformed, singular or
-    infeasible); the float run, whose terminal basis is then verified;
-    and finally the cold exact run, which is all that [Exact] does
-    ([warm_basis] is ignored there). Every reported solution comes from
-    exact arithmetic.
+    order: the float run from [warm_basis] (a terminal basis from a
+    structurally identical LP, silently discarded when malformed),
+    which a dual phase repairs first when edited right-hand sides left
+    it primal infeasible, and whose terminal basis is then verified —
+    falling back to verifying [warm_basis] itself, with the same repair
+    done exactly; the cold float run, whose terminal basis is then
+    verified; and finally the cold exact run, which is all that [Exact]
+    does ([warm_basis] is ignored there). Every reported solution comes
+    from exact arithmetic.
 
     [deadline] is an absolute {!Hydra_obs.Mclock.now} instant (a
     monotonic clock) and [max_iters] a total pricing-pass budget shared

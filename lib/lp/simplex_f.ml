@@ -77,6 +77,12 @@ module Float_arith = struct
     yerr : float array;
     d : float array;
     derr : float array;
+    (* per column: the last reduced cost and dual-phase row entry
+       computed, each with its error bound *)
+    rc : float array;
+    rcerr : float array;
+    alpha : float array;
+    alphaerr : float array;
     (* largest |entry| the basis inverse has held since the last
        refactorization: scales the absolute drift floor on its entries *)
     mutable bscale : float;
@@ -98,23 +104,25 @@ module Float_arith = struct
     done;
     s.xscale <- !sc
 
-  let ident i j = if i = j then 1.0 else 0.0
-
   let create (t : Pivot.tableau) basis =
-    let m = t.Pivot.m in
+    let m = t.Pivot.m and n = t.Pivot.n in
     let fb = Array.map Rat.to_float t.Pivot.b in
     let s =
       {
         fcols = Array.map (List.map (fun (i, k) -> (i, Rat.to_float k))) t.cols;
         fb;
         basis;
-        binv = Array.init m (fun i -> Array.init m (ident i));
+        binv = Pivot.identity m ~zero:0.0 ~one:1.0;
         xb = Array.copy fb;
         c = [||];
         y = Array.make m 0.0;
         yerr = Array.make m 0.0;
         d = Array.make m 0.0;
         derr = Array.make m 0.0;
+        rc = Array.make n 0.0;
+        rcerr = Array.make n 0.0;
+        alpha = Array.make n 0.0;
+        alphaerr = Array.make n 0.0;
         bscale = 1.0;
         xscale = 1.0;
         since_refactor = 0;
@@ -135,14 +143,15 @@ module Float_arith = struct
         (fun (i, v) -> a.(i).(k) <- a.(i).(k) +. v)
         s.fcols.(s.basis.(k))
     done;
-    let inv = Array.init m (fun i -> Array.init m (ident i)) in
+    let inv = Pivot.identity m ~zero:0.0 ~one:1.0 in
     for col = 0 to m - 1 do
       let piv = ref col in
       for i = col + 1 to m - 1 do
         if Float.abs a.(i).(col) > Float.abs a.(!piv).(col) then piv := i
       done;
-      (* the true basis matrix is exactly invertible, so a vanishing
-         float pivot means the shadow lost the plot *)
+      (* a vanishing float pivot means the shadow lost the plot, or a
+         warm start's basis is singular: either way exact arithmetic
+         decides *)
       if Float.abs a.(!piv).(col) = 0.0 then raise Pivot.Undecided;
       if !piv <> col then begin
         let t = a.(col) in
@@ -228,6 +237,8 @@ module Float_arith = struct
         err :=
           !err +. ((s.yerr.(i) +. (eps_c *. Float.abs s.y.(i))) *. Float.abs k))
       s.fcols.(j);
+    s.rc.(j) <- !rc;
+    s.rcerr.(j) <- !err;
     classify !rc !err
 
   (* d = Binv . A_j, with a forward error bound per entry: each inverse
@@ -263,6 +274,34 @@ module Float_arith = struct
       +. (xerr *. (Float.abs d.(l) +. Float.abs d.(i))))
 
   let basic_sign s i = classify s.xb.(i) (xerr_rel *. s.xscale)
+
+  let compare_basic s i l =
+    classify (s.xb.(i) -. s.xb.(l)) (2.0 *. xerr_rel *. s.xscale)
+
+  (* alpha_rj = (Binv . A_j)_r, bounded like an entry of [column] *)
+  let row_entry s r j =
+    let row = s.binv.(r) and bfloor = drift_rel *. s.bscale in
+    let a = ref 0.0 and err = ref 0.0 in
+    List.iter
+      (fun (i, k) ->
+        a := !a +. (row.(i) *. k);
+        err :=
+          !err +. ((bfloor +. (eps_c *. Float.abs row.(i))) *. Float.abs k))
+      s.fcols.(j);
+    s.alpha.(j) <- !a;
+    s.alphaerr.(j) <- !err;
+    classify !a !err
+
+  (* the sign of d_k alpha_j - d_j alpha_k, cross-multiplied like
+     [ratio] so both quotients keep their error bounds *)
+  let dual_ratio s j k =
+    let rc = s.rc and rcerr = s.rcerr and al = s.alpha and alerr = s.alphaerr in
+    classify
+      ((rc.(k) *. al.(j)) -. (rc.(j) *. al.(k)))
+      ((Float.abs rc.(k) *. alerr.(j))
+      +. (rcerr.(k) *. Float.abs al.(j))
+      +. (Float.abs rc.(j) *. alerr.(k))
+      +. (rcerr.(j) *. Float.abs al.(k)))
 
   let artificial_sum s basis ~art_first =
     let xerr = xerr_rel *. s.xscale in
@@ -319,5 +358,8 @@ end
 
 module Engine = Pivot.Make (Float_arith)
 
-let run ~budget t basis ~objective iter_count =
-  Engine.run ~budget t (Float_arith.create t basis) basis ~objective iter_count
+let run ?(warm = false) ~budget t basis ~objective iter_count =
+  let s = Float_arith.create t basis in
+  match if warm then Float_arith.refactor s with
+  | exception Pivot.Undecided -> Pivot.Aborted
+  | () -> Engine.run ~repair:warm ~budget t s basis ~objective iter_count

@@ -9,7 +9,8 @@
    adversarial objective forces the float shadow onto a suboptimal
    terminal basis and asserts the repair rung fires, and warm-started
    verification is exercised both directly and end-to-end through the
-   cache's structural-fingerprint hints. *)
+   cache's structural-fingerprint hints, including hints that drifted
+   right-hand sides leave primal infeasible (the dual repair). *)
 
 module Rat = Hydra_arith.Rat
 module Bigint = Hydra_arith.Bigint
@@ -27,6 +28,7 @@ let m_repairs = Obs.counter "simplex.verify_repairs"
 let m_float_pivots = Obs.counter "simplex.float_pivots"
 let m_iterations = Obs.counter "simplex.iterations"
 let m_warm_hit = Obs.counter "cache.warm_hit"
+let m_dual_pivots = Obs.counter "simplex.dual_pivots"
 
 let cases =
   match Option.bind (Sys.getenv_opt "HYDRA_SOLVE_CASES") int_of_string_opt with
@@ -257,6 +259,140 @@ let test_decisive_costs_not_repaired () =
 
 (* ---- warm-started verification ---- *)
 
+(* A feasible LP built around a nonnegative integer point: each row is
+   (coefficients, relation, rhs drift), with rhs = A.point, plus the
+   drift when [drifted]. A drifted rhs may change sign, which flips the
+   row in the tableau; the old basis is then still well-formed. *)
+let drift_case_gen =
+  let open QCheck.Gen in
+  let* nvars = int_range 2 6 in
+  let* point = list_size (return nvars) (int_range 0 6) in
+  let* rows =
+    list_size (int_range 1 5)
+      (triple
+         (list_size (return nvars) (int_range 0 2))
+         (oneofl [ Lp.Eq; Lp.Le; Lp.Ge ])
+         (int_range (-4) 4))
+  in
+  let* obj =
+    opt
+      (list_size (int_range 1 nvars)
+         (pair (int_range 0 (nvars - 1)) (int_range (-2) 3)))
+  in
+  return (point, rows, obj)
+
+let build_drift_lp ~drifted (point, rows, _) =
+  let lp = Lp.create () in
+  let first = Lp.add_vars lp (List.length point) in
+  List.iter
+    (fun (coefs, rel, delta) ->
+      let rhs = List.fold_left2 (fun acc c x -> acc + (c * x)) 0 coefs point in
+      Lp.add_constraint lp
+        (List.mapi (fun i c -> (first + i, Rat.of_int c)) coefs)
+        rel
+        (Rat.of_int (if drifted then rhs + delta else rhs)))
+    rows;
+  lp
+
+let drift_objective (_, _, obj) =
+  Option.map (List.map (fun (v, c) -> (v, Rat.of_int c))) obj
+
+let objective_value obj x =
+  List.fold_left (fun acc (v, c) -> Rat.add acc (Rat.mul c x.(v))) Rat.zero obj
+
+(* the old terminal basis, hinted into the drifted LP, gives the
+   hint-free verdict; feasible answers satisfy the drifted LP exactly
+   and, under an objective, reach the same optimum *)
+let prop_drifted_hint =
+  QCheck.Test.make ~name:"drifted warm hint = hint-free solve" ~count:cases
+    (QCheck.make drift_case_gen) (fun case ->
+      let objective = drift_objective case in
+      let old_basis = ref None in
+      ignore
+        (Simplex.solve ~mode:Simplex.Float_first ?objective
+           ~basis_out:old_basis
+           (build_drift_lp ~drifted:false case));
+      match !old_basis with
+      | None -> true (* unbounded before the drift: no basis to hint *)
+      | Some hint ->
+          let lp = build_drift_lp ~drifted:true case in
+          let cold = Simplex.solve ~mode:Simplex.Float_first ?objective lp in
+          let warm =
+            Simplex.solve ~mode:Simplex.Float_first ?objective
+              ~warm_basis:hint lp
+          in
+          (match (cold, warm) with
+          | Simplex.Feasible c, Simplex.Feasible w ->
+              if not (Lp.check lp w) then
+                QCheck.Test.fail_reportf "warm %s violates the LP"
+                  (pp_status warm);
+              Option.iter
+                (fun obj ->
+                  if
+                    not
+                      (Rat.equal (objective_value obj c)
+                         (objective_value obj w))
+                  then
+                    QCheck.Test.fail_reportf "optimum: cold %s <> warm %s"
+                      (pp_status cold) (pp_status warm))
+                objective
+          | Simplex.Infeasible, Simplex.Infeasible
+          | Simplex.Unbounded, Simplex.Unbounded ->
+              ()
+          | _ ->
+              QCheck.Test.fail_reportf "cold %s <> warm %s" (pp_status cold)
+                (pp_status warm));
+          true)
+
+(* The exact instance of the dual phase: the float warm run must abort,
+   so the hint itself goes to verification. The overlap system (four
+   regions, three count rows) is drifted so that both vertices of the
+   base LP are primal infeasible; two separate rows pin c = 10^18 and
+   d = 5 * 10^8, and the float dual phase, which checks the sign of
+   every basic value, cannot tell d from zero against c's magnitude
+   (Unsure), so it aborts before its first pivot. *)
+let test_exact_dual_repair () =
+  Obs.set_enabled true;
+  let mk a1 a2 =
+    let lp = Lp.create () in
+    let v = Lp.add_vars lp 6 in
+    let n, p, o, q, c, d = (v, v + 1, v + 2, v + 3, v + 4, v + 5) in
+    Lp.add_eq_count lp [ n; p; o; q ] 70;
+    Lp.add_eq_count lp [ p; o ] a1;
+    Lp.add_eq_count lp [ o; q ] a2;
+    Lp.add_eq_count lp [ c ] 1_000_000_000_000_000_000;
+    Lp.add_eq_count lp [ d ] 500_000_000;
+    lp
+  in
+  let hint = ref None in
+  ignore (Simplex.solve ~mode:Simplex.Float_first ~basis_out:hint (mk 40 60));
+  let hint =
+    match !hint with Some b -> b | None -> Alcotest.fail "no base basis"
+  in
+  let repairs0 = Obs.counter_value m_repairs in
+  let dual0 = Obs.counter_value m_dual_pivots in
+  let floats0 = Obs.counter_value m_float_pivots in
+  let lp = mk 30 10 in
+  (match Simplex.solve ~mode:Simplex.Float_first ~warm_basis:hint lp with
+  | Simplex.Feasible x ->
+      Alcotest.(check bool) "repaired solution is feasible" true
+        (Lp.check lp x)
+  | s -> Alcotest.failf "warm: unexpected %s" (pp_status s));
+  Alcotest.(check int) "the float warm run made no pivot" floats0
+    (Obs.counter_value m_float_pivots);
+  Alcotest.(check bool) "exact dual pivots ran" true
+    (Obs.counter_value m_dual_pivots > dual0);
+  Alcotest.(check int) "one verify repair" (repairs0 + 1)
+    (Obs.counter_value m_repairs)
+
+(* the property is only meaningful if some hints needed the dual phase *)
+let test_drifted_hints () =
+  Obs.set_enabled true;
+  let dual0 = Obs.counter_value m_dual_pivots in
+  QCheck.Test.check_exn prop_drifted_hint;
+  Alcotest.(check bool) "some drifted hint took dual pivots" true
+    (Obs.counter_value m_dual_pivots > dual0)
+
 let test_warm_basis_direct () =
   Obs.set_enabled true;
   let mk () =
@@ -371,6 +507,50 @@ let test_warm_hint_end_to_end () =
       Alcotest.(check bool) "warm hint was consumed" true
         (Obs.counter_value m_warm_hit > hits0))
 
+(* Two overlapping ranges on S.A cut it into four regions under three
+   count constraints, so S's LP has a choice of two vertices: the overlap
+   [40,60) holds A1 + A2 - |S| rows, or A1 rows. The base counts
+   (A1 = 400, A2 = 600) make both feasible; under the drifted ones
+   (A1 = 300, A2 = 100, identical structure) the first puts -300 rows in
+   the overlap and the second -200 in [60,80), so the hint is primal
+   infeasible whichever vertex the base run ended on. *)
+let spec_overlap a1 a2 =
+  Printf.sprintf
+    {|
+table S (A int [0,100), B int [0,50));
+table T (C int [0,10));
+table R (S_fk -> S, T_fk -> T);
+cc |R| = 80000; cc |S| = 700; cc |T| = 1500;
+cc |sigma(S.A in [20,60))(S)| = %d;
+cc |sigma(S.A in [40,80))(S)| = %d;
+cc |sigma(S.A in [20,60))(R join S)| = 50000;
+|}
+    a1 a2
+
+let test_drifted_hint_end_to_end () =
+  Obs.set_enabled true;
+  with_tmp_cache (fun cache ->
+      let regen text =
+        let spec = Cc_parser.parse text in
+        Pipeline.regenerate ~cache ~solve_mode:Simplex.Float_first
+          spec.Cc_parser.schema spec.Cc_parser.ccs
+      in
+      let all_exact (r : Pipeline.result) =
+        List.for_all
+          (fun (v : Pipeline.view_stats) -> v.Pipeline.status = Pipeline.Exact)
+          r.Pipeline.views
+      in
+      Alcotest.(check bool) "base run all exact" true
+        (all_exact (regen (spec_overlap 400 600)));
+      let hits0 = Obs.counter_value m_warm_hit in
+      let dual0 = Obs.counter_value m_dual_pivots in
+      let drifted = regen (spec_overlap 300 100) in
+      Alcotest.(check bool) "drifted run all exact" true (all_exact drifted);
+      Alcotest.(check bool) "warm hint was consumed" true
+        (Obs.counter_value m_warm_hit > hits0);
+      Alcotest.(check bool) "the dual phase repaired the hint" true
+        (Obs.counter_value m_dual_pivots > dual0))
+
 (* ---- cache scrub: stale vs corrupt (satellite) ---- *)
 
 let test_scrub_stale_vs_corrupt () =
@@ -454,6 +634,12 @@ let () =
             test_warm_basis_direct;
           Alcotest.test_case "structural hint warm-starts a nudged run" `Quick
             test_warm_hint_end_to_end;
+          Alcotest.test_case "primal-infeasible hint is repaired by the dual"
+            `Quick test_drifted_hint_end_to_end;
+          Alcotest.test_case "drifted hints match hint-free solves" `Quick
+            test_drifted_hints;
+          Alcotest.test_case "aborted float warm run: exact dual repair"
+            `Quick test_exact_dual_repair;
           Alcotest.test_case "corrupt hint payloads are tolerated" `Quick
             test_corrupt_hint_is_a_miss;
         ] );
