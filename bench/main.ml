@@ -1576,11 +1576,13 @@ let solve_bench () =
       ff_t exact_t;
     exit 1
   end;
-  (* wall times are resource keys (bounded, not exact); the partition
-     sizes, pivot/repair tallies and contract booleans are exact *)
+  (* wall times and their ratio are resource keys (bounded, not exact);
+     the partition sizes, pivot/repair tallies and contract booleans are
+     exact *)
   [
     ("exact", Json.Obj [ ("seconds", Json.Float exact_t) ]);
     ("float_first", Json.Obj [ ("seconds", Json.Float ff_t) ]);
+    ("float_exact_ratio", Json.Float (ff_t /. exact_t));
     ("views", Json.Int (List.length exact_r.Pipeline.views));
     ("lp_regions", Json.Int regions);
     ("lp_constraints", Json.Int constraints);
@@ -1622,7 +1624,7 @@ let resource_key k =
   in
   match k with
   | "seconds" | "minor_words" | "major_words" | "speedup"
-  | "overhead_ratio" -> true
+  | "overhead_ratio" | "float_exact_ratio" -> true
   | _ ->
       (* p50_seconds, total_seconds — any wall-clock field; rss_bytes,
          gc.minor_words — any sampled memory gauge *)

@@ -8,15 +8,65 @@ let m_degenerate = Obs.counter "simplex.degenerate_pivots"
 let m_bland = Obs.counter "simplex.bland_fallbacks"
 let m_verify_repairs = Obs.counter "simplex.verify_repairs"
 
-(* The exact arithmetic: every sign question is decided, never Unsure.
-   Each Rat product allocates, so the kernels skip zero entries. *)
+(* the factorization's kernels over rationals; they skip zero entries,
+   since every Rat product allocates *)
+module Rat_num = struct
+  type t = Rat.t
+
+  let zero = Rat.zero
+  let one = Rat.one
+  let is_zero = Rat.is_zero
+  let add = Rat.add
+  let sub = Rat.sub
+  let mul = Rat.mul
+  let div = Rat.div
+  let magnitude q = Float.abs (Rat.to_float q)
+  let divide x d = if Rat.equal d Rat.one then x else Rat.div x d
+
+  let col_op w p idx vals =
+    if not (Rat.is_zero w.(p)) then begin
+      let x = divide w.(p) vals.(0) in
+      w.(p) <- x;
+      Array.iteri
+        (fun k i -> w.(i) <- Rat.sub w.(i) (Rat.mul vals.(k + 1) x))
+        idx
+    end
+
+  let row_op w p idx vals =
+    let s = ref w.(p) in
+    Array.iteri
+      (fun k i ->
+        if not (Rat.is_zero w.(i)) then
+          s := Rat.sub !s (Rat.mul vals.(k + 1) w.(i)))
+      idx;
+    w.(p) <- (if Rat.is_zero !s then !s else divide !s vals.(0))
+
+  let permute w perm scratch =
+    Array.iteri (fun i pi -> scratch.(i) <- w.(pi)) perm;
+    Array.blit scratch 0 w 0 (Array.length w)
+
+  let eta_of d r =
+    let idx =
+      List.filter
+        (fun i -> i <> r && not (Rat.is_zero d.(i)))
+        (List.init (Array.length d) Fun.id)
+    in
+    (Array.of_list idx, Array.of_list (d.(r) :: List.map (Array.get d) idx))
+end
+
+module LU = Factor.Make (Rat_num)
+
+(* The exact arithmetic: every sign question is decided, never Unsure. *)
 module Exact_arith = struct
   type t = {
     cols : (int * Rat.t) list array;
-    binv : Rat.t array array;
+    basis : int array;  (* the engine's basis, read when refactorizing *)
+    mutable lu : LU.t;
     xb : Rat.t array;
     y : Rat.t array;
     d : Rat.t array;
+    rho : Rat.t array;  (* row [rho_row] of B^-1; -1 once stale *)
+    mutable rho_row : int;
     mutable c : Rat.t array;
     rc : Rat.t array;  (* per column: the last reduced cost computed *)
     alpha : Rat.t array;  (* per column: the last dual-phase row entry *)
@@ -28,18 +78,10 @@ module Exact_arith = struct
 
   let set_costs s c = s.c <- c
 
+  (* y = cB . B^-1 by one BTRAN *)
   let price s basis =
-    let m = Array.length s.y in
-    Array.fill s.y 0 m Rat.zero;
-    for k = 0 to m - 1 do
-      let cb = s.c.(basis.(k)) in
-      if not (Rat.is_zero cb) then
-        let row = s.binv.(k) in
-        for i = 0 to m - 1 do
-          if not (Rat.is_zero row.(i)) then
-            s.y.(i) <- Rat.add s.y.(i) (Rat.mul cb row.(i))
-        done
-    done
+    Array.iteri (fun k bk -> s.y.(k) <- s.c.(bk)) basis;
+    LU.btran s.lu s.y
 
   let reduced_cost s j =
     let rc =
@@ -50,14 +92,11 @@ module Exact_arith = struct
     s.rc.(j) <- rc;
     sign rc
 
+  (* d = B^-1 . A_j by one FTRAN *)
   let column s j =
-    Array.iteri
-      (fun i row ->
-        s.d.(i) <-
-          List.fold_left
-            (fun acc (r, k) -> Rat.add acc (Rat.mul row.(r) k))
-            Rat.zero s.cols.(j))
-      s.binv
+    Array.fill s.d 0 (Array.length s.d) Rat.zero;
+    List.iter (fun (r, k) -> s.d.(r) <- k) s.cols.(j);
+    LU.ftran s.lu s.d
 
   let column_sign s i = sign s.d.(i)
 
@@ -68,11 +107,18 @@ module Exact_arith = struct
 
   let compare_basic s i l = of_int (Rat.compare s.xb.(i) s.xb.(l))
 
+  (* alpha_rj = (e_r . B^-1) . A_j, the row from one BTRAN kept until
+     the next pivot *)
   let row_entry s r j =
-    let row = s.binv.(r) in
+    if s.rho_row <> r then begin
+      Array.fill s.rho 0 (Array.length s.rho) Rat.zero;
+      s.rho.(r) <- Rat.one;
+      LU.btran s.lu s.rho;
+      s.rho_row <- r
+    end;
     let a =
       List.fold_left
-        (fun acc (i, k) -> Rat.add acc (Rat.mul row.(i) k))
+        (fun acc (i, k) -> Rat.add acc (Rat.mul s.rho.(i) k))
         Rat.zero s.cols.(j)
     in
     s.alpha.(j) <- a;
@@ -91,36 +137,23 @@ module Exact_arith = struct
       basis;
     sign !sum
 
-  (* B^-1 update: scale the pivot row, eliminate it elsewhere *)
-  let update_binv s r =
-    let m = Array.length s.d in
-    let inv_dr = Rat.inv s.d.(r) in
-    let prow = s.binv.(r) in
-    for kx = 0 to m - 1 do
-      prow.(kx) <- Rat.mul prow.(kx) inv_dr
-    done;
-    for i = 0 to m - 1 do
-      let f = s.d.(i) in
-      if i <> r && not (Rat.is_zero f) then begin
-        let row = s.binv.(i) in
-        for kx = 0 to m - 1 do
-          if not (Rat.is_zero prow.(kx)) then
-            row.(kx) <- Rat.sub row.(kx) (Rat.mul f prow.(kx))
-        done
-      end
-    done
-
   let pivot s r ~degenerate =
     (* a degenerate step is zero: xb does not move *)
     if not degenerate then begin
       let step = Rat.div s.xb.(r) s.d.(r) in
       Array.iteri
         (fun i di ->
-          if i <> r then s.xb.(i) <- Rat.sub s.xb.(i) (Rat.mul step di))
+          if i <> r && not (Rat.is_zero di) then
+            s.xb.(i) <- Rat.sub s.xb.(i) (Rat.mul step di))
         s.d;
       s.xb.(r) <- step
     end;
-    update_binv s r
+    LU.update s.lu r s.d;
+    s.rho_row <- -1;
+    (* exact etas never drift, but the file grows: refactor to keep
+       FTRAN and BTRAN short *)
+    if LU.etas s.lu >= Factor.refactor_every then
+      s.lu <- LU.factorize ~m:(Array.length s.basis) s.cols s.basis
 
   let count = function
     | Pivot.Pivot -> Obs.incr m_pivots 1
@@ -132,19 +165,23 @@ module Engine = Pivot.Make (Exact_arith)
 
 type run = { outcome : Pivot.outcome; basis : int array; xb : Rat.t array }
 
-(* Both phases (and the artificial drive-out between them) from the
-   basis state [(binv, basis, xb)], which it mutates; it must be primal
-   feasible unless [repair] runs the dual phase first *)
-let run_phases ?pivots ?repair ~budget (t : Pivot.tableau) binv basis xb
+(* Both phases (and the artificial drive-out between them) from
+   [basis], factored as [lu], with basic values [xb]; mutates all three.
+   The state must be primal feasible unless [repair] runs the dual phase
+   first. *)
+let run_phases ?pivots ?repair ~budget (t : Pivot.tableau) lu basis xb
     ~objective iter_count =
   let m = t.Pivot.m and n = t.Pivot.n in
   let s =
     {
       Exact_arith.cols = t.Pivot.cols;
-      binv;
+      basis;
+      lu;
       xb;
       y = Array.make m Rat.zero;
       d = Array.make m Rat.zero;
+      rho = Array.make m Rat.zero;
+      rho_row = -1;
       c = [||];
       rc = Array.make n Rat.zero;
       alpha = Array.make n Rat.zero;
@@ -155,113 +192,30 @@ let run_phases ?pivots ?repair ~budget (t : Pivot.tableau) binv basis xb
   in
   { outcome; basis; xb }
 
-let identity m = Pivot.identity m ~zero:Rat.zero ~one:Rat.one
+let factorize t basis =
+  try Some (LU.factorize ~m:t.Pivot.m t.Pivot.cols basis)
+  with LU.Singular -> None
 
 let cold ~budget (t : Pivot.tableau) basis ~objective iter_count =
-  (* identity basis inverse; xb = b *)
-  run_phases ~budget t (identity t.Pivot.m) basis (Array.copy t.Pivot.b)
-    ~objective iter_count
-
-(* Gauss-Jordan inversion of the m x m matrix whose columns are
-   [t.cols.(basis.(j))]; None when the candidate is singular. The
-   inverse is the same whatever the pivot order, but every entry an
-   elimination fills in is an allocated Rat, so the order keeps these
-   sparse 0/1 bases sparse: the sparsest columns go first, and each
-   pivots on the row with the fewest nonzeros (bmat and binv together,
-   ties to the lowest row) among those not yet pivoted. Column j's
-   pivot row is moved to row j, so binv ends as B^-1 in row order. *)
-let factorize t basis =
-  let m = t.Pivot.m in
-  let bmat = Array.make_matrix m m Rat.zero in
-  Array.iteri
-    (fun j bj ->
-      List.iter
-        (fun (i, k) -> bmat.(i).(j) <- Rat.add bmat.(i).(j) k)
-        t.Pivot.cols.(bj))
-    basis;
-  let binv = identity m in
-  let nonzeros row =
-    Array.fold_left (fun n q -> if Rat.is_zero q then n else n + 1) 0 row
-  in
-  let nnz = Array.map (fun row -> 1 + nonzeros row) bmat in
-  let pivoted = Array.make m false in
-  let width = Array.map (fun bj -> List.length t.Pivot.cols.(bj)) basis in
-  let order = Array.init m Fun.id in
-  Array.stable_sort (fun a b -> compare width.(a) width.(b)) order;
-  try
-    Array.iter
-      (fun col ->
-        let p = ref (-1) in
-        for i = 0 to m - 1 do
-          if
-            (not pivoted.(i))
-            && (not (Rat.is_zero bmat.(i).(col)))
-            && (!p < 0 || nnz.(i) < nnz.(!p))
-          then p := i
-        done;
-        if !p < 0 then raise Exit;
-        if !p <> col then begin
-          (* row [col] is not pivoted yet: only rows of earlier columns are *)
-          let sw a =
-            let tmp = a.(col) in
-            a.(col) <- a.(!p);
-            a.(!p) <- tmp
-          in
-          sw bmat;
-          sw binv;
-          sw nnz
-        end;
-        pivoted.(col) <- true;
-        let inv_p = Rat.inv bmat.(col).(col) in
-        let scale row =
-          for k = 0 to m - 1 do
-            if not (Rat.is_zero row.(k)) then row.(k) <- Rat.mul row.(k) inv_p
-          done
-        in
-        scale bmat.(col);
-        scale binv.(col);
-        for i = 0 to m - 1 do
-          if i <> col && not (Rat.is_zero bmat.(i).(col)) then begin
-            let f = bmat.(i).(col) in
-            let elim dst src =
-              for k = 0 to m - 1 do
-                if not (Rat.is_zero src.(k)) then begin
-                  let was_zero = Rat.is_zero dst.(k) in
-                  dst.(k) <- Rat.sub dst.(k) (Rat.mul f src.(k));
-                  if was_zero <> Rat.is_zero dst.(k) then
-                    nnz.(i) <- (if was_zero then nnz.(i) + 1 else nnz.(i) - 1)
-                end
-              done
-            in
-            elim bmat.(i) bmat.(col);
-            elim binv.(i) binv.(col)
-          end
-        done)
-      order;
-    Some binv
-  with Exit -> None
+  Obs.with_span "lp.exact" @@ fun () ->
+  (* the slack/artificial start: B = I, so xb = b *)
+  let lu = Option.get (factorize t basis) in
+  run_phases ~budget t lu basis (Array.copy t.Pivot.b) ~objective iter_count
 
 let verify ?(hint = false) ~budget t ~objective iter_count cand =
+  Obs.with_span "lp.verify" @@ fun () ->
   match factorize t cand with
   | None -> None
-  | Some binv ->
-      let m = t.Pivot.m in
-      let xb = Array.make m Rat.zero in
-      for i = 0 to m - 1 do
-        let row = binv.(i) in
-        let acc = ref Rat.zero in
-        for j = 0 to m - 1 do
-          if not (Rat.is_zero row.(j)) then
-            acc := Rat.add !acc (Rat.mul row.(j) t.Pivot.b.(j))
-        done;
-        xb.(i) <- !acc
-      done;
+  | Some lu ->
+      let xb = Array.copy t.Pivot.b in
+      LU.ftran lu xb;
       if (not hint) && Array.exists (fun v -> Rat.sign v < 0) xb then None
       else begin
         let pivots = ref 0 in
+        let basis = Array.copy cand in
         match
-          run_phases ~pivots ~repair:hint ~budget t binv (Array.copy cand) xb
-            ~objective iter_count
+          run_phases ~pivots ~repair:hint ~budget t lu basis xb ~objective
+            iter_count
         with
         | { outcome = Pivot.Aborted; _ } ->
             (* an exact run only aborts when the dual repair gave up *)

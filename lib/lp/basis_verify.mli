@@ -4,9 +4,13 @@
     Private to [hydra.lp]: {!Simplex.solve} is the only caller, and it
     owns the ladder these runs are rungs of.
 
-    "Verify" means: reconstruct the basis inverse in
-    {!Hydra_arith.Rat}, check primal feasibility exactly, then resume
-    the exact engine from that state. A singular candidate is rejected.
+    The basis is held as sparse LU factors plus eta updates
+    ({!Factor.Make} over [Rat]), refactorized every
+    {!Factor.refactor_every} pivots to keep the eta file short.
+    "Verify" means: factor the candidate basis once in
+    {!Hydra_arith.Rat}, solve B x_B = b, check primal feasibility
+    exactly, then resume the exact engine from those factors, pricing by
+    BTRAN. A singular candidate is rejected.
     A primal-infeasible one is rejected too, unless it is a warm-start
     hint: a hint is repaired by the exact instance of the engine's dual
     phase ({!Pivot.Make.run} [~repair:true]), and rejected only when
@@ -37,8 +41,8 @@ val cold :
   run
 (** [cold ~budget t basis ~objective iter_count] runs both phases
     exactly from the slack/artificial start [basis], mutating it into
-    the terminal basis. [iter_count] counts pricing passes against
-    [budget]. *)
+    the terminal basis, within an [lp.exact] span. [iter_count] counts
+    pricing passes against [budget]. *)
 
 val verify :
   ?hint:bool ->
@@ -48,9 +52,12 @@ val verify :
   int ref ->
   int array ->
   run option
-(** [verify ~budget t ~objective iter_count cand] factorizes the
+(** [verify ~budget t ~objective iter_count cand] factors the
     candidate basis [cand] (left unmodified; one in-range column index
-    per row) and resumes the exact engine from it; [None] when [cand] is
-    singular or primal infeasible. With [~hint:true] a primal-infeasible
-    [cand] is repaired by the dual phase instead, and [None] means the
-    repair gave up. *)
+    per row) and resumes the exact engine from it, within an
+    [lp.verify] span; [None] when [cand] is singular or primal
+    infeasible. With [~hint:true] a primal-infeasible [cand] is repaired
+    by the dual phase instead, and [None] means the repair gave up. *)
+
+module Rat_num : Factor.NUM with type t = Rat.t
+(** the factorization's kernels over rationals, for white-box tests *)

@@ -3,7 +3,7 @@
    The compiler has no flambda, so calls into [F] are indirect and
    never inlined, and a float crossing that boundary would be boxed.
    The interface is therefore per column or per row and returns
-   immediates; the O(m^2) loops stay inside the instance. *)
+   immediates; the FTRAN/BTRAN sweeps stay inside the instance. *)
 
 open Hydra_arith
 module Mclock = Hydra_obs.Mclock
@@ -27,9 +27,6 @@ let out_of_budget budget iter_count =
   match budget.deadline with
   | Some d -> Mclock.now () > d
   | None -> false
-
-let identity m ~zero ~one =
-  Array.init m (fun i -> Array.init m (fun j -> if i = j then one else zero))
 
 type sign = Pos | Neg | Zero | Unsure
 

@@ -6,8 +6,9 @@
     tie-break, phase I, the artificial drive-out, phase II, the dual
     phase that repairs a primal-infeasible warm start, and the
     iteration/deadline budget. The arithmetic [F] holds the numbers,
-    runs the dense kernels, and answers each sign question the engine
-    asks as [Pos | Neg | Zero | Unsure]. There are two instances: exact
+    runs the kernels (FTRAN and BTRAN over the sparse LU factors of the
+    basis, {!Factor}), and answers each sign question the engine asks as
+    [Pos | Neg | Zero | Unsure]. There are two instances: exact
     rationals ({!Basis_verify}), which never answer [Unsure], and doubles
     with a forward error bound on every decision ({!Simplex_f}), which
     answer [Unsure] when the bound is not cleared; the engine then
@@ -23,8 +24,9 @@
 open Hydra_arith
 
 (** The problem in computational form: minimize c.x s.t. A x = b,
-    x >= 0, b >= 0. Columns are sparse; instances keep the basis
-    inverse dense (m x m). *)
+    x >= 0, b >= 0. Columns are sparse; instances keep the basis as
+    sparse LU factors plus eta updates ({!Factor}), never an explicit
+    inverse. *)
 type tableau = {
   m : int;  (** rows *)
   n : int;  (** columns, incl. slacks and artificials *)
@@ -40,10 +42,6 @@ type budget = { deadline : float option; max_iters : int option }
     pivot would be needed, so an optimal basis is always reported as
     such and [Timeout] means real work was cut short. *)
 
-val identity : int -> zero:'a -> one:'a -> 'a array array
-(** [identity m ~zero ~one]: the m x m identity matrix, the basis
-    inverse of a slack/artificial start. *)
-
 type sign = Pos | Neg | Zero | Unsure
 
 (** What an instance may count on its own obs counters. *)
@@ -52,25 +50,26 @@ type event = Pivot | Degenerate | Bland_fallback
 exception Undecided
 (** Raised on an [Unsure] answer and caught by {!Make.run}, which then
     reports [Aborted]; an instance may raise it from a kernel too (the
-    float refactorization on a vanishing pivot). *)
+    float refactorization of a singular basis). *)
 
 module type ARITH = sig
   type t
-  (** Per-solve state: basis inverse, basic solution, the current
+  (** Per-solve state: basis factors, basic solution, the current
       phase's costs, and the [y]/[d] vectors of the current iteration. *)
 
   val set_costs : t -> Rat.t array -> unit
   (** Install a phase's cost vector, one entry per tableau column. *)
 
   val price : t -> int array -> unit
-  (** [price s basis]: the simplex multipliers y = c_B . B^-1. *)
+  (** [price s basis]: the simplex multipliers y = c_B . B^-1, one
+      BTRAN. *)
 
   val reduced_cost : t -> int -> sign
   (** Sign of c_j - y.A_j, after [price]; the instance keeps the value
       for [dual_ratio]. *)
 
   val column : t -> int -> unit
-  (** d = B^-1 . A_j for column [j]. *)
+  (** d = B^-1 . A_j for column [j], one FTRAN. *)
 
   val column_sign : t -> int -> sign
   (** Sign of d_i, after [column]. *)
@@ -86,7 +85,8 @@ module type ARITH = sig
 
   val row_entry : t -> int -> int -> sign
   (** [row_entry s r j]: sign of alpha_rj = (B^-1 . A_j)_r, which the
-      instance keeps for [dual_ratio]. *)
+      instance keeps for [dual_ratio]; row r of B^-1 is one BTRAN, kept
+      until the next pivot. *)
 
   val dual_ratio : t -> int -> int -> sign
   (** [dual_ratio s j k] for alpha_rj, alpha_rk < 0 (after [row_entry]
@@ -98,7 +98,8 @@ module type ARITH = sig
 
   val pivot : t -> int -> degenerate:bool -> unit
   (** Bring the current column [d] into the basis at row [r]: step xb
-      by xb_r/d_r, which is zero when [degenerate], and update B^-1.
+      by xb_r/d_r, which is zero when [degenerate], and append [d] to
+      the factors as an eta.
       The engine has already written the entering index into the
       basis. *)
 

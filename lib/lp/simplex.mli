@@ -5,10 +5,10 @@
     delivers. Bland's rule guarantees termination; all arithmetic is exact
     ({!Hydra_arith.Rat}), so a reported solution satisfies the constraints
     with zero error. The engine is one revised simplex written over its
-    arithmetic, run exactly or in doubles behind {!solve}, with an
-    explicitly maintained basis inverse, keeping cost proportional to
-    the number of rows rather than the (possibly huge) number of
-    columns. *)
+    arithmetic, run exactly or in doubles behind {!solve}, with the
+    basis kept as sparse LU factors plus eta updates, keeping cost
+    proportional to the nonzeros of the basis rather than the (possibly
+    huge) number of columns. *)
 
 open Hydra_arith
 

@@ -6,6 +6,7 @@ let m_float_pivots = Obs.counter "simplex.float_pivots"
 (* The float arithmetic of the one simplex engine (Pivot.Make; its
    interface states the path-identity contract): every Rat replaced by
    a double, so pivots cost nanoseconds instead of Bigint allocations.
+   The basis is held as sparse LU factors plus etas (Factor).
 
    Every sign question the engine asks is answered from a value [q]
    and a running error bound [err]:
@@ -14,19 +15,35 @@ let m_float_pivots = Obs.counter "simplex.float_pivots"
      |q| >= gap * err   -> Pos / Neg
      otherwise          -> Unsure: the engine aborts to the exact path
 
-   [err] is a first-order forward error bound assembled from two
-   ingredients per input: a relative slack [eps_c] (summation roundoff
-   plus relative drift since the last refactorization) and, for basis
-   inverse entries, an absolute floor [drift_rel * bscale] where
-   [bscale] tracks the largest |entry| the inverse has held since the
-   last refactorization. The absolute floor is what a purely relative
-   band cannot express: a true-zero inverse entry surfaces as a lone
-   ~1e-16 rounding crumb whose computation looks perfectly
-   well-conditioned — relative to its own mass it is a confident
-   nonzero, relative to the matrix it came from it is noise. Drift
-   itself is kept small (so these bounds stay tight) by refactorizing —
-   re-inverting the basis from the original column data — every
-   [refactor_every] pivots.
+   [err] is a first-order forward error bound assembled from three
+   ingredients: a relative slack [eps_c] (summation roundoff plus
+   relative drift since the last refactorization), an absolute floor
+   [drift_rel * bscale], where [bscale] is the largest entry the basis
+   inverse has held since the last refactorization, and a
+   backward-error term (a computed solve is an exact solve with a
+   slightly perturbed basis; see [btran_back]). All are scaled by
+   entries of the inverse, which is never formed: a bound vector
+   [rmax] holds, per row, an upper bound on that row's largest entry.
+   It starts exact (1 at the identity start; one BTRAN per row for a
+   warm start). Each pivot at row r divides row r by d_r and subtracts
+   d_i times the new row r from every other row i, so one BTRAN of e_r
+   gives the new row r's largest entry exactly and every other row's
+   bound grows by |d_i| times it. The bounds grow additively, never
+   compounding, since a row's bound is recomputed whenever that row
+   leaves.
+
+   The absolute floor is what a purely relative band cannot express: a
+   true-zero inverse entry surfaces as a lone ~1e-16 rounding crumb
+   whose computation looks perfectly well-conditioned — relative to its
+   own mass it is a confident nonzero, relative to the matrix it came
+   from it is noise. Drift itself is kept small (so these bounds stay
+   tight) by refactorizing the basis from the original column data
+   every [Factor.refactor_every] pivots.
+
+   Bounds carried through the factors themselves, the same sweeps over
+   |L|, |U| and |eta| applied to magnitudes, do not work here: they sum
+   every path through the triangular factors, cancelled or not, and
+   reach ~1e9 times the input's mass on JOB's cast_info basis.
 
    The classification is a path-fidelity heuristic, not a soundness
    device: an answer the bound wrongly trusts (true values below the
@@ -34,7 +51,8 @@ let m_float_pivots = Obs.counter "simplex.float_pivots"
    sends Basis_verify a different terminal basis to repair or reject. *)
 
 (* per-input relative slack: summation roundoff plus the relative part
-   of the drift accumulated over at most [refactor_every] pivots *)
+   of the drift accumulated over at most [Factor.refactor_every]
+   pivots *)
 let eps_c = 1e-14
 
 (* absolute drift floor for basis inverse entries, as a fraction of
@@ -49,15 +67,6 @@ let xerr_rel = 1e-12
    before its sign is trusted *)
 let gap = 1e3
 
-(* Rebuild the basis inverse from the original column data every this
-   many pivots. Product-form updates accumulate roundoff linearly in
-   the pivot count; on the degenerate LPs the pipeline emits (thousands
-   of pivots) that drift would eventually swamp the error bounds and
-   force a spurious exact fallback. A fresh Gauss-Jordan inversion
-   costs O(m^3) flops — trivial next to the rational work it avoids —
-   and resets the drift to a few ulps. *)
-let refactor_every = 64
-
 (* classify decision quantity [q] carrying forward error bound [err] *)
 let classify q err =
   let a = Float.abs q in
@@ -65,36 +74,104 @@ let classify q err =
   else if a >= gap *. err then if q < 0.0 then Pivot.Neg else Pivot.Pos
   else Pivot.Unsure
 
+(* the factorization's kernels, over unboxed float arrays *)
+module Float_num = struct
+  type t = float
+
+  let zero = 0.0
+  let one = 1.0
+  let is_zero x = x = 0.0
+  let add = ( +. )
+  let sub = ( -. )
+  let mul = ( *. )
+  let div = ( /. )
+  let magnitude = Float.abs
+
+  let col_op (w : float array) p (idx : int array) (vals : float array) =
+    let x = w.(p) /. vals.(0) in
+    w.(p) <- x;
+    if x <> 0.0 then
+      for k = 0 to Array.length idx - 1 do
+        let i = idx.(k) in
+        w.(i) <- w.(i) -. (vals.(k + 1) *. x)
+      done
+
+  let row_op (w : float array) p (idx : int array) (vals : float array) =
+    let s = ref w.(p) in
+    for k = 0 to Array.length idx - 1 do
+      s := !s -. (vals.(k + 1) *. w.(idx.(k)))
+    done;
+    w.(p) <- !s /. vals.(0)
+
+  let permute (w : float array) perm (scratch : float array) =
+    for i = 0 to Array.length w - 1 do
+      scratch.(i) <- w.(perm.(i))
+    done;
+    Array.blit scratch 0 w 0 (Array.length w)
+
+  let eta_of (d : float array) r =
+    let n = ref 0 in
+    for i = 0 to Array.length d - 1 do
+      if i <> r && d.(i) <> 0.0 then incr n
+    done;
+    let idx = Array.make !n 0 and vals = Array.make (!n + 1) d.(r) in
+    let k = ref 0 in
+    for i = 0 to Array.length d - 1 do
+      if i <> r && d.(i) <> 0.0 then begin
+        idx.(!k) <- i;
+        vals.(!k + 1) <- d.(i);
+        incr k
+      end
+    done;
+    (idx, vals)
+end
+
+module LU = Factor.Make (Float_num)
+
 module Float_arith = struct
   type t = {
     fcols : (int * float) list array;
+    (* the same columns as arrays, which loops read without allocating:
+       rows, values, and the sum of |values| *)
+    cidx : int array array;
+    cval : float array array;
+    fnorm : float array;
     fb : float array;
     basis : int array;  (* the engine's basis, read by [refactor] *)
-    binv : float array array;
+    mutable lu : LU.t;
     xb : float array;
     mutable c : float array;
     y : float array;
     yerr : float array;
     d : float array;
     derr : float array;
+    mutable dresid : float;  (* [d]'s own backward error, below *)
+    (* row [rho_row] of the basis inverse, from one BTRAN; [rho_row] is
+       -1 once a pivot makes it stale *)
+    rho : float array;
+    mutable rho_row : int;
+    mutable rho_err : float;  (* [rho]'s backward-error term, below *)
+    (* per row of the basis inverse: an upper bound on its largest
+       |entry| *)
+    rmax : float array;
+    (* per basis position: how far, in sum of |entries|, the column the
+       etas represent there may be off the true one *)
+    drift : float array;
     (* per column: the last reduced cost and dual-phase row entry
        computed, each with its error bound *)
     rc : float array;
     rcerr : float array;
     alpha : float array;
     alphaerr : float array;
-    (* largest |entry| the basis inverse has held since the last
-       refactorization: scales the absolute drift floor on its entries *)
+    (* largest [rmax] entry since the last refactorization: scales the
+       absolute drift floor on inverse entries *)
     mutable bscale : float;
     (* 1 + the basic solution's infinity norm, refreshed after every
        pivot: scales the absolute drift floor on its entries *)
     mutable xscale : float;
-    mutable since_refactor : int;
   }
 
-  let bump_bscale s v =
-    let a = Float.abs v in
-    if a > s.bscale then s.bscale <- a
+  let bump_bscale s v = if v > s.bscale then s.bscale <- v
 
   let refresh_xscale s =
     let sc = ref 1.0 in
@@ -104,162 +181,176 @@ module Float_arith = struct
     done;
     s.xscale <- !sc
 
+  let factorize fcols basis =
+    (* a singular float basis means the shadow lost the plot, or a warm
+       start's basis is singular: either way exact arithmetic decides *)
+    try LU.factorize ~m:(Array.length basis) fcols basis
+    with LU.Singular -> raise Pivot.Undecided
+
+  let largest (v : float array) =
+    let a = ref 0.0 in
+    for i = 0 to Array.length v - 1 do
+      a := Float.max !a (Float.abs v.(i))
+    done;
+    !a
+
+  (* The backward-error terms. A computed FTRAN x solves (B + dB) x = a
+     and a computed BTRAN y solves y (B + dB) = c, where column k of dB
+     (B_k the basis column at position k) is within [eps_c] of |B_k|
+     plus the column's drift, in sum of |entries|; so x is off by
+     B^-1 dB x, entry i by at most rmax_i times the sum over k of
+     (eps_c |B_k| + drift_k) |x_k| ([column] sums it), and every entry
+     of y by at most [btran_back]. *)
+  let btran_back s (y : float array) =
+    let ymax = largest y and acc = ref 0.0 in
+    for k = 0 to Array.length s.basis - 1 do
+      let idx = s.cidx.(s.basis.(k)) and vals = s.cval.(s.basis.(k)) in
+      let yb = ref 0.0 in
+      for e = 0 to Array.length idx - 1 do
+        yb := !yb +. Float.abs (y.(idx.(e)) *. vals.(e))
+      done;
+      acc := !acc +. (s.rmax.(k) *. ((eps_c *. !yb) +. (ymax *. s.drift.(k))))
+    done;
+    !acc
+
+  (* rho = row r of the basis inverse *)
+  let inverse_row s r =
+    if s.rho_row <> r then begin
+      Array.fill s.rho 0 (Array.length s.rho) 0.0;
+      s.rho.(r) <- 1.0;
+      LU.btran s.lu s.rho;
+      s.rho_row <- r;
+      s.rho_err <- btran_back s s.rho
+    end
+
+  (* the cold start is slacks and artificials, B = I: xb = b and every
+     row of the inverse has largest entry 1 *)
   let create (t : Pivot.tableau) basis =
     let m = t.Pivot.m and n = t.Pivot.n in
     let fb = Array.map Rat.to_float t.Pivot.b in
+    let fcols = Array.map (List.map (fun (i, k) -> (i, Rat.to_float k))) t.cols in
     let s =
       {
-        fcols = Array.map (List.map (fun (i, k) -> (i, Rat.to_float k))) t.cols;
+        fcols;
+        cidx = Array.map (fun c -> Array.of_list (List.map fst c)) fcols;
+        cval = Array.map (fun c -> Array.of_list (List.map snd c)) fcols;
+        fnorm =
+          Array.map (List.fold_left (fun a (_, v) -> a +. Float.abs v) 0.0) fcols;
         fb;
         basis;
-        binv = Pivot.identity m ~zero:0.0 ~one:1.0;
+        lu = factorize fcols basis;
         xb = Array.copy fb;
         c = [||];
         y = Array.make m 0.0;
         yerr = Array.make m 0.0;
         d = Array.make m 0.0;
         derr = Array.make m 0.0;
+        dresid = 0.0;
+        rho = Array.make m 0.0;
+        rho_row = -1;
+        rho_err = 0.0;
+        rmax = Array.make m 1.0;
+        drift = Array.make m 0.0;
         rc = Array.make n 0.0;
         rcerr = Array.make n 0.0;
         alpha = Array.make n 0.0;
         alphaerr = Array.make n 0.0;
         bscale = 1.0;
         xscale = 1.0;
-        since_refactor = 0;
       }
     in
     refresh_xscale s;
     s
 
-  (* drift control: rebuild binv = B^{-1} by Gauss-Jordan with partial
-     pivoting on the original (exactly representable) column data, then
-     recompute xb = binv . b *)
-  let refactor s =
-    s.since_refactor <- 0;
-    let m = Array.length s.xb in
-    let a = Array.make_matrix m m 0.0 in
-    for k = 0 to m - 1 do
-      List.iter
-        (fun (i, v) -> a.(i).(k) <- a.(i).(k) +. v)
-        s.fcols.(s.basis.(k))
-    done;
-    let inv = Pivot.identity m ~zero:0.0 ~one:1.0 in
-    for col = 0 to m - 1 do
-      let piv = ref col in
-      for i = col + 1 to m - 1 do
-        if Float.abs a.(i).(col) > Float.abs a.(!piv).(col) then piv := i
-      done;
-      (* a vanishing float pivot means the shadow lost the plot, or a
-         warm start's basis is singular: either way exact arithmetic
-         decides *)
-      if Float.abs a.(!piv).(col) = 0.0 then raise Pivot.Undecided;
-      if !piv <> col then begin
-        let t = a.(col) in
-        a.(col) <- a.(!piv);
-        a.(!piv) <- t;
-        let t = inv.(col) in
-        inv.(col) <- inv.(!piv);
-        inv.(!piv) <- t
-      end;
-      let d = 1.0 /. a.(col).(col) in
-      let arow = a.(col) and irow = inv.(col) in
-      for j = 0 to m - 1 do
-        arow.(j) <- arow.(j) *. d;
-        irow.(j) <- irow.(j) *. d
-      done;
-      for i = 0 to m - 1 do
-        if i <> col then begin
-          let f = a.(i).(col) in
-          if f <> 0.0 then begin
-            let ai = a.(i) and ii = inv.(i) in
-            for j = 0 to m - 1 do
-              ai.(j) <- ai.(j) -. (f *. arow.(j));
-              ii.(j) <- ii.(j) -. (f *. irow.(j))
-            done
-          end
-        end
-      done
-    done;
-    for i = 0 to m - 1 do
-      Array.blit inv.(i) 0 s.binv.(i) 0 m
-    done;
-    s.bscale <- 1.0;
-    for i = 0 to m - 1 do
-      let row = s.binv.(i) in
-      for j = 0 to m - 1 do
-        bump_bscale s row.(j)
-      done
-    done;
-    for i = 0 to m - 1 do
-      let row = s.binv.(i) in
-      let acc = ref 0.0 in
-      for j = 0 to m - 1 do
-        acc := !acc +. (row.(j) *. s.fb.(j))
-      done;
-      s.xb.(i) <- !acc
-    done;
+  (* xb = B^-1 b from the current factors *)
+  let solve_xb s =
+    Array.blit s.fb 0 s.xb 0 (Array.length s.xb);
+    LU.ftran s.lu s.xb;
     refresh_xscale s;
     (* basic values that are exactly zero in the exact solver (pinned
-       degenerate rows) come back from binv . b as ~1e-13 noise; snap
+       degenerate rows) come back from B^-1 b as ~1e-13 noise; snap
        them to 0.0 so degenerate ratio-test ties keep resolving by
        index, exactly as the exact solver resolves them *)
     let snap = xerr_rel *. s.xscale in
-    for i = 0 to m - 1 do
+    for i = 0 to Array.length s.xb - 1 do
       if Float.abs s.xb.(i) <= snap then s.xb.(i) <- 0.0
     done
 
+  (* a warm start factors a hint: its basic values, and its inverse's
+     row bounds exactly, one BTRAN per row *)
+  let warm s =
+    solve_xb s;
+    for r = 0 to Array.length s.rmax - 1 do
+      inverse_row s r;
+      s.rmax.(r) <- largest s.rho
+    done;
+    s.bscale <- Float.max 1.0 (largest s.rmax)
+
+  (* drift control: factor the basis afresh from the original (exactly
+     representable) column data, then recompute xb *)
+  let refactor s =
+    s.lu <- factorize s.fcols s.basis;
+    s.rho_row <- -1;
+    Array.fill s.drift 0 (Array.length s.drift) 0.0;
+    s.bscale <- Float.max 1.0 (largest s.rmax);
+    solve_xb s
+
   let set_costs s c = s.c <- Array.map Rat.to_float c
 
-  (* y = cB . Binv, with a forward error bound per entry *)
+  (* y = cB . B^-1 by one BTRAN; entry i sums |c_k| times an inverse
+     entry of row k, each within its floor plus a relative slack, so with
+     the backward-error term the bound is the same for every i *)
   let price s basis =
-    let m = Array.length s.y in
-    Array.fill s.y 0 m 0.0;
-    Array.fill s.yerr 0 m 0.0;
     let bfloor = drift_rel *. s.bscale in
-    for k = 0 to m - 1 do
+    let err = ref 0.0 in
+    for k = 0 to Array.length basis - 1 do
       let cb = s.c.(basis.(k)) in
-      if cb <> 0.0 then begin
-        let row = s.binv.(k) in
-        let acb = Float.abs cb in
-        for i = 0 to m - 1 do
-          s.y.(i) <- s.y.(i) +. (cb *. row.(i));
-          s.yerr.(i) <-
-            s.yerr.(i) +. (acb *. (bfloor +. (eps_c *. Float.abs row.(i))))
-        done
-      end
-    done
+      s.y.(k) <- cb;
+      err := !err +. (Float.abs cb *. (bfloor +. (eps_c *. s.rmax.(k))))
+    done;
+    LU.btran s.lu s.y;
+    Array.fill s.yerr 0 (Array.length s.yerr) (!err +. btran_back s s.y)
 
   let reduced_cost s j =
     let rc = ref s.c.(j) and err = ref (eps_c *. Float.abs s.c.(j)) in
-    List.iter
-      (fun (i, k) ->
-        rc := !rc -. (s.y.(i) *. k);
-        err :=
-          !err +. ((s.yerr.(i) +. (eps_c *. Float.abs s.y.(i))) *. Float.abs k))
-      s.fcols.(j);
+    let idx = s.cidx.(j) and vals = s.cval.(j) in
+    for e = 0 to Array.length idx - 1 do
+      let i = idx.(e) and k = vals.(e) in
+      rc := !rc -. (s.y.(i) *. k);
+      err :=
+        !err +. ((s.yerr.(i) +. (eps_c *. Float.abs s.y.(i))) *. Float.abs k)
+    done;
     s.rc.(j) <- !rc;
     s.rcerr.(j) <- !err;
     classify !rc !err
 
-  (* d = Binv . A_j, with a forward error bound per entry: each inverse
-     entry contributes its absolute drift floor plus a relative slack *)
+  (* d = B^-1 . A_j by one FTRAN; d_i sums entries of row i of the
+     inverse, each contributing its absolute floor plus a relative
+     slack, times |A_j|, and the backward-error term *)
   let column s j =
     let m = Array.length s.d in
     Array.fill s.d 0 m 0.0;
-    Array.fill s.derr 0 m 0.0;
-    let bfloor = drift_rel *. s.bscale in
+    let idx = s.cidx.(j) and vals = s.cval.(j) in
+    for e = 0 to Array.length idx - 1 do
+      s.d.(idx.(e)) <- vals.(e)
+    done;
+    let mass = s.fnorm.(j) in
+    LU.ftran s.lu s.d;
+    let resid = ref 0.0 and inherited = ref 0.0 in
+    for k = 0 to m - 1 do
+      let a = Float.abs s.d.(k) in
+      resid := !resid +. (eps_c *. s.fnorm.(s.basis.(k)) *. a);
+      inherited := !inherited +. (s.drift.(k) *. a)
+    done;
+    s.dresid <- !resid;
+    let bfloor = drift_rel *. s.bscale and back = !resid +. !inherited in
     for i = 0 to m - 1 do
-      let row = s.binv.(i) in
-      List.iter
-        (fun (r, k) ->
-          s.d.(i) <- s.d.(i) +. (row.(r) *. k);
-          s.derr.(i) <-
-            s.derr.(i)
-            +. ((bfloor +. (eps_c *. Float.abs row.(r))) *. Float.abs k))
-        s.fcols.(j)
+      s.derr.(i) <- (bfloor *. mass) +. (s.rmax.(i) *. ((eps_c *. mass) +. back))
     done
 
   let column_sign s i = classify s.d.(i) s.derr.(i)
+  let column_entry s i = (s.d.(i), s.derr.(i))
+  let price_entry s i = (s.y.(i), s.yerr.(i))
 
   (* cross-multiplied, so both ratios keep their error bounds; the
      absolute drift floor on basic values covers the roundoff of the xb
@@ -278,16 +369,18 @@ module Float_arith = struct
   let compare_basic s i l =
     classify (s.xb.(i) -. s.xb.(l)) (2.0 *. xerr_rel *. s.xscale)
 
-  (* alpha_rj = (Binv . A_j)_r, bounded like an entry of [column] *)
+  (* alpha_rj = (e_r . B^-1) . A_j, bounded entry by entry like
+     [column]; row r of the inverse is kept until the next pivot *)
   let row_entry s r j =
-    let row = s.binv.(r) and bfloor = drift_rel *. s.bscale in
+    inverse_row s r;
+    let bfloor = drift_rel *. s.bscale +. s.rho_err in
     let a = ref 0.0 and err = ref 0.0 in
-    List.iter
-      (fun (i, k) ->
-        a := !a +. (row.(i) *. k);
-        err :=
-          !err +. ((bfloor +. (eps_c *. Float.abs row.(i))) *. Float.abs k))
-      s.fcols.(j);
+    let idx = s.cidx.(j) and vals = s.cval.(j) in
+    for e = 0 to Array.length idx - 1 do
+      let i = idx.(e) and k = vals.(e) in
+      a := !a +. (s.rho.(i) *. k);
+      err := !err +. ((bfloor +. (eps_c *. Float.abs s.rho.(i))) *. Float.abs k)
+    done;
     s.alpha.(j) <- !a;
     s.alphaerr.(j) <- !err;
     classify !a !err
@@ -306,37 +399,28 @@ module Float_arith = struct
   let artificial_sum s basis ~art_first =
     let xerr = xerr_rel *. s.xscale in
     let art = ref 0.0 and arterr = ref xerr in
-    Array.iteri
-      (fun i bi ->
-        if bi >= art_first then begin
-          art := !art +. s.xb.(i);
-          arterr := !arterr +. xerr +. (eps_c *. Float.abs s.xb.(i))
-        end)
-      basis;
+    for i = 0 to Array.length basis - 1 do
+      if basis.(i) >= art_first then begin
+        art := !art +. s.xb.(i);
+        arterr := !arterr +. xerr +. (eps_c *. Float.abs s.xb.(i))
+      end
+    done;
     classify !art !arterr
 
-  let bump_refactor s =
-    s.since_refactor <- s.since_refactor + 1;
-    if s.since_refactor >= refactor_every then refactor s
-
-  let update_binv s r =
-    let m = Array.length s.d in
-    let inv_dr = 1.0 /. s.d.(r) in
-    let prow = s.binv.(r) in
-    for kx = 0 to m - 1 do
-      prow.(kx) <- prow.(kx) *. inv_dr;
-      bump_bscale s prow.(kx)
-    done;
-    for i = 0 to m - 1 do
-      let f = s.d.(i) in
-      if i <> r && f <> 0.0 then begin
-        let row = s.binv.(i) in
-        for kx = 0 to m - 1 do
-          row.(kx) <- row.(kx) -. (f *. prow.(kx));
-          bump_bscale s row.(kx)
-        done
+  (* the inverse's row bounds after the pivot at row r: the new row r
+     is the old one over d_r, and row i loses d_i times it *)
+  let update_rmax s r =
+    inverse_row s r;
+    let mr = largest s.rho /. Float.abs s.d.(r) in
+    for i = 0 to Array.length s.d - 1 do
+      let di = s.d.(i) in
+      if i <> r && di <> 0.0 then begin
+        s.rmax.(i) <- s.rmax.(i) +. (Float.abs di *. mr);
+        bump_bscale s s.rmax.(i)
       end
-    done
+    done;
+    s.rmax.(r) <- mr;
+    bump_bscale s mr
 
   let pivot s r ~degenerate =
     (* the exact step is xb_r / d_r, zero exactly when xb_r is: pin the
@@ -347,9 +431,16 @@ module Float_arith = struct
       if i <> r then s.xb.(i) <- s.xb.(i) -. (step *. s.d.(i))
     done;
     s.xb.(r) <- step;
-    update_binv s r;
+    update_rmax s r;
+    (* the eta represents the entering column as B d, off the true one
+       by d's own backward error; what d inherited from earlier etas'
+       drift is left out, since summing it in magnitudes compounds
+       over every eta, and then aborts bench solve's float run *)
+    s.drift.(r) <- s.dresid;
+    LU.update s.lu r s.d;
+    s.rho_row <- -1;
     refresh_xscale s;
-    bump_refactor s
+    if LU.etas s.lu >= Factor.refactor_every then refactor s
 
   let count = function
     | Pivot.Pivot -> Obs.incr m_float_pivots 1
@@ -359,7 +450,11 @@ end
 module Engine = Pivot.Make (Float_arith)
 
 let run ?(warm = false) ~budget t basis ~objective iter_count =
-  let s = Float_arith.create t basis in
-  match if warm then Float_arith.refactor s with
+  Obs.with_span "lp.float" @@ fun () ->
+  match
+    let s = Float_arith.create t basis in
+    if warm then Float_arith.warm s;
+    s
+  with
   | exception Pivot.Undecided -> Pivot.Aborted
-  | () -> Engine.run ~repair:warm ~budget t s basis ~objective iter_count
+  | s -> Engine.run ~repair:warm ~budget t s basis ~objective iter_count
