@@ -59,12 +59,14 @@ let tpcds_sizes = lazy (T.sizes ~sf)
 
 let hydra_wlc =
   lazy
-    (Pipeline.regenerate ~sizes:(Lazy.force tpcds_sizes) T.schema
+    (Pipeline.regenerate ~sizes:(Lazy.force tpcds_sizes)
+       ~solve_mode:Hydra_lp.Simplex.Float_first T.schema
        (Lazy.force wlc_ccs))
 
 let hydra_wls =
   lazy
-    (Pipeline.regenerate ~sizes:(Lazy.force tpcds_sizes) T.schema
+    (Pipeline.regenerate ~sizes:(Lazy.force tpcds_sizes)
+       ~solve_mode:Hydra_lp.Simplex.Float_first T.schema
        (Lazy.force wls_ccs))
 
 let datasynth_wls =

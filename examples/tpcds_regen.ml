@@ -36,7 +36,8 @@ let () =
   in
   let t0 = Unix.gettimeofday () in
   let result =
-    Hydra_core.Pipeline.regenerate ~sizes:masked_sizes masked_schema masked_ccs
+    Hydra_core.Pipeline.regenerate ~sizes:masked_sizes
+      ~solve_mode:Hydra_lp.Simplex.Float_first masked_schema masked_ccs
   in
   let summary = result.Hydra_core.Pipeline.summary in
   Printf.printf "vendor site: summary built in %.2fs (%d rows for %d tuples)\n%!"

@@ -42,5 +42,8 @@ let reader t rname cname =
       fun r -> Table.get_pos tbl ~row:r ~pos
   | Generated g -> g.gen_col cname
 
+(* one column's values at the given row ids, through one fresh reader *)
+let gather t rname cname rows = Array.map (reader t rname cname) rows
+
 let relation_names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.sources [] |> List.sort compare

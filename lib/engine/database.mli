@@ -29,8 +29,14 @@ val source : t -> string -> source
 val nrows : t -> string -> int
 
 val reader : t -> string -> string -> int -> int
-(** [reader db rel col] is a row-index-to-value accessor closure; for
-    generated relations the closure may keep a scan cursor, so obtain a
-    fresh reader per traversal. *)
+(** [reader db rel col] is a row-index-to-value accessor closure, the
+    tuple-at-a-time access of the Fig. 15 aggregate. For generated
+    relations the closure keeps a scan cursor (ascending row ids advance
+    it without a search), so obtain a fresh reader per traversal. *)
+
+val gather : t -> string -> string -> int array -> int array
+(** [gather db rel col rows] is [col]'s value at each row id of [rows],
+    in order, read through one fresh {!reader}: the column-at-a-time
+    access of the executor's kernels. *)
 
 val relation_names : t -> string list

@@ -2,7 +2,16 @@
 
    Results are binding sets in struct-of-arrays form: for each relation in
    scope, a parallel array of row indices. This keeps multi-way join
-   results compact and makes cardinality counting free. *)
+   results compact and makes cardinality counting free.
+
+   Filter, join and group-by run a column at a time: every attribute an
+   operator reads is gathered once over the input's rows
+   ([Database.gather]), the kernels loop over those int arrays, and the
+   output bindings are gathered once through a selection or pair
+   vector. Output order is part of the contract: filters keep input
+   order, join pairs are left-ascending then right-ascending, and
+   group-by keeps the first row of each key, so the row ids that
+   survive a group-by depend on the order below it. *)
 
 open Hydra_rel
 module Obs = Hydra_obs.Obs
@@ -35,98 +44,155 @@ let binding rset rname =
   | Some rows -> rows
   | None -> invalid_arg (Printf.sprintf "Executor: relation %S not in scope" rname)
 
-(* qualified-attribute lookup for a given result row *)
-let lookup_fn db rset =
-  (* pre-resolve readers per attribute on first use *)
-  let cache = Hashtbl.create 8 in
-  fun i qattr ->
-    let rd, rows =
-      match Hashtbl.find_opt cache qattr with
-      | Some v -> v
-      | None ->
-          let rname, aname = Schema.split_qualified qattr in
-          let v = (Database.reader db rname aname, binding rset rname) in
-          Hashtbl.add cache qattr v;
-          v
-    in
-    rd rows.(i)
+(* [take rows sel] gathers [rows] through a selection vector *)
+let take rows sel = Array.map (fun i -> rows.(i)) sel
 
+(* one attribute's values over the rset's rows, in row order *)
+let gather db rset qattr =
+  let rname, aname = Schema.split_qualified qattr in
+  Database.gather db rname aname (binding rset rname)
+
+(* growable int buffer: the selection and pair vectors of the kernels *)
+type buf = { mutable data : int array; mutable len : int }
+
+let buf_create cap = { data = Array.make (max 16 cap) 0; len = 0 }
+
+let buf_push b v =
+  if b.len = Array.length b.data then begin
+    let d = Array.make (2 * b.len) 0 in
+    Array.blit b.data 0 d 0 b.len;
+    b.data <- d
+  end;
+  Array.unsafe_set b.data b.len v;
+  b.len <- b.len + 1
+
+let buf_contents b = Array.sub b.data 0 b.len
+
+(* The DNF predicate compiled once per operator: every attribute is
+   gathered into one column, and each conjunct becomes an array of
+   (column, lo, hi) atoms. A row passes when some conjunct's atoms all
+   hold; TRUE is one empty conjunct, FALSE none. *)
 let filter_rset db rset pred =
-  let lookup = lookup_fn db rset in
-  let keep = ref [] in
-  let n = ref 0 in
-  for i = rset.width - 1 downto 0 do
-    if Predicate.eval (fun a -> lookup i a) pred then begin
-      keep := i :: !keep;
-      incr n
-    end
+  let cols = List.map (fun a -> (a, gather db rset a)) (Predicate.attrs pred) in
+  let conjuncts =
+    Array.of_list
+      (List.map
+         (fun c ->
+           Array.of_list
+             (List.map
+                (fun (a, iv) -> (List.assoc a cols, iv.Interval.lo, iv.Interval.hi))
+                c))
+         pred)
+  in
+  let rec holds atoms i k =
+    k = Array.length atoms
+    ||
+    let col, lo, hi = atoms.(k) in
+    let v = col.(i) in
+    lo <= v && v < hi && holds atoms i (k + 1)
+  in
+  let rec passes i c =
+    c < Array.length conjuncts && (holds conjuncts.(c) i 0 || passes i (c + 1))
+  in
+  let sel = buf_create rset.width in
+  for i = 0 to rset.width - 1 do
+    if passes i 0 then buf_push sel i
   done;
-  let sel = Array.of_list !keep in
+  let sel = buf_contents sel in
   {
-    width = !n;
-    bindings =
-      List.map (fun (r, rows) -> (r, Array.map (fun i -> rows.(i)) sel)) rset.bindings;
+    width = Array.length sel;
+    bindings = List.map (fun (r, rows) -> (r, take rows sel)) rset.bindings;
   }
 
-(* PK-FK hash join: probe side carries the fk, build side is the pk
-   relation's current binding set. Handles both N:1 (fact->dim) and 1:N
-   directions because the build side may contain duplicates of a pk value
-   only if the pk relation was already joined — with true PK-FK schemas the
-   build key is unique per base row. *)
+(* Int-keyed build table, open addressing with linear probing over a
+   power-of-two slot count. A slot holds a key and the smallest build
+   position with that key; [next] chains the later positions with the
+   same key in ascending order, -1 ending a chain. *)
+type build = {
+  keys : int array;
+  heads : int array;  (* -1: empty slot *)
+  next : int array;
+  shift : int;
+}
+
+(* Fibonacci hashing: the top bits of the product pick the slot *)
+let slot t k = (k * 0x2545F4914F6CDD1D) lsr t.shift
+
+let rec find_slot t k s =
+  if t.heads.(s) < 0 || t.keys.(s) = k then s
+  else find_slot t k ((s + 1) land (Array.length t.keys - 1))
+
+let build_table pk =
+  let n = Array.length pk in
+  let bits = ref 4 in
+  while 1 lsl !bits < 2 * n do
+    incr bits
+  done;
+  let t =
+    {
+      keys = Array.make (1 lsl !bits) 0;
+      heads = Array.make (1 lsl !bits) (-1);
+      next = Array.make n (-1);
+      shift = Sys.int_size - !bits;
+    }
+  in
+  (* descending insertion leaves each chain ascending *)
+  for j = n - 1 downto 0 do
+    let k = pk.(j) in
+    let s = find_slot t k (slot t k) in
+    t.next.(j) <- t.heads.(s);
+    t.keys.(s) <- k;
+    t.heads.(s) <- j
+  done;
+  t
+
+(* PK-FK hash join: the probe side (left) carries the fk, the build side
+   (right) is the pk relation's current binding set. Build keys repeat
+   when the pk relation was already joined, so one fk can match several
+   build positions. Output pairs are left-ascending, then
+   right-ascending. *)
 let join_rset db left right spec =
-  let fk_rel, fk_attr = Schema.split_qualified spec.Plan.fk_col in
   let pk_name = (Schema.find (Database.schema db) spec.Plan.pk_rel).Schema.pk in
-  let pk_read = Database.reader db spec.Plan.pk_rel pk_name in
-  let right_rows = binding right spec.Plan.pk_rel in
-  (* build: pk value -> positions in the right rset *)
-  let build = Hashtbl.create (max 16 right.width) in
-  for j = 0 to right.width - 1 do
-    let v = pk_read right_rows.(j) in
-    Hashtbl.add build v j
+  let table = build_table (gather db right (spec.Plan.pk_rel ^ "." ^ pk_name)) in
+  let fk = gather db left spec.Plan.fk_col in
+  let li = buf_create left.width and ri = buf_create left.width in
+  for i = 0 to left.width - 1 do
+    let k = fk.(i) in
+    let j = ref table.heads.(find_slot table k (slot table k)) in
+    while !j >= 0 do
+      buf_push li i;
+      buf_push ri !j;
+      j := table.next.(!j)
+    done
   done;
-  let fk_read = Database.reader db fk_rel fk_attr in
-  let left_rows = binding left fk_rel in
-  (* probe *)
-  let pairs = ref [] and n = ref 0 in
-  for i = left.width - 1 downto 0 do
-    let v = fk_read left_rows.(i) in
-    List.iter
-      (fun j ->
-        pairs := (i, j) :: !pairs;
-        incr n)
-      (Hashtbl.find_all build v)
-  done;
-  let pairs = Array.of_list !pairs in
-  let take_left rows = Array.map (fun (i, _) -> rows.(i)) pairs in
-  let take_right rows = Array.map (fun (_, j) -> rows.(j)) pairs in
+  let li = buf_contents li and ri = buf_contents ri in
   {
-    width = !n;
+    width = Array.length li;
     bindings =
-      List.map (fun (r, rows) -> (r, take_left rows)) left.bindings
-      @ List.map (fun (r, rows) -> (r, take_right rows)) right.bindings;
+      List.map (fun (r, rows) -> (r, take rows li)) left.bindings
+      @ List.map (fun (r, rows) -> (r, take rows ri)) right.bindings;
   }
 
 (* duplicate elimination: keep the first result row of each distinct value
    combination of the grouping attributes *)
 let group_rset db rset attrs =
-  let lookup = lookup_fn db rset in
+  let cols = Array.of_list (List.map (gather db rset) attrs) in
   let seen = Hashtbl.create (max 16 rset.width) in
-  let keep = ref [] and n = ref 0 in
+  let sel = buf_create 16 in
   for i = 0 to rset.width - 1 do
-    let key = List.map (fun a -> lookup i a) attrs in
+    let key = Array.make (Array.length cols) 0 in
+    for c = 0 to Array.length cols - 1 do
+      key.(c) <- cols.(c).(i)
+    done;
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.replace seen key ();
-      keep := i :: !keep;
-      incr n
+      buf_push sel i
     end
   done;
-  let sel = Array.of_list (List.rev !keep) in
+  let sel = buf_contents sel in
   {
-    width = !n;
-    bindings =
-      List.map
-        (fun (r, rows) -> (r, Array.map (fun i -> rows.(i)) sel))
-        rset.bindings;
+    width = Array.length sel;
+    bindings = List.map (fun (r, rows) -> (r, take rows sel)) rset.bindings;
   }
 
 (* operator span: input/output cardinalities, counter update, throughput.

@@ -271,6 +271,224 @@ let test_generated_source () =
   let plan = Plan.Filter (Predicate.atom "dim.x" (iv 0 50), Plan.Scan "dim") in
   Alcotest.(check int) "generated filter card" 5 (Executor.cardinality db plan)
 
+(* ---- executor kernels against a per-row reference ----
+
+   The reference is the tuple-at-a-time executor the column kernels
+   replaced: a per-row attribute lookup through [Predicate.eval], a join
+   collecting a list of (left, right) pairs from [Hashtbl.find_all], and
+   a group-by keyed by the per-row list of lookups. The kernels must
+   reproduce its widths, its bindings in order and its annotated trees,
+   over stored, generated and mixed databases. *)
+
+module Tuple_gen = Hydra_core.Tuple_gen
+module Summary = Hydra_core.Summary
+
+let ref_lookup db (rset : Executor.rset) =
+  let cache = Hashtbl.create 8 in
+  fun i qattr ->
+    let rd, rows =
+      match Hashtbl.find_opt cache qattr with
+      | Some v -> v
+      | None ->
+          let rname, aname = Schema.split_qualified qattr in
+          let v = (Database.reader db rname aname, Executor.binding rset rname) in
+          Hashtbl.add cache qattr v;
+          v
+    in
+    rd rows.(i)
+
+let ref_select (rset : Executor.rset) sel =
+  {
+    Executor.width = Array.length sel;
+    bindings =
+      List.map (fun (r, rows) -> (r, Array.map (fun i -> rows.(i)) sel)) rset.Executor.bindings;
+  }
+
+let ref_filter db (rset : Executor.rset) pred =
+  let lookup = ref_lookup db rset in
+  let keep = ref [] in
+  for i = rset.Executor.width - 1 downto 0 do
+    if Predicate.eval (fun a -> lookup i a) pred then keep := i :: !keep
+  done;
+  ref_select rset (Array.of_list !keep)
+
+let ref_join db (left : Executor.rset) (right : Executor.rset) spec =
+  let fk_rel, fk_attr = Schema.split_qualified spec.Plan.fk_col in
+  let pk_name = (Schema.find (Database.schema db) spec.Plan.pk_rel).Schema.pk in
+  let pk_read = Database.reader db spec.Plan.pk_rel pk_name in
+  let right_rows = Executor.binding right spec.Plan.pk_rel in
+  let build = Hashtbl.create 16 in
+  for j = 0 to right.Executor.width - 1 do
+    Hashtbl.add build (pk_read right_rows.(j)) j
+  done;
+  let fk_read = Database.reader db fk_rel fk_attr in
+  let left_rows = Executor.binding left fk_rel in
+  let pairs = ref [] in
+  for i = left.Executor.width - 1 downto 0 do
+    List.iter
+      (fun j -> pairs := (i, j) :: !pairs)
+      (Hashtbl.find_all build (fk_read left_rows.(i)))
+  done;
+  let pairs = Array.of_list !pairs in
+  {
+    Executor.width = Array.length pairs;
+    bindings =
+      List.map (fun (r, rows) -> (r, Array.map (fun (i, _) -> rows.(i)) pairs)) left.Executor.bindings
+      @ List.map
+          (fun (r, rows) -> (r, Array.map (fun (_, j) -> rows.(j)) pairs))
+          right.Executor.bindings;
+  }
+
+let ref_group db (rset : Executor.rset) attrs =
+  let lookup = ref_lookup db rset in
+  let seen = Hashtbl.create 16 in
+  let keep = ref [] in
+  for i = 0 to rset.Executor.width - 1 do
+    let key = List.map (fun a -> lookup i a) attrs in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.replace seen key ();
+      keep := i :: !keep
+    end
+  done;
+  ref_select rset (Array.of_list (List.rev !keep))
+
+let rec ref_exec db plan =
+  let node op (rset : Executor.rset) children =
+    (rset, { Executor.op; card = rset.Executor.width; children })
+  in
+  match plan with
+  | Plan.Scan r ->
+      let n = Database.nrows db r in
+      node ("Scan(" ^ r ^ ")") { Executor.width = n; bindings = [ (r, Array.init n Fun.id) ] } []
+  | Plan.Filter (pred, child) ->
+      let rset, ann = ref_exec db child in
+      node (Format.asprintf "Filter(%a)" Predicate.pp pred) (ref_filter db rset pred) [ ann ]
+  | Plan.Group_by (attrs, child) ->
+      let rset, ann = ref_exec db child in
+      node
+        (Printf.sprintf "GroupBy(%s)" (String.concat "," attrs))
+        (ref_group db rset attrs) [ ann ]
+  | Plan.Join (l, r, spec) ->
+      let lrset, lann = ref_exec db l in
+      let rrset, rann = ref_exec db r in
+      node
+        (Printf.sprintf "Join(%s=%s.pk)" spec.Plan.fk_col spec.Plan.pk_rel)
+        (ref_join db lrset rrset spec) [ lann; rann ]
+
+(* d <- m <- f and d <- f: joining m to d first puts each d row in the
+   result once per m row, so a later join on d.pk builds over repeated
+   keys *)
+let kernel_schema =
+  let attr aname = { Schema.aname; dom_lo = 0; dom_hi = 8 } in
+  Schema.create
+    [
+      { Schema.rname = "d"; pk = "d_pk"; fks = []; attrs = [ attr "x"; attr "y" ] };
+      { Schema.rname = "m"; pk = "m_pk"; fks = [ ("m_d", "d") ]; attrs = [ attr "z" ] };
+      {
+        Schema.rname = "f";
+        pk = "f_pk";
+        fks = [ ("f_m", "m"); ("f_d", "d") ];
+        attrs = [ attr "w" ];
+      };
+    ]
+
+let kernel_edges = [ ("f", "f_m", "m"); ("f", "f_d", "d"); ("m", "m_d", "d") ]
+
+let rel_attrs r =
+  let rel = Schema.find kernel_schema r in
+  List.map (fun c -> r ^ "." ^ c) (Schema.columns rel)
+
+(* A random summary over [kernel_schema]: a few row-groups per relation,
+   fk values that mostly hit (pk = row + 1) and sometimes dangle. *)
+let kernel_summary seed =
+  let st = Random.State.make [| seed |] in
+  let total = Hashtbl.create 3 in
+  let relation r =
+    let rel = Schema.find kernel_schema r in
+    let cols = List.map fst rel.Schema.fks @ List.map (fun a -> a.Schema.aname) rel.Schema.attrs in
+    let value c =
+      match List.assoc_opt c rel.Schema.fks with
+      | Some target -> Random.State.int st (Hashtbl.find total target + 2)
+      | None -> Random.State.int st 8
+    in
+    let rows =
+      Array.init
+        (1 + Random.State.int st 5)
+        (fun _ -> (Array.of_list (List.map value cols), 1 + Random.State.int st 5))
+    in
+    let n = Array.fold_left (fun a (_, c) -> a + c) 0 rows in
+    Hashtbl.replace total r n;
+    { Summary.rs_rel = r; rs_cols = Array.of_list cols; rs_rows = rows; rs_total = n }
+  in
+  let relations = List.map relation [ "d"; "m"; "f" ] in
+  { Summary.schema = kernel_schema; views = []; relations; extra_tuples = [] }
+
+let gen_pred scope st =
+  let attrs = Array.of_list (List.concat_map rel_attrs scope) in
+  let pick () = attrs.(Random.State.int st (Array.length attrs)) in
+  let atom () =
+    let lo = Random.State.int st 10 - 1 in
+    (pick (), Interval.make lo (lo + 1 + Random.State.int st 6))
+  in
+  let conjunct () = List.init (1 + Random.State.int st 3) (fun _ -> atom ()) in
+  match Random.State.int st 6 with
+  | 0 -> Predicate.true_
+  | 1 -> Predicate.false_
+  | _ -> Predicate.of_conjuncts (List.init (1 + Random.State.int st 3) (fun _ -> conjunct ()))
+
+(* a plan whose scope holds [r] and none of [avoid]; the scope is
+   returned with it *)
+let rec gen_sub st depth avoid r =
+  let joins =
+    List.filter
+      (fun (a, _, b) -> (a = r || b = r) && not (List.mem (if a = r then b else a) (r :: avoid)))
+      kernel_edges
+  in
+  let plan, scope =
+    if depth = 0 || joins = [] || Random.State.int st 3 = 0 then (Plan.Scan r, [ r ])
+    else begin
+      let a, fk, b = List.nth joins (Random.State.int st (List.length joins)) in
+      let lplan, lscope = gen_sub st (depth - 1) (if a = r then b :: avoid else r :: avoid) a in
+      let rplan, rscope = gen_sub st (depth - 1) (lscope @ avoid) b in
+      (Plan.Join (lplan, rplan, { Plan.fk_col = a ^ "." ^ fk; pk_rel = b }), lscope @ rscope)
+    end
+  in
+  match Random.State.int st 4 with
+  | 0 -> (Plan.Filter (gen_pred scope st, plan), scope)
+  | 1 when depth < 2 ->
+      let attrs = Array.of_list (List.concat_map rel_attrs scope) in
+      let a1 = attrs.(Random.State.int st (Array.length attrs)) in
+      let a2 = attrs.(Random.State.int st (Array.length attrs)) in
+      (Plan.Group_by (List.sort_uniq compare [ a1; a2 ], plan), scope)
+  | _ -> (plan, scope)
+
+let arb_kernel_case =
+  QCheck.make
+    ~print:(fun (seed, plan) -> Printf.sprintf "data seed %d: %s" seed (Plan.to_string plan))
+    (fun st ->
+      let seed = Random.State.bits st in
+      let root = [| "d"; "m"; "f" |].(Random.State.int st 3) in
+      (seed, fst (gen_sub st 3 [] root)))
+
+let prop_kernels_match_reference =
+  QCheck.Test.make ~name:"column kernels match the per-row reference" ~count:300
+    arb_kernel_case (fun (seed, plan) ->
+      let summary = kernel_summary seed in
+      let st = Random.State.make [| seed; 1 |] in
+      let dynamic_relations = List.filter (fun _ -> Random.State.bool st) [ "d"; "m"; "f" ] in
+      List.for_all
+        (fun db ->
+          let rset, ann = Executor.exec db plan in
+          let ref_rset, ref_ann = ref_exec db plan in
+          rset.Executor.width = ref_rset.Executor.width
+          && rset.Executor.bindings = ref_rset.Executor.bindings
+          && ann = ref_ann)
+        [
+          Tuple_gen.materialize summary;
+          Tuple_gen.dynamic summary;
+          Tuple_gen.with_datagen summary ~dynamic_relations;
+        ])
+
 let suite =
   [
     ( "interval",
@@ -300,6 +518,7 @@ let suite =
         Alcotest.test_case "generated source" `Quick test_generated_source;
         Alcotest.test_case "group-by over generated" `Quick
           test_group_by_over_generated;
+        QCheck_alcotest.to_alcotest prop_kernels_match_reference;
       ] );
   ]
 
