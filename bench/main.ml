@@ -984,9 +984,10 @@ let obs_bench () =
       Progress.stop ticker;
       let prom_written = Sys.file_exists prom in
       let id =
-        Ledger.record ~dir:scratch
-          (Pipeline.to_ledger ~subcommand:"bench-obs" ~spec_digest:"wls"
-             ~jobs:1 ~exit_code:0 ~spans:(Flame.spans collector) on)
+        (Ledger.record ~dir:scratch
+           (Pipeline.to_ledger ~subcommand:"bench-obs" ~spec_digest:"wls"
+              ~jobs:1 ~exit_code:0 ~spans:(Flame.spans collector) on))
+          .Ledger.e_id
       in
       let listing = Ledger.runs ~dir:scratch in
       let archived =
@@ -1303,7 +1304,9 @@ let serve_bench () =
      the ratio prices the server + sampler + scraper alone *)
   let off, off_t = best run in
   let srv =
-    match Server.start ~port:0 (Serve.handler ~live:true ()) with
+    let t0 = Mclock.now () in
+    let current () = Hydra_obs.Ledger.current ~seconds:(Mclock.now () -. t0) () in
+    match Server.start ~port:0 (Serve.handler ~current ()) with
     | Ok s -> s
     | Error m ->
         Printf.eprintf "serve bench: %s\n" m;
@@ -1780,7 +1783,7 @@ let write_bench_artifact name seconds extra =
          ("seconds", Json.Float seconds);
        ]
       @ extra
-      @ [ ("metrics", Obs.metrics_json ()) ])
+      @ [ ("metrics", Obs.snapshot_json (Obs.snapshot ())) ])
   in
   let oc = open_out path in
   Fun.protect

@@ -8,7 +8,6 @@
 
 open Cmdliner
 module Obs = Hydra_obs.Obs
-module Json = Hydra_obs.Json
 module Mclock = Hydra_obs.Mclock
 module Flame = Hydra_obs.Flame
 module Ledger = Hydra_obs.Ledger
@@ -16,7 +15,6 @@ module Progress = Hydra_obs.Progress
 module Resource = Hydra_obs.Resource
 module Serve = Hydra_obs.Serve
 module Pool = Hydra_par.Pool
-module Supervisor = Hydra_par.Supervisor
 module Chaos = Hydra_chaos.Chaos
 
 (* shared parallelism knob: --jobs beats HYDRA_JOBS beats the machine's
@@ -40,6 +38,54 @@ let resolve_jobs = function
   | Some n -> n
   | None -> Pool.default_jobs ()
 
+(* ---- exit codes ----
+
+   One table, one meaning per code: every exit below goes through
+   [exit_with], and [Cmd.info ~exits] renders the table into --help. *)
+type outcome =
+  | Usage_error | Validation_failed | Relaxed_views | Fallback_views
+  | Obs_regression | Fuzz_failure | Http_status | Scrub_found_bad
+  | Task_failed | Corrupt_summary | Chaos_crash
+
+let exit_table =
+  [
+    (Usage_error, 1, "a bad spec, argument or input file (parse, schema, I/O).");
+    (Validation_failed, 2, "$(b,validate): some CC's error exceeds 50%.");
+    (Relaxed_views, 3, "$(b,summary): some views are Relaxed (closest-feasible).");
+    (Fallback_views, 4, "$(b,summary): some views are Fallback (metadata-only).");
+    (Obs_regression, 5, "$(b,obs diff): a gated metric regressed.");
+    (Fuzz_failure, 6, "$(b,fuzz): an invariant failed (reproducer written).");
+    (Http_status, 7, "$(b,obs get): the endpoint answered non-2xx.");
+    (Scrub_found_bad, 8, "$(b,cache scrub): corrupt entries were left in place.");
+    (Task_failed, 9, "a task or an injected transient fault outlived its retries.");
+    (Corrupt_summary, 12, "a summary file is corrupt (torn, garbled, bad digest).");
+    (Chaos_crash, Chaos.kill_exit_code, "a simulated chaos crash (as $(b,kind=kill)).");
+  ]
+
+let exits =
+  Cmd.Exit.info Cmd.Exit.ok ~doc:"on success ($(b,summary): every view exact)."
+  :: List.map (fun (_, code, doc) -> Cmd.Exit.info code ~doc) exit_table
+  @ [
+      Cmd.Exit.info Cmd.Exit.cli_error ~doc:"on a command line parsing error.";
+      Cmd.Exit.info Cmd.Exit.internal_error
+        ~doc:"on an unexpected internal error (a bug).";
+    ]
+
+let exit_code outcome =
+  let _, code, _ = List.find (fun (o, _, _) -> o = outcome) exit_table in
+  code
+
+let exit_with outcome = exit (exit_code outcome)
+
+let die outcome m =
+  prerr_endline ("hydra: " ^ m);
+  exit_with outcome
+
+let or_die = function Ok v -> v | Error m -> die Usage_error m
+
+(* every subcommand's --help lists the table *)
+let cmd_info name ~doc = Cmd.info name ~doc ~exits
+
 (* ---- telemetry ----
 
    Every export is a rendering of one run record (Ledger.run). One span
@@ -59,25 +105,29 @@ let telemetry_on () =
 let collected_spans () =
   match !collector with Some c -> Flame.spans c | None -> []
 
-(* The exit-time file exports, one (file, rendering) row per
-   --metrics-out / --flame-out / --chrome-out / HYDRA_OBS metrics=. They
-   are written from [at_exit], so they survive the degraded exit codes
-   3/4, and they render [final_record] when the subcommand built one,
-   else the live registry at exit. *)
+(* The process's run record: [final_record] once the subcommand built
+   one, else the live registry. The exit-time file exports (one (file,
+   rendering) row per --metrics-out / --flame-out / --chrome-out /
+   HYDRA_OBS metrics=) render it from [at_exit], so they survive the
+   degraded exit codes 3/4; the live endpoint serves it as
+   /runs/current. *)
 let exports : (string * Ledger.format) list ref = ref []
 let final_record : Ledger.run option ref = ref None
+let started = Mclock.now ()
+
+let current_record () =
+  match !final_record with
+  | Some r -> r
+  | None ->
+      Ledger.current ~spans:(collected_spans ())
+        ~seconds:(Mclock.now () -. started) ()
 
 let export path fmt =
   telemetry_on ();
   exports := (path, fmt) :: !exports
 
 let write_exports () =
-  let r =
-    lazy
-      (match !final_record with
-      | Some r -> r
-      | None -> Ledger.current ~spans:(collected_spans ()) ())
-  in
+  let r = lazy (current_record ()) in
   List.iter
     (fun (path, fmt) ->
       Hydra_durable.Durable_io.write_atomic ~fsync:false path (fun b ->
@@ -239,12 +289,6 @@ let read_spec path =
       Error (Printf.sprintf "schema error in %s: %s" path m)
   | Sys_error m -> Error m
 
-let or_die = function
-  | Ok v -> v
-  | Error m ->
-      prerr_endline ("hydra: " ^ m);
-      exit 1
-
 (* ---- live telemetry endpoint (hydra.net / Hydra_obs.Serve) ---- *)
 
 let serve_arg =
@@ -270,7 +314,7 @@ let start_live_serve ?obs_dir port =
   | None -> (
       telemetry_on ();
       start_resource_sampler ();
-      match Serve.start ?obs_dir ~spans:collected_spans ~live:true ~port () with
+      match Serve.start ?obs_dir ~current:current_record ~port () with
       | Ok s ->
           live_server := Some s;
           Printf.eprintf "obs serve: listening on http://127.0.0.1:%d\n%!"
@@ -304,51 +348,25 @@ let serve_linger () =
       wait_for_shutdown ();
       Serve.stop s
 
-(* uniform rendering of domain errors raised below the command layer: one
-   actionable line on stderr, no OCaml backtrace, and a distinct exit code
-   per error family so scripts can tell a bad spec from a solver fault.
-
-     1   parse / schema / usage errors
-     2   validation threshold exceeded
-     3   summary degraded: some views Relaxed
-     4   summary degraded: some views Fallback
-     5   obs diff: a gated metric regressed between two ledger runs
-     6   fuzz: an end-to-end invariant failed (reproducer written)
-     7   obs get: the endpoint answered with a non-2xx status
-     10  preprocessing error        11  LP formulation error
-     12  summary assembly error, or a corrupt summary/durable artifact
-     13  align-and-merge error
-     14  malformed annotated plan (harvest error)
-     70  simulated chaos crash (matches the Kill injection's exit code) *)
+(* uniform rendering of domain errors raised below the command layer:
+   one actionable line on stderr, no OCaml backtrace, and the error
+   family's row of the exit table *)
 let protecting f x =
-  let die code m =
-    prerr_endline ("hydra: " ^ m);
-    exit code
-  in
   try f x with
-  | Hydra_rel.Schema.Schema_error m -> die 1 ("schema: " ^ m)
-  | Hydra_core.Summary.Summary_error m -> die 12 ("summary: " ^ m)
+  | Hydra_rel.Schema.Schema_error m -> die Usage_error ("schema: " ^ m)
+  | Hydra_workload.Cc_parser.Parse_error m -> die Usage_error ("parse: " ^ m)
+  | Invalid_argument m | Sys_error m -> die Usage_error m
   | Hydra_core.Summary.Corrupt c ->
-      die 12
+      die Corrupt_summary
         (Printf.sprintf "summary: %s is corrupt (line %d: %s)"
            c.Hydra_core.Summary.sum_path c.Hydra_core.Summary.sum_line
            c.Hydra_core.Summary.sum_reason)
-  | Hydra_durable.Durable_io.Corrupt c ->
-      die 12
-        (Printf.sprintf "corrupt artifact: %s (offset %d: %s)"
-           c.Hydra_durable.Durable_io.dur_path
-           c.Hydra_durable.Durable_io.dur_offset
-           c.Hydra_durable.Durable_io.dur_reason)
-  | Hydra_core.Preprocess.Preprocess_error m -> die 10 ("preprocess: " ^ m)
-  | Hydra_core.Formulate.Formulation_error m -> die 11 ("formulation: " ^ m)
-  | Hydra_core.Align.Align_error m -> die 13 ("alignment: " ^ m)
-  | Hydra_workload.Workload.Harvest_error f ->
-      die 14 ("harvest: " ^ Hydra_workload.Workload.harvest_fault_message f)
-  | Hydra_workload.Cc_parser.Parse_error m -> die 1 ("parse: " ^ m)
   | Chaos.Crashed site ->
-      die Chaos.kill_exit_code ("chaos: simulated crash at site " ^ site)
+      die Chaos_crash ("chaos: simulated crash at site " ^ site)
+  | Chaos.Injected site ->
+      die Task_failed ("chaos: transient fault at site " ^ site ^ " was not retried")
   | Pool.Batch_failure fs ->
-      die 1
+      die Task_failed
         ("parallel batch failed: "
         ^ String.concat "; "
             (List.map
@@ -356,8 +374,6 @@ let protecting f x =
                  Printf.sprintf "task %d: %s" f.Pool.f_index
                    (Printexc.to_string f.Pool.f_exn))
                fs))
-  | Invalid_argument m -> die 1 m
-  | Sys_error m -> die 1 m
 
 (* solve cache: --cache-dir beats HYDRA_CACHE; absent both, no caching.
    The directory is created on first use. *)
@@ -448,30 +464,6 @@ let arm_chaos = function
       | Ok plan -> Chaos.arm plan
       | Error m -> or_die (Error m))
 
-let task_retries_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "task-retries" ] ~docv:"N"
-        ~doc:
-          "Supervised retries for transient task failures in the solve \
-           pool (0 disables retry). Retries only affect timing, never \
-           output.")
-
-let task_backoff_arg =
-  Arg.(
-    value & opt float 0.05
-    & info [ "task-backoff" ] ~docv:"SECONDS"
-        ~doc:
-          "Base backoff before the first supervised retry; doubles per \
-           attempt (capped), with deterministic jitter.")
-
-let supervision_of ~task_retries ~task_backoff =
-  {
-    Supervisor.default_policy with
-    Supervisor.max_retries = max 0 task_retries;
-    base_backoff_s = max 0.0 task_backoff;
-  }
-
 let spec_arg =
   let doc = "Spec file with table and cc declarations." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"SPEC" ~doc)
@@ -491,101 +483,46 @@ let status_line (v : Hydra_core.Pipeline.view_stats) =
         (if List.length vs = 1 then "" else "s")
   | Hydra_core.Pipeline.Fallback reason -> "fallback: " ^ reason
 
-(* machine-readable run report: the whole pipeline result plus the final
-   metrics snapshot, as one JSON object on stdout *)
-let run_report_json ?audit ?cache ~jobs out (result : Hydra_core.Pipeline.result)
-    =
+(* the human-readable run lines; --json prints the run record instead *)
+let print_summary_lines ?cache ~out (result : Hydra_core.Pipeline.result) =
   let open Hydra_core.Pipeline in
   let summary = result.summary in
-  let metrics_obj kvs =
-    Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) kvs)
-  in
-  let view_json (v : view_stats) =
-    let violations =
+  Printf.printf "summary: %d rows covering %d tuples -> %s (%.2fs)\n"
+    (Hydra_core.Summary.summary_rows summary)
+    (Hydra_core.Summary.total_rows summary)
+    out result.total_seconds;
+  List.iter
+    (fun v ->
+      Printf.printf "  view %-20s %6d LP vars %5d constraints %.2fs  %s%s\n"
+        v.rel v.num_lp_vars v.num_lp_constraints v.solve_seconds (status_line v)
+        ((if v.journal = Hydra_core.Formulate.Cache_hit then " [replayed]" else "")
+        ^ (if v.cache = Hydra_core.Formulate.Cache_hit then " [cached]" else "")
+        ^
+        if v.attempts > 1 then Printf.sprintf " [%d attempts]" v.attempts
+        else "");
       match v.status with
-      | Relaxed vs ->
-          Json.List
-            (List.map
-               (fun (viol : violation) ->
-                 Json.Obj
-                   [
-                     ( "predicate",
-                       Json.String
-                         (Hydra_rel.Predicate.to_string viol.v_pred) );
-                     ("expected", Json.Int viol.v_expected);
-                     ("achieved", Json.Int viol.v_achieved);
-                   ])
-               vs)
-      | _ -> Json.List []
-    in
-    Json.Obj
-      [
-        ("rel", Json.String v.rel);
-        ("status", Json.String (status_word v.status));
-        ( "fallback_reason",
-          match v.status with
-          | Fallback r -> Json.String r
-          | _ -> Json.Null );
-        ("lp_vars", Json.Int v.num_lp_vars);
-        ("lp_constraints", Json.Int v.num_lp_constraints);
-        ("solve_seconds", Json.Float v.solve_seconds);
-        ("cache", Json.String (disposition_word v.cache));
-        ("journal", Json.String (disposition_word v.journal));
-        ("attempts", Json.Int v.attempts);
-        ("violations", violations);
-        ("metrics", metrics_obj v.metrics);
-      ]
-  in
-  let cache_json =
-    match cache with
-    | None -> []
-    | Some c ->
-        let s = Hydra_cache.Cache.stats c in
-        [
-          ( "cache",
-            Json.Obj
-              [
-                ("dir", Json.String (Hydra_cache.Cache.dir c));
-                ("hits", Json.Int s.Hydra_cache.Cache.hits);
-                ("misses", Json.Int s.Hydra_cache.Cache.misses);
-                ("stores", Json.Int s.Hydra_cache.Cache.stores);
-              ] );
-        ]
-  in
-  let d = result.diagnostics in
-  Json.Obj
-    ([
-      ("output", Json.String out);
-      ("jobs", Json.Int jobs);
-      ("total_seconds", Json.Float result.total_seconds);
-      ("preprocess_seconds", Json.Float result.preprocess_seconds);
-      ("assemble_seconds", Json.Float result.assemble_seconds);
-      ( "summary",
-        Json.Obj
-          [
-            ( "rows",
-              Json.Int (Hydra_core.Summary.summary_rows summary) );
-            ("tuples", Json.Int (Hydra_core.Summary.total_rows summary));
-            ( "extra_tuples",
-              Json.Obj
-                (List.map
-                   (fun (r, n) -> (r, Json.Int n))
-                   summary.Hydra_core.Summary.extra_tuples) );
-          ] );
-      ("views", Json.List (List.map view_json result.views));
-      ( "diagnostics",
-        Json.Obj
-          [
-            ("exact_views", Json.Int d.exact_views);
-            ("relaxed_views", Json.Int d.relaxed_views);
-            ("fallback_views", Json.Int d.fallback_views);
-            ( "notes",
-              Json.List (List.map (fun n -> Json.String n) d.notes) );
-          ] );
-      ("metrics", Obs.metrics_json ());
-    ]
-    @ cache_json
-    @ match audit with Some a -> [ ("audit", a) ] | None -> [])
+      | Relaxed _ ->
+          List.iter (Printf.printf "    violated: %s\n") (status_detail v.status)
+      | _ -> ())
+    result.views;
+  List.iter (Printf.printf "  note: %s\n") result.diagnostics.notes;
+  List.iter
+    (fun (r, n) ->
+      if n > 0 then Printf.printf "  +%d integrity-repair tuples in %s\n" n r)
+    summary.Hydra_core.Summary.extra_tuples;
+  Option.iter
+    (fun c ->
+      let s = Hydra_cache.Cache.stats c in
+      let plural n one many = if n = 1 then one else many in
+      Printf.printf "  cache: %d hit%s, %d miss%s, %d store%s -> %s\n"
+        s.Hydra_cache.Cache.hits
+        (plural s.Hydra_cache.Cache.hits "" "s")
+        s.Hydra_cache.Cache.misses
+        (plural s.Hydra_cache.Cache.misses "" "es")
+        s.Hydra_cache.Cache.stores
+        (plural s.Hydra_cache.Cache.stores "" "s")
+        (Hydra_cache.Cache.dir c))
+    cache
 
 let summary_cmd =
   let out =
@@ -615,21 +552,22 @@ let summary_cmd =
       value & flag
       & info [ "report" ]
           ~doc:
-            "Print a text table of all collected metrics after the run \
-             (implies metric collection).")
+            "Print the run record as a text report after the run (implies \
+             metric collection).")
   in
   let json =
     Arg.(
       value & flag
       & info [ "json" ]
           ~doc:
-            "Print one machine-readable JSON run report on stdout instead \
-             of the human-readable lines (implies metric collection). The \
-             summary file is still written.")
+            "Print the run record on stdout instead of the human-readable \
+             lines (implies metric collection): the same \
+             $(b,hydra-ledger/1) document $(b,--obs-dir) archives, with \
+             each view's LP size, attempts, reason and metric profile. \
+             The summary file is still written.")
   in
   let run spec_path out deadline_s max_nodes jobs cache_dir state_dir chaos
-      solve_mode task_retries task_backoff telemetry audit_out obs_dir
-      progress serve report json =
+      solve_mode telemetry audit_out obs_dir progress serve report json =
     telemetry ();
     (match progress with Some p -> start_progress ?obs_dir p | None -> ());
     (match serve with
@@ -641,11 +579,9 @@ let summary_cmd =
     let jobs = resolve_jobs jobs in
     let spec = or_die (read_spec spec_path) in
     let cache = open_cache cache_dir in
-    let supervision = supervision_of ~task_retries ~task_backoff in
     let result =
       Hydra_core.Pipeline.regenerate ?deadline_s ~max_nodes ~jobs ?cache
-        ?state_dir ~supervision ~solve_mode
-        spec.Hydra_workload.Cc_parser.schema
+        ?state_dir ~solve_mode spec.Hydra_workload.Cc_parser.schema
         spec.Hydra_workload.Cc_parser.ccs
     in
     let summary = result.Hydra_core.Pipeline.summary in
@@ -654,129 +590,65 @@ let summary_cmd =
        metrics snapshot and the ledger record even without a sampler
        running; one post-run sample is enough for a batch run *)
     if Obs.enabled () then Resource.sample ();
+    if not json then print_summary_lines ?cache ~out result;
     (* audited validation runs against the dynamic generator: the same
        tuples materialization would produce, with no storage and no
        jobs-dependence, so the report is byte-identical across --jobs *)
-    let audit =
-      match audit_out with
-      | None -> None
-      | Some path ->
-          let db = Hydra_core.Tuple_gen.dynamic summary in
-          let _, records, reconciles =
-            run_audit db spec.Hydra_workload.Cc_parser.ccs
-          in
-          let incidents = audit_incidents () in
-          Hydra_audit.Audit.write_report ~reconciles ~incidents path records;
-          Some (records, reconciles, path)
-    in
-    if json then begin
-      let audit_json =
-        Option.map
-          (fun (records, reconciles, _) ->
-            Hydra_audit.Audit.report_json ~reconciles
-              ~incidents:(audit_incidents ()) records)
-          audit
-      in
-      print_endline
-        (Json.to_string_pretty
-           (run_report_json ?audit:audit_json ?cache ~jobs out result))
-    end
-    else begin
-      Printf.printf "summary: %d rows covering %d tuples -> %s (%.2fs)\n"
-        (Hydra_core.Summary.summary_rows summary)
-        (Hydra_core.Summary.total_rows summary)
-        out result.Hydra_core.Pipeline.total_seconds;
-      List.iter
-        (fun (v : Hydra_core.Pipeline.view_stats) ->
-          Printf.printf "  view %-20s %6d LP vars %5d constraints %.2fs  %s%s\n"
-            v.Hydra_core.Pipeline.rel v.Hydra_core.Pipeline.num_lp_vars
-            v.Hydra_core.Pipeline.num_lp_constraints
-            v.Hydra_core.Pipeline.solve_seconds (status_line v)
-            ((match v.Hydra_core.Pipeline.journal with
-             | Hydra_core.Formulate.Cache_hit -> " [replayed]"
-             | _ -> "")
-            ^ (match v.Hydra_core.Pipeline.cache with
-              | Hydra_core.Formulate.Cache_hit -> " [cached]"
-              | _ -> "")
-            ^
-            if v.Hydra_core.Pipeline.attempts > 1 then
-              Printf.sprintf " [%d attempts]" v.Hydra_core.Pipeline.attempts
-            else "");
-          match v.Hydra_core.Pipeline.status with
-          | Hydra_core.Pipeline.Relaxed vs ->
-              List.iter
-                (fun (viol : Hydra_core.Pipeline.violation) ->
-                  Printf.printf "    violated: %s expected %d achieved %d\n"
-                    (Hydra_rel.Predicate.to_string
-                       viol.Hydra_core.Pipeline.v_pred)
-                    viol.Hydra_core.Pipeline.v_expected
-                    viol.Hydra_core.Pipeline.v_achieved)
-                vs
-          | _ -> ())
-        result.Hydra_core.Pipeline.views;
-      List.iter
-        (fun note -> Printf.printf "  note: %s\n" note)
-        result.Hydra_core.Pipeline.diagnostics.Hydra_core.Pipeline.notes;
-      List.iter
-        (fun (r, n) ->
-          if n > 0 then
-            Printf.printf "  +%d integrity-repair tuples in %s\n" n r)
-        summary.Hydra_core.Summary.extra_tuples;
-      (match cache with
-      | Some c ->
-          let s = Hydra_cache.Cache.stats c in
-          Printf.printf "  cache: %d hit%s, %d miss%s, %d store%s -> %s\n"
-            s.Hydra_cache.Cache.hits
-            (if s.Hydra_cache.Cache.hits = 1 then "" else "s")
-            s.Hydra_cache.Cache.misses
-            (if s.Hydra_cache.Cache.misses = 1 then "" else "es")
-            s.Hydra_cache.Cache.stores
-            (if s.Hydra_cache.Cache.stores = 1 then "" else "s")
-            (Hydra_cache.Cache.dir c)
-      | None -> ());
-      match audit with
-      | Some (records, reconciles, path) ->
-          print_audit_line records reconciles path
-      | None -> ()
-    end;
+    Option.iter
+      (fun path ->
+        let db = Hydra_core.Tuple_gen.dynamic summary in
+        let _, records, reconciles =
+          run_audit db spec.Hydra_workload.Cc_parser.ccs
+        in
+        Hydra_audit.Audit.write_report ~reconciles
+          ~incidents:(audit_incidents ()) path records;
+        if not json then print_audit_line records reconciles path)
+      audit_out;
     let d = result.Hydra_core.Pipeline.diagnostics in
-    let exit_code =
-      if d.Hydra_core.Pipeline.fallback_views > 0 then 4
-      else if d.Hydra_core.Pipeline.relaxed_views > 0 then 3
-      else 0
+    let outcome =
+      if d.Hydra_core.Pipeline.fallback_views > 0 then Some Fallback_views
+      else if d.Hydra_core.Pipeline.relaxed_views > 0 then Some Relaxed_views
+      else None
     in
     let spec_digest =
       try Digest.to_hex (Digest.file spec_path) with Sys_error _ -> ""
     in
+    let paths =
+      ("summary", out)
+      :: List.filter_map
+           (fun (k, p) -> Option.map (fun p -> (k, p)) p)
+           [ ("cache", cache_dir); ("state", state_dir); ("audit", audit_out) ]
+    in
     let record =
       Hydra_core.Pipeline.to_ledger ~subcommand:"summary" ~spec_digest ~jobs
-        ~exit_code ~spans:(collected_spans ()) result
+        ~exit_code:(Option.fold ~none:0 ~some:exit_code outcome)
+        ~spans:(collected_spans ()) ~paths result
     in
     final_record := Some record;
     (* the confirmation goes to stderr so --json stdout stays parseable *)
-    let id =
+    let entry =
       match obs_dir with
       | Some dir ->
-          let id = Ledger.record ~dir record in
-          Printf.eprintf "obs: run %s archived -> %s\n%!" id dir;
-          id
-      | None -> "current"
+          let e = Ledger.record ~dir record in
+          Printf.eprintf "obs: run %s archived -> %s\n%!" e.Ledger.e_id dir;
+          e
+      | None -> Ledger.live record
     in
-    if report && not json then print_string (Ledger.report ~id record);
+    if json then print_string (Ledger.document entry)
+    else if report then print_string (Ledger.report ~id:entry.Ledger.e_id record);
     (* with --serve attached, keep the final state scrapeable until the
        operator (or the test harness) sends SIGTERM *)
     serve_linger ();
-    if exit_code <> 0 then exit exit_code
+    Option.iter exit_with outcome
   in
   let doc = "Build a database summary from a schema + CC spec." in
-  Cmd.v (Cmd.info "summary" ~doc)
+  Cmd.v (cmd_info "summary" ~doc)
     Term.(
-      const (fun a b c d e f g h i j k l m n o p q r ->
-          protecting (run a b c d e f g h i j k l m n o p q) r)
+      const (fun a b c d e f g h i j k l m n o p ->
+          protecting (run a b c d e f g h i j k l m n o) p)
       $ spec_arg $ out $ deadline $ max_nodes $ jobs_arg $ cache_dir_arg
-      $ state_dir_arg $ chaos_arg $ solve_mode_arg $ task_retries_arg
-      $ task_backoff_arg $ telemetry_args $ audit_out_arg $ obs_dir_arg
-      $ progress_arg $ serve_arg $ report $ json)
+      $ state_dir_arg $ chaos_arg $ solve_mode_arg $ telemetry_args
+      $ audit_out_arg $ obs_dir_arg $ progress_arg $ serve_arg $ report $ json)
 
 (* ---- materialize ---- *)
 
@@ -809,7 +681,7 @@ let materialize_cmd =
   in
   let doc = "Materialize a summary into CSV relations." in
   Cmd.v
-    (Cmd.info "materialize" ~doc)
+    (cmd_info "materialize" ~doc)
     Term.(
       const (fun a b c d -> protecting (run a b c) d)
       $ spec_arg $ summary_pos_arg $ dir $ jobs_arg)
@@ -866,11 +738,11 @@ let validate_cmd =
             Hydra_workload.Cc.pp r.Hydra_core.Validate.cc
             r.Hydra_core.Validate.actual)
       (Hydra_core.Validate.worst v 10);
-    if v.Hydra_core.Validate.max_abs_error > 0.5 then exit 2
+    if v.Hydra_core.Validate.max_abs_error > 0.5 then exit_with Validation_failed
   in
   let doc = "Check volumetric similarity of a summary against its CCs." in
   Cmd.v
-    (Cmd.info "validate" ~doc)
+    (cmd_info "validate" ~doc)
     Term.(
       const (fun a b c d e f -> protecting (run a b c d e) f)
       $ spec_arg $ summary_pos_arg $ dynamic $ jobs_arg $ telemetry_args
@@ -940,7 +812,7 @@ let extract_cmd =
     "Run the spec's queries against CSV data and emit the cardinality \
      constraints (the client-site flow)."
   in
-  Cmd.v (Cmd.info "extract" ~doc)
+  Cmd.v (cmd_info "extract" ~doc)
     Term.(
       const (fun a b c d -> protecting (run a b c) d)
       $ spec_arg $ data_dir $ out $ jobs_arg)
@@ -984,21 +856,22 @@ let cache_scrub_cmd =
     (* corrupt entries left behind signal scripts to re-run with
        --delete; stale entries and orphan temp files are the expected
        debris of an upgrade or a kill and never fail the walk *)
-    if r.Hydra_cache.Cache.sr_bad <> [] && not delete then exit 2
+    if r.Hydra_cache.Cache.sr_bad <> [] && not delete then
+      exit_with Scrub_found_bad
   in
   let doc =
     "Walk a solve-cache or $(b,--state-dir) directory, report corrupt \
-     (exit 2 unless $(b,--delete)) and stale version-mismatched entries \
+     (exit 8 unless $(b,--delete)) and stale version-mismatched entries \
      (silent misses otherwise) and orphan temp files left by a kill, \
      and optionally delete them."
   in
-  Cmd.v (Cmd.info "scrub" ~doc)
+  Cmd.v (cmd_info "scrub" ~doc)
     Term.(
       const (fun a b -> protecting (run a) b) $ cache_dir_arg $ delete)
 
 let cache_cmd =
   let doc = "Solve-cache maintenance." in
-  Cmd.group (Cmd.info "cache" ~doc) [ cache_scrub_cmd ]
+  Cmd.group (cmd_info "cache" ~doc) [ cache_scrub_cmd ]
 
 (* ---- obs: run-ledger analysis ---- *)
 
@@ -1047,7 +920,7 @@ let obs_list_cmd =
     "List the archived runs of a ledger directory (views column is \
      exact/relaxed/fallback); corrupt records are reported and skipped."
   in
-  Cmd.v (Cmd.info "list" ~doc)
+  Cmd.v (cmd_info "list" ~doc)
     Term.(const (fun a -> protecting run a) $ obs_dir_arg)
 
 let obs_show_cmd =
@@ -1063,7 +936,7 @@ let obs_show_cmd =
     print_string (Ledger.report ~events:events_n ~id:e.Ledger.e_id e.Ledger.e_run)
   in
   let doc = "Render one archived run's full report." in
-  Cmd.v (Cmd.info "show" ~doc)
+  Cmd.v (cmd_info "show" ~doc)
     Term.(
       const (fun a b c -> protecting (run a b) c)
       $ obs_dir_arg
@@ -1151,13 +1024,13 @@ let obs_diff_cmd =
       ea.Ledger.e_id eb.Ledger.e_id (List.length names)
       (List.length !regressions);
     (* non-zero so CI pipelines can gate on a run-over-run regression *)
-    if !regressions <> [] then exit 5
+    if !regressions <> [] then exit_with Obs_regression
   in
   let doc =
     "Diff two archived runs' metrics and percentiles; exits 5 when a \
      gated metric regressed (grew past its threshold ratio)."
   in
-  Cmd.v (Cmd.info "diff" ~doc)
+  Cmd.v (cmd_info "diff" ~doc)
     Term.(
       const (fun a b c d e f -> protecting (run a b c d e) f)
       $ obs_dir_arg
@@ -1198,7 +1071,7 @@ let obs_top_cmd =
       (take top_n (List.sort desc views))
   in
   let doc = "Rank an archived run's slowest spans and views." in
-  Cmd.v (Cmd.info "top" ~doc)
+  Cmd.v (cmd_info "top" ~doc)
     Term.(
       const (fun a b c -> protecting (run a b) c)
       $ obs_dir_arg
@@ -1239,7 +1112,7 @@ let obs_prune_cmd =
      and/or count ($(b,--keep) the newest N); corrupt record files are \
      always removed."
   in
-  Cmd.v (Cmd.info "prune" ~doc)
+  Cmd.v (cmd_info "prune" ~doc)
     Term.(
       const (fun a b c -> protecting (run a b) c)
       $ obs_dir_arg $ keep $ before)
@@ -1269,7 +1142,7 @@ let obs_serve_cmd =
      $(b,/runs), $(b,/runs/ID). Runs until SIGTERM/SIGINT; a busy port \
      is a clean error (exit 1), not a backtrace."
   in
-  Cmd.v (Cmd.info "serve" ~doc)
+  Cmd.v (cmd_info "serve" ~doc)
     Term.(const (fun a b -> protecting (run a) b) $ obs_dir_arg $ port)
 
 let obs_get_cmd =
@@ -1298,7 +1171,7 @@ let obs_get_cmd =
           flush stdout;
           Printf.eprintf "hydra: obs get %s: HTTP %d %s\n%!" path status
             (Hydra_net.Http.reason status);
-          exit 7
+          exit_with Http_status
         end
   in
   let doc =
@@ -1307,7 +1180,7 @@ let obs_get_cmd =
      curl-independent client for tests and CI. Non-2xx responses print \
      the body, report the status on stderr and exit 7."
   in
-  Cmd.v (Cmd.info "get" ~doc)
+  Cmd.v (cmd_info "get" ~doc)
     Term.(const (fun a b c -> protecting (run a b) c) $ host $ port $ path)
 
 let obs_cmd =
@@ -1315,7 +1188,7 @@ let obs_cmd =
     "Analyze the run telemetry ledger (list, show, diff, top, prune) or \
      serve it live (serve, get)."
   in
-  Cmd.group (Cmd.info "obs" ~doc)
+  Cmd.group (cmd_info "obs" ~doc)
     [
       obs_list_cmd; obs_show_cmd; obs_diff_cmd; obs_top_cmd; obs_prune_cmd;
       obs_serve_cmd; obs_get_cmd;
@@ -1441,7 +1314,7 @@ let fuzz_cmd =
             | Error f ->
                 Printf.printf "replay %s: FAIL %s: %s\n" path f.Fuzz.f_invariant
                   f.Fuzz.f_detail;
-                exit 6)
+                exit_with Fuzz_failure)
     | None ->
         let cfg =
           config shape relations queries fact_rows filter_width or_arms
@@ -1455,7 +1328,7 @@ let fuzz_cmd =
         in
         Printf.printf "fuzz: %d/%d workload(s) passed (seed %d)\n"
           sweep.Fuzz.sw_passed count seed;
-        if sweep.Fuzz.sw_failures <> [] then exit 6
+        if sweep.Fuzz.sw_failures <> [] then exit_with Fuzz_failure
   in
   let doc =
     "Synthesize seeded random workloads and fuzz the whole pipeline end to \
@@ -1466,7 +1339,7 @@ let fuzz_cmd =
      fully-exact runs validate with zero error. Failures shrink to a \
      minimal reproducer spec (exit 6)."
   in
-  Cmd.v (Cmd.info "fuzz" ~doc)
+  Cmd.v (cmd_info "fuzz" ~doc)
     Term.(
       const (fun a b c dd e f g h i j k l m ->
           protecting (run a b c dd e f g h i j k l) m)
@@ -1485,13 +1358,13 @@ let inspect_cmd =
     Format.printf "%a" Hydra_core.Summary.pp summary
   in
   let doc = "Print the relation summaries contained in a summary file." in
-  Cmd.v (Cmd.info "inspect" ~doc)
+  Cmd.v (cmd_info "inspect" ~doc)
     Term.(const (fun a b -> protecting (run a) b) $ spec_arg $ summary_pos_arg)
 
 let main =
   let doc = "workload-dependent database regeneration (HYDRA, EDBT 2018)" in
   Cmd.group
-    (Cmd.info "hydra" ~version:"1.0.0" ~doc)
+    (Cmd.info "hydra" ~version:"1.0.0" ~doc ~exits)
     [
       summary_cmd; extract_cmd; materialize_cmd; validate_cmd; inspect_cmd;
       cache_cmd; obs_cmd; fuzz_cmd;
@@ -1515,7 +1388,7 @@ let () =
   | None -> ());
   (* HYDRA_CHAOS arms fault injection for every subcommand, including
      those without a --chaos flag (e.g. materialize) *)
-  Chaos.init_from_env ();
+  or_die (Chaos.init_from_env ());
   (* the file exports must land even on the degraded-summary exit codes *)
   at_exit (fun () ->
       write_exports ();

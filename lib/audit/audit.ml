@@ -244,10 +244,6 @@ let report_json ?reconciles ?(incidents = []) rs =
       ])
 
 let write_report ?reconciles ?incidents path rs =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc
-        (Json.to_string_pretty (report_json ?reconciles ?incidents rs));
-      output_char oc '\n')
+  Hydra_durable.Durable_io.write_atomic ~fsync:false path (fun b ->
+      Buffer.add_string b
+        (Json.to_string_pretty (report_json ?reconciles ?incidents rs) ^ "\n"))

@@ -118,4 +118,6 @@ val write_report :
   string ->
   record list ->
   unit
-(** Pretty-print {!report_json} to a file, trailing newline included. *)
+(** Pretty-print {!report_json} to a file, trailing newline included,
+    through {!Hydra_durable.Durable_io.write_atomic} (no fsync): a kill
+    mid-write leaves the previous file, never a torn one. *)

@@ -122,11 +122,6 @@ let with_plan p f =
 
 let init_from_env () =
   match Sys.getenv_opt "HYDRA_CHAOS" with
-  | None -> ()
-  | Some s when String.trim s = "" -> ()
-  | Some s -> (
-      match parse s with
-      | Ok p -> arm p
-      | Error m ->
-          prerr_endline ("hydra: HYDRA_CHAOS: " ^ m);
-          exit 1)
+  | Some s when String.trim s <> "" ->
+      Result.map_error (( ^ ) "HYDRA_CHAOS: ") (Result.map arm (parse s))
+  | _ -> Ok ()

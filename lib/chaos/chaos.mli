@@ -71,9 +71,10 @@ val with_plan : plan -> (unit -> 'a) -> 'a
 (** [with_plan p f] runs [f] with [p] armed and always disarms,
     including when [f] raises. *)
 
-val init_from_env : unit -> unit
-(** Arm a plan from [HYDRA_CHAOS] when set and non-empty. Prints the
-    parse error to stderr and exits 1 on a malformed spec. *)
+val init_from_env : unit -> (unit, string) result
+(** Arm a plan from [HYDRA_CHAOS] when set and non-empty. [Error]
+    carries the parse error of a malformed spec, for the caller to
+    report (the CLI exits 1). *)
 
 val kill_exit_code : int
 (** Exit code used by [Kill] (and by the CLI for {!Crashed}): 70. *)

@@ -472,18 +472,42 @@ let disposition_word = function
   | Formulate.Cache_hit -> "hit"
   | Formulate.Cache_miss -> "miss"
 
-let to_ledger ~subcommand ~spec_digest ~jobs ~exit_code ?(spans = []) r =
+let status_detail = function
+  | Exact -> []
+  | Fallback reason -> [ reason ]
+  | Relaxed vs ->
+      List.map
+        (fun v ->
+          Printf.sprintf "%s expected %d achieved %d"
+            (Predicate.to_string v.v_pred) v.v_expected v.v_achieved)
+        vs
+
+let to_ledger ~subcommand ~spec_digest ~jobs ~exit_code ?(spans = [])
+    ?(paths = []) r =
   let module L = Hydra_obs.Ledger in
   let journaled d = List.length (List.filter (fun v -> v.journal = d) r.views) in
   let view v =
     { L.v_rel = v.rel; v_status = status_word v.status;
       v_fingerprint = v.fingerprint; v_cache = disposition_word v.cache;
-      v_journal = disposition_word v.journal; v_seconds = v.solve_seconds }
+      v_journal = disposition_word v.journal; v_seconds = v.solve_seconds;
+      v_lp_vars = v.num_lp_vars; v_lp_constraints = v.num_lp_constraints;
+      v_attempts = v.attempts; v_detail = status_detail v.status;
+      v_metrics = v.metrics }
+  in
+  let relation (rs : Summary.relation_summary) =
+    { L.s_rel = rs.Summary.rs_rel; s_rows = Array.length rs.Summary.rs_rows;
+      s_tuples = rs.Summary.rs_total;
+      s_repair =
+        Option.value ~default:0
+          (List.assoc_opt rs.Summary.rs_rel r.summary.Summary.extra_tuples) }
   in
   { L.r_subcommand = subcommand;
     r_config_digest = L.config_digest ~subcommand [ spec_digest ];
     r_spec_digest = spec_digest; r_jobs = jobs; r_exit = exit_code;
     r_seconds = r.total_seconds; r_views = List.map view r.views;
+    r_notes = r.diagnostics.notes;
+    r_summary = List.map relation r.summary.Summary.relations;
+    r_paths = paths;
     r_journal =
       (if journaled Formulate.Cache_off = List.length r.views then []
        else

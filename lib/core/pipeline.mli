@@ -164,12 +164,20 @@ val total_lp_vars : result -> int
 val status_word : view_status -> string
 (** ["exact"] / ["relaxed"] / ["fallback"]. *)
 
-val disposition_word : Formulate.cache_disposition -> string
-(** ["off"] / ["bypass"] / ["hit"] / ["miss"]. *)
+val status_detail : view_status -> string list
+(** Why a view is not exact, as text: [[reason]] for {!Fallback}, one
+    ["PRED expected N achieved K"] line per violated CC for {!Relaxed},
+    [[]] for {!Exact}. *)
 
 val to_ledger :
   subcommand:string -> spec_digest:string -> jobs:int -> exit_code:int ->
-  ?spans:Hydra_obs.Obs.span list -> result -> Hydra_obs.Ledger.run
-(** The finished run as its ledger record, in the words above, with the
-    registry snapshot and event ring read now. The state-dir aggregate is
-    [[]] when no view consulted a state dir. *)
+  ?spans:Hydra_obs.Obs.span list -> ?paths:(string * string) list ->
+  result -> Hydra_obs.Ledger.run
+(** The finished run as its ledger record, with the registry snapshot
+    and event ring read now. Rungs are {!status_word}s and cache and
+    state-dir dispositions ["off"] / ["bypass"] / ["hit"] / ["miss"].
+    Each view carries its LP size,
+    attempts, {!status_detail} and metric delta, the diagnostics notes,
+    and the summary's rows, tuples and repair tuples per relation.
+    [?paths] names the run's artifacts (default none). The state-dir
+    aggregate is [[]] when no view consulted a state dir. *)

@@ -13,7 +13,14 @@ type view = {
   v_cache : string;
   v_journal : string;
   v_seconds : float;
+  v_lp_vars : int;
+  v_lp_constraints : int;
+  v_attempts : int;
+  v_detail : string list;
+  v_metrics : (string * float) list;
 }
+
+type relation = { s_rel : string; s_rows : int; s_tuples : int; s_repair : int }
 
 type run = {
   r_subcommand : string;
@@ -23,6 +30,9 @@ type run = {
   r_exit : int;
   r_seconds : float;
   r_views : view list;
+  r_notes : string list;
+  r_summary : relation list;
+  r_paths : (string * string) list;
   r_journal : (string * int) list;
   r_metrics : Obs.snapshot;
   r_events : Obs.event list;
@@ -32,7 +42,8 @@ type run = {
 let current ?(spans = []) ?(seconds = 0.0) () =
   {
     r_subcommand = ""; r_config_digest = ""; r_spec_digest = ""; r_jobs = 0;
-    r_exit = 0; r_seconds = seconds; r_views = []; r_journal = [];
+    r_exit = 0; r_seconds = seconds; r_views = []; r_notes = []; r_summary = [];
+    r_paths = []; r_journal = [];
     r_metrics = Obs.snapshot (); r_events = Obs.recent_events ();
     r_spans = spans;
   }
@@ -79,13 +90,22 @@ let next_seq dir =
 
 let run_json ~id ~seq r =
   let str k v = (k, Json.String v) and int k v = (k, Json.Int v) in
+  let strs k l = (k, Json.List (List.map (fun s -> Json.String s) l)) in
   let view v =
     Json.Obj
       [
         str "rel" v.v_rel; str "status" v.v_status;
         str "fingerprint" v.v_fingerprint; str "cache" v.v_cache;
         str "journal" v.v_journal; ("seconds", Json.Float v.v_seconds);
+        int "lp_vars" v.v_lp_vars; int "lp_constraints" v.v_lp_constraints;
+        int "attempts" v.v_attempts; strs "detail" v.v_detail;
+        ("metrics", Json.Obj (List.map (fun (k, x) -> (k, Json.Float x)) v.v_metrics));
       ]
+  in
+  let relation s =
+    Json.Obj
+      [ str "rel" s.s_rel; int "rows" s.s_rows; int "tuples" s.s_tuples;
+        int "repair" s.s_repair ]
   in
   Json.Obj
     [
@@ -94,6 +114,9 @@ let run_json ~id ~seq r =
       str "spec_digest" r.r_spec_digest; int "jobs" r.r_jobs;
       int "exit" r.r_exit; ("seconds", Json.Float r.r_seconds);
       ("views", Json.List (List.map view r.r_views));
+      strs "notes" r.r_notes;
+      ("summary", Json.List (List.map relation r.r_summary));
+      ("paths", Json.Obj (List.map (fun (k, v) -> str k v) r.r_paths));
       ("journal", Json.Obj (List.map (fun (k, v) -> int k v) r.r_journal));
       ("metrics", Obs.snapshot_json r.r_metrics);
       ("events", Json.List (List.map Obs.event_json r.r_events));
@@ -104,6 +127,14 @@ let run_of_json doc =
   let str k j = Json.str (Json.field k j) and int k j = Json.int (Json.field k j) in
   let num k j = Json.num (Json.field k j) in
   let each decode k j = List.map decode (Json.list (Json.field k j)) in
+  let pairs decode k j =
+    List.map (fun (k, v) -> (k, decode v)) (Json.obj (Json.field k j))
+  in
+  (* fields added after the first hydra-ledger/1 records (the spans, the
+     per-view profile, the notes, summary facts and paths) load empty
+     when absent; records written before spans were archived carry
+     folded stacks instead *)
+  let opt read empty k j = if Json.member k j = None then empty else read k j in
   let attrs j =
     List.map
       (fun (k, v) ->
@@ -120,7 +151,16 @@ let run_of_json doc =
       v_rel = str "rel" j; v_status = str "status" j;
       v_fingerprint = str "fingerprint" j; v_cache = str "cache" j;
       v_journal = str "journal" j; v_seconds = num "seconds" j;
+      v_lp_vars = opt int 0 "lp_vars" j;
+      v_lp_constraints = opt int 0 "lp_constraints" j;
+      v_attempts = opt int 0 "attempts" j;
+      v_detail = opt (each Json.str) [] "detail" j;
+      v_metrics = opt (pairs Json.num) [] "metrics" j;
     }
+  in
+  let relation j =
+    { s_rel = str "rel" j; s_rows = int "rows" j; s_tuples = int "tuples" j;
+      s_repair = int "repair" j }
   in
   let event j =
     match Obs.level_of_name (str "level" j) with
@@ -143,39 +183,42 @@ let run_of_json doc =
       r_exit = int "exit" doc;
       r_seconds = num "seconds" doc;
       r_views = each view "views" doc;
-      r_journal =
-        List.map (fun (k, v) -> (k, Json.int v)) (Json.obj (Json.field "journal" doc));
+      r_notes = opt (each Json.str) [] "notes" doc;
+      r_summary = opt (each relation) [] "summary" doc;
+      r_paths = opt (pairs Json.str) [] "paths" doc;
+      r_journal = pairs Json.int "journal" doc;
       r_metrics =
         (match Obs.snapshot_of_json (Json.field "metrics" doc) with
         | Ok snap -> snap
         | Error m -> raise (Json.Decode m));
       r_events = each event "events" doc;
-      (* records written before spans were archived carry folded stacks
-         instead: they load with no spans *)
-      r_spans =
-        (match Json.member "spans" doc with
-        | None -> []
-        | Some l -> List.map span (Json.list l));
+      r_spans = opt (each span) [] "spans" doc;
     }
   with
   | r -> Ok r
   | exception Json.Decode m -> Error m
+
+type entry = { e_id : string; e_seq : int; e_path : string; e_run : run }
+
+let live r = { e_id = "current"; e_seq = 0; e_path = ""; e_run = r }
+
+let document e =
+  Json.to_string_pretty (run_json ~id:e.e_id ~seq:e.e_seq e.e_run) ^ "\n"
 
 let record ~dir r =
   Durable_io.mkdir_p dir;
   let seq = next_seq dir in
   let digest8 = String.sub r.r_config_digest 0 (min 8 (String.length r.r_config_digest)) in
   let digest8 = if digest8 = "" then "00000000" else digest8 in
-  let id = Printf.sprintf "run-%06d-%s" seq digest8 in
-  let path = Filename.concat dir (filename ~seq ~digest8) in
-  Durable_io.write_atomic ~digest:true path (fun b ->
-      Buffer.add_string b (Json.to_string_pretty (run_json ~id ~seq r));
-      Buffer.add_char b '\n');
-  id
+  let e =
+    { e_id = Printf.sprintf "run-%06d-%s" seq digest8; e_seq = seq;
+      e_path = Filename.concat dir (filename ~seq ~digest8); e_run = r }
+  in
+  Durable_io.write_atomic ~digest:true e.e_path (fun b ->
+      Buffer.add_string b (document e));
+  e
 
 (* ---- listing ---- *)
-
-type entry = { e_id : string; e_seq : int; e_path : string; e_run : run }
 
 type listing = {
   l_entries : entry list;
@@ -309,8 +352,21 @@ let report ?(events = 10) ~id r =
       line "    %-20s %-8s cache %-6s journal %-8s lp %s  %.6fs" v.v_rel
         v.v_status v.v_cache v.v_journal
         (if fp = "" then "-" else String.sub fp 0 (min 12 (String.length fp)))
-        v.v_seconds)
+        v.v_seconds;
+      (* attempts is 0 only in records written before the profile *)
+      if v.v_attempts > 0 then
+        line "      %d LP vars, %d constraints, %d attempt(s)" v.v_lp_vars
+          v.v_lp_constraints v.v_attempts;
+      List.iter (line "      %s: %s" v.v_status) v.v_detail;
+      if v.v_metrics <> [] then
+        line "      profile: %s"
+          (String.concat ", "
+             (List.map (fun (k, x) -> Printf.sprintf "%s %g" k x) v.v_metrics)))
     r.r_views;
+  section "notes" r.r_notes (line "    %s");
+  section "summary (rows / tuples / repair tuples)" r.r_summary (fun s ->
+      line "    %-20s %d / %d / %d" s.s_rel s.s_rows s.s_tuples s.s_repair);
+  section "paths" r.r_paths (fun (k, p) -> line "    %-20s %s" k p);
   section "metrics" (Obs.flatten r.r_metrics) (fun (k, v) ->
       if Float.is_integer v && Float.abs v < 1e15 then
         line "    %-44s %d" k (int_of_float v)

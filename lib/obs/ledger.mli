@@ -26,7 +26,18 @@ type view = {
           words: ["hit"] means replayed, ["miss"] solved fresh, ["off"]
           no state dir *)
   v_seconds : float;
+  v_lp_vars : int;
+  v_lp_constraints : int;
+  v_attempts : int;  (** pool attempts; more than 1 means retries *)
+  v_detail : string list;
+      (** the fallback reason, or the violated CCs, as text *)
+  v_metrics : (string * float) list;
+      (** the view's registry delta: solver counters and stage spans *)
 }
+
+type relation = { s_rel : string; s_rows : int; s_tuples : int; s_repair : int }
+(** A relation of the written summary: rows, the tuples they describe,
+    and how many of those are integrity-repair tuples. *)
 
 type run = {
   r_subcommand : string;
@@ -36,6 +47,10 @@ type run = {
   r_exit : int;
   r_seconds : float;
   r_views : view list;
+  r_notes : string list;  (** the pipeline's cross-view notes *)
+  r_summary : relation list;
+  r_paths : (string * string) list;
+      (** the run's artifacts: [summary], [cache], [state], [audit] *)
   r_journal : (string * int) list;
       (** state-dir aggregate counts ([replayed]/[solved]), [[]] when no
           state dir was used *)
@@ -60,20 +75,28 @@ val config_digest : subcommand:string -> string list -> string
     inputs that vary per host (e.g. the resolved jobs count). *)
 
 val run_json : id:string -> seq:int -> run -> Json.t
-(** The record as archived: a [hydra-ledger/1] document. Reading it back
-    ({!runs}, {!find}) is exact; a document without a [spans] field
-    (written before spans were archived; it carries [folded] instead)
-    loads with no spans. *)
-
-val record : dir:string -> run -> string
-(** Archive the run; creates [dir] as needed and returns the run id. *)
+(** The record as archived: a [hydra-ledger/1] document, and the one
+    encoder of a run report ([hydra summary --json], [/runs/ID]).
+    Reading it back ({!runs}, {!find}) is exact. Fields added after the
+    first records (spans, the per-view profile, notes, summary, paths)
+    load empty when absent. *)
 
 type entry = {
   e_id : string;
   e_seq : int;
-  e_path : string;
+  e_path : string;  (** [""] for a run not archived *)
   e_run : run;
 }
+
+val live : run -> entry
+(** A run that is not archived: id [current], sequence 0. *)
+
+val document : entry -> string
+(** The entry's {!run_json}, pretty-printed and newline-terminated: the
+    body of an archived record (before its digest trailer). *)
+
+val record : dir:string -> run -> entry
+(** Archive the run; creates [dir] as needed. *)
 
 type listing = {
   l_entries : entry list;  (** valid records, ascending sequence *)
@@ -113,6 +136,8 @@ val render : format -> run -> string
 
 val report : ?events:int -> id:string -> run -> string
 (** The text report: the [run ID] header and identity fields, per-view
-    outcomes, the metrics table, populated histogram percentiles, the
-    last [?events] (default 10) events, and last the resume story (how
-    the state dir and the solve cache served the run). *)
+    outcomes with their LP size, attempts, reason and profile, the
+    notes, summary facts and paths, the metrics table, populated
+    histogram percentiles, the last [?events] (default 10) events, and
+    last the resume story (how the state dir and the solve cache served
+    the run). *)

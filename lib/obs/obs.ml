@@ -662,8 +662,6 @@ let snapshot_of_json j =
   | snap -> Ok snap
   | exception Json.Decode m -> Error ("metrics snapshot: " ^ m)
 
-let metrics_json () = snapshot_json (snapshot ())
-
 (* ---- sinks ---- *)
 
 let value_string = function

@@ -210,9 +210,6 @@ val snapshot_of_json : Json.t -> (snapshot, string) result
     from the buckets, and bucket keys are matched against the encoder's
     own strings. *)
 
-val metrics_json : unit -> Json.t
-(** [snapshot_json (snapshot ())]. *)
-
 (* ---- lifecycle ---- *)
 
 val reset : unit -> unit

@@ -61,30 +61,25 @@ let progress_doc ~elapsed_s (st : Progress.stats) =
 let no_ledger = "no run ledger attached (start with --obs-dir)"
 
 (* A run reference resolved to the ledger entry it names. [current] is
-   the live registry (live mode only), anything else an archived run.
-   [None] names the run /metrics and /progress describe: the live one,
-   else the latest archived. *)
-let resolve ~live ~obs_dir ~spans ~started ref_ =
+   the process's own run (live mode only), anything else an archived
+   run. [None] names the run /metrics and /progress describe: the
+   current one, else the latest archived. *)
+let resolve ~current ~obs_dir ref_ =
   let archived f =
     match obs_dir with None -> Error no_ledger | Some dir -> f dir
   in
-  match ref_ with
-  | (None | Some "current") when live ->
-      let seconds = Mclock.now () -. started in
-      Ok
-        { Ledger.e_id = "current"; e_seq = 0; e_path = "";
-          e_run = Ledger.current ~spans:(spans ()) ~seconds () }
-  | Some r -> archived (fun dir -> Ledger.find ~dir r)
-  | None ->
+  match (ref_, current) with
+  | (None | Some "current"), Some run -> Ok (Ledger.live (run ()))
+  | Some r, _ -> archived (fun dir -> Ledger.find ~dir r)
+  | None, None ->
       archived (fun dir ->
           match List.rev (Ledger.runs ~dir).Ledger.l_entries with
           | e :: _ -> Ok e
           | [] -> Error "no runs archived")
 
-let handler ?obs_dir ?(live = false) ?(spans = fun () -> []) () =
-  let started = Mclock.now () in
+let handler ?obs_dir ?current () =
   let with_run ref_ render =
-    match resolve ~live ~obs_dir ~spans ~started ref_ with
+    match resolve ~current ~obs_dir ref_ with
     | Ok e -> render e e.Ledger.e_run
     | Error msg -> Http.not_found msg
   in
@@ -118,8 +113,8 @@ let handler ?obs_dir ?(live = false) ?(spans = fun () -> []) () =
               Http.json (Ledger.render Ledger.Chrome run))
       | _ -> Http.not_found ("no route for " ^ req.Http.path)
 
-let start ?obs_dir ?live ?spans ~port () =
-  Server.start ~port (handler ?obs_dir ?live ?spans ())
+let start ?obs_dir ?current ~port () =
+  Server.start ~port (handler ?obs_dir ?current ())
 
 let port = Server.port
 let stop = Server.stop

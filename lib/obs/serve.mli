@@ -2,9 +2,10 @@
     registry over HTTP ({!Hydra_net}).
 
     Every route that describes a run resolves its reference to one
-    {!Ledger.run} and renders it; the live run ([current], built from
-    the registry, the event ring and the span collector by
-    {!Ledger.current}) and archived runs go through the same code.
+    {!Ledger.run} and renders it; the process's own run ([current],
+    which the caller supplies: the live registry while the run
+    executes, its finished record afterwards) and archived runs go
+    through the same code.
 
     Routes (GET only; everything else is 405):
     - [/healthz] — liveness probe, ["ok\n"].
@@ -38,21 +39,19 @@ type t
 
 val handler :
   ?obs_dir:string ->
-  ?live:bool ->
-  ?spans:(unit -> Obs.span list) ->
+  ?current:(unit -> Ledger.run) ->
   unit ->
   Hydra_net.Http.request ->
   Hydra_net.Http.response
 (** The route table, exposed separately from the socket machinery so
-    tests can exercise it without a listener. [?live] (default false)
-    adds the [current] run, which [/metrics] and [/progress] then
-    describe; [?spans] (default none) supplies its spans; [?obs_dir]
-    backs the archived runs. *)
+    tests can exercise it without a listener. [?current] (default none)
+    is live mode: it adds the [current] run, read through the thunk on
+    every request, which [/metrics] and [/progress] then describe;
+    [?obs_dir] backs the archived runs. *)
 
 val start :
   ?obs_dir:string ->
-  ?live:bool ->
-  ?spans:(unit -> Obs.span list) ->
+  ?current:(unit -> Ledger.run) ->
   port:int ->
   unit ->
   (t, string) result

@@ -26,7 +26,8 @@
 # same spec, listed and diffed — the diff must pass clean under the
 # strictest deterministic gate and fail (exit 5) under an impossible
 # injected threshold — and the first run's trace served back from the
-# ledger byte-equal to its --chrome-out file), a --state-dir smoke (the
+# ledger byte-equal to its --chrome-out file, and its --json stdout
+# byte-equal to the archived record), a --state-dir smoke (the
 # state dir scrubs clean as a cache directory and a second run replays
 # every view), a live
 # endpoint smoke, and a fixed-seed `hydra fuzz` smoke:
@@ -56,8 +57,8 @@ cc |sigma(S.A in [20,60))(S)| = 400;
 SPEC
 
 "$hydra" summary "$obs_tmp/ci.hydra" -o "$obs_tmp/a.summary" \
-  --obs-dir "$obs_tmp/ledger" --progress 60 \
-  --chrome-out "$obs_tmp/a.trace.json" > /dev/null 2>&1
+  --obs-dir "$obs_tmp/ledger" --progress 60 --json \
+  --chrome-out "$obs_tmp/a.trace.json" > "$obs_tmp/a.json" 2> /dev/null
 "$hydra" summary "$obs_tmp/ci.hydra" -o "$obs_tmp/b.summary" \
   --obs-dir "$obs_tmp/ledger" > /dev/null 2>&1
 cmp "$obs_tmp/a.summary" "$obs_tmp/b.summary"
@@ -92,7 +93,12 @@ wait "$ledger_pid" || { echo "obs smoke: ledger server did not exit clean" >&2; 
 cmp "$obs_tmp/a.trace.json" "$obs_tmp/a.trace.served" \
   || { echo "obs smoke: archived trace differs from --chrome-out" >&2; exit 1; }
 
-echo "obs smoke: ledger, list, gated diff and post-hoc trace ok"
+# --json prints the run record itself: byte-equal to the archived file
+# minus its digest trailer line
+sed '$d' "$obs_tmp"/ledger/run-000001-*.json | cmp - "$obs_tmp/a.json" \
+  || { echo "obs smoke: --json differs from the archived record" >&2; exit 1; }
+
+echo "obs smoke: ledger, list, gated diff, post-hoc trace and --json record ok"
 
 # ---- state-dir smoke ----
 # a --state-dir run leaves a plain durable store: the cache tooling

@@ -260,7 +260,7 @@ let test_metrics_json_roundtrip () =
   scrub ();
   Obs.set_enabled true;
   ignore (Pipeline.regenerate two_rel_schema two_rel_ccs);
-  let doc = Obs.metrics_json () in
+  let doc = Obs.snapshot_json (Obs.snapshot ()) in
   scrub ();
   let s = Json.to_string_pretty doc in
   match Json.parse s with
@@ -645,16 +645,21 @@ let mk_run ?(subcommand = "summary") ?(jobs = 1) ?(views = []) () =
     r_exit = 0;
     r_seconds = 0.5;
     r_views = views;
+    r_notes = [];
+    r_summary = [];
+    r_paths = [];
     r_journal = [ ("replayed", 1); ("solved", 2) ];
     r_metrics = Obs.snapshot ();
     r_events = [];
     r_spans = [ mk_span 1 (-1) "a" 0.0 0.5; mk_span 2 1 "b" 0.1 0.2 ];
   }
 
+let archive ~dir r = (Ledger.record ~dir r).Ledger.e_id
+
 let test_ledger_roundtrip () =
   with_tmp_dir @@ fun dir ->
-  let id1 = Ledger.record ~dir (mk_run ()) in
-  let id2 = Ledger.record ~dir (mk_run ~jobs:4 ()) in
+  let id1 = archive ~dir (mk_run ()) in
+  let id2 = archive ~dir (mk_run ~jobs:4 ()) in
   (* ids are monotonic and wall-time-free: same config -> same digest8 *)
   Alcotest.(check bool) "seq 1 then 2" true
     (String.sub id1 0 11 = "run-000001-" && String.sub id2 0 11 = "run-000002-");
@@ -693,7 +698,7 @@ let test_ledger_metric_kvs () =
   let h = Obs.histogram "kv.hist" in
   Obs.observe h 0.75;
   with_tmp_dir @@ fun dir ->
-  let id = Ledger.record ~dir (mk_run ()) in
+  let id = archive ~dir (mk_run ()) in
   scrub ();
   let e =
     match Ledger.find ~dir id with
@@ -717,7 +722,7 @@ let test_ledger_metric_kvs () =
 
 let test_ledger_corrupt_tolerance () =
   with_tmp_dir @@ fun dir ->
-  let id = Ledger.record ~dir (mk_run ()) in
+  let id = archive ~dir (mk_run ()) in
   (* a torn record: valid digest trailer syntax, body truncated *)
   let good_path = Filename.concat dir (id ^ ".json") in
   let good = In_channel.with_open_bin good_path In_channel.input_all in
@@ -737,7 +742,7 @@ let test_ledger_corrupt_tolerance () =
     [ "run-000007-deadbeef.json"; "run-000008-0badf00d.json" ]
     (List.map fst l.Ledger.l_corrupt);
   (* corrupt files occupy their sequence: the next record skips past *)
-  let id2 = Ledger.record ~dir (mk_run ()) in
+  let id2 = archive ~dir (mk_run ()) in
   Alcotest.(check string) "seq resumes after the corrupt files"
     "run-000009-" (String.sub id2 0 11);
   (* prune removes the corrupt files alongside aged runs *)
@@ -753,7 +758,7 @@ let test_ledger_corrupt_tolerance () =
 
 let test_ledger_prune_keep () =
   with_tmp_dir @@ fun dir ->
-  let ids = List.init 4 (fun _ -> Ledger.record ~dir (mk_run ())) in
+  let ids = List.init 4 (fun _ -> archive ~dir (mk_run ())) in
   let removed, _ = Ledger.prune ~dir ~keep:2 () in
   Alcotest.(check (list string))
     "oldest two removed"
@@ -982,7 +987,9 @@ let test_serve_routes () =
       };
     ]
   in
-  let h = Serve.handler ~obs_dir:dir ~live:true ~spans () in
+  let h = Serve.handler ~obs_dir:dir
+      ~current:(fun () -> Ledger.current ~spans:(spans ()) ())
+      () in
   let ok path =
     let r = get_route h path in
     Alcotest.(check int) (path ^ " status") 200 r.Http.status;
@@ -1154,7 +1161,7 @@ let prop_serve_scrape_is_pure =
       Obs.set_enabled true;
       let srv =
         match
-          Server.start ~port:0 (Serve.handler ~live:true ())
+          Server.start ~port:0 (Serve.handler ~current:(fun () -> Ledger.current ()) ())
         with
         | Ok s -> s
         | Error m -> QCheck.Test.fail_reportf "serve start: %s" m
@@ -1268,7 +1275,7 @@ let test_record_renderings () =
   scrub ();
   Alcotest.(check bool) "the record holds spans" true (r.Ledger.r_spans <> []);
   with_tmp_dir @@ fun dir ->
-  let id = Ledger.record ~dir r in
+  let id = archive ~dir r in
   let back =
     match Ledger.find ~dir id with
     | Ok e -> e.Ledger.e_run
@@ -1307,7 +1314,7 @@ let test_ledger_legacy_record () =
     (fun b ->
       Buffer.add_string b (Json.to_string_pretty doc);
       Buffer.add_char b '\n');
-  let fresh = Ledger.record ~dir (mk_run ()) in
+  let fresh = archive ~dir (mk_run ()) in
   let listed () =
     let l = Ledger.runs ~dir in
     (List.map (fun e -> e.Ledger.e_id) l.Ledger.l_entries, l.Ledger.l_corrupt)
@@ -1329,6 +1336,107 @@ let test_ledger_legacy_record () =
     "prune removes nothing" ([], []) (Ledger.prune ~dir ());
   Alcotest.(check (pair (list string) (list (pair string string))))
     "still listed after prune" ([ legacy_id; fresh ], []) (listed ())
+
+(* the per-view solve profile and the run's summary facts: exact
+   round-trip when present, empty defaults when absent *)
+let profiled_run () =
+  let view rel status detail =
+    {
+      Ledger.v_rel = rel; v_status = status; v_fingerprint = "f" ^ rel;
+      v_cache = "miss"; v_journal = "off"; v_seconds = 0.125;
+      v_lp_vars = 17; v_lp_constraints = 9; v_attempts = 2; v_detail = detail;
+      v_metrics =
+        [ ("simplex.degenerate_pivots", 3.0); ("simplex.dual_pivots", 1.0);
+          ("span.view.solve.seconds", 0.1 +. 0.2) ];
+    }
+  in
+  {
+    (mk_run
+       ~views:
+         [
+           view "S" "exact" [];
+           view "R" "relaxed" [ "S.A in [20,60) expected 400 achieved 399" ];
+           view "T" "fallback" [ "no size CC (|T| = k) in workload" ];
+         ]
+       ())
+    with
+    Ledger.r_notes = [ "journal: 1 view(s) replayed, 2 recorded (sd)" ];
+    r_summary =
+      [ { Ledger.s_rel = "S"; s_rows = 13; s_tuples = 700; s_repair = 2 } ];
+    r_paths = [ ("summary", "toy.summary"); ("audit", "audit.json") ];
+  }
+
+let test_ledger_profile () =
+  with_tmp_dir @@ fun dir ->
+  scrub ();
+  Obs.set_enabled true;
+  Obs.incr (Obs.counter "legacy.counter") 2;
+  let r = profiled_run () in
+  scrub ();
+  let find id =
+    match Ledger.find ~dir id with
+    | Ok e -> e.Ledger.e_run
+    | Error m -> Alcotest.failf "find: %s" m
+  in
+  Alcotest.(check bool) "every new field round-trips exactly" true
+    (find (archive ~dir r) = r);
+  let report = Ledger.report ~id:"x" r in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("report shows " ^ needle) true (contains report needle))
+    [
+      "17 LP vars, 9 constraints, 2 attempt(s)";
+      "relaxed: S.A in [20,60) expected 400 achieved 399";
+      "fallback: no size CC";
+      "profile: simplex.degenerate_pivots 3, simplex.dual_pivots 1, \
+       span.view.solve.seconds 0.3";
+      "notes:\n    journal: 1 view(s) replayed, 2 recorded (sd)";
+      "S                    13 / 700 / 2";
+    ];
+  (* the same record as written before the profile existed *)
+  let strip keys = function
+    | Json.Obj fields ->
+        Json.Obj (List.filter (fun (k, _) -> not (List.mem k keys)) fields)
+    | j -> j
+  in
+  let profile = [ "lp_vars"; "lp_constraints"; "attempts"; "detail"; "metrics" ] in
+  let doc =
+    match
+      strip [ "notes"; "summary"; "paths" ]
+        (Ledger.run_json ~id:"run-000002-0badcafe" ~seq:2 r)
+    with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (function
+               | "views", Json.List vs -> ("views", Json.List (List.map (strip profile) vs))
+               | kv -> kv)
+             fields)
+    | _ -> Alcotest.fail "run_json is not an object"
+  in
+  Hydra_durable.Durable_io.write_atomic ~digest:true
+    (Filename.concat dir "run-000002-0badcafe.json")
+    (fun b -> Buffer.add_string b (Json.to_string_pretty doc ^ "\n"));
+  let l = Ledger.runs ~dir in
+  Alcotest.(check (pair int int)) "lists, not corrupt" (2, 0)
+    (List.length l.Ledger.l_entries, List.length l.Ledger.l_corrupt);
+  let old = find "2" in
+  Alcotest.(check (list (pair string int))) "views load with empty profiles"
+    [ ("S", 0); ("R", 0); ("T", 0) ]
+    (List.map
+       (fun v ->
+         ( v.Ledger.v_rel,
+           v.Ledger.v_lp_vars + v.Ledger.v_lp_constraints + v.Ledger.v_attempts
+           + List.length v.Ledger.v_detail + List.length v.Ledger.v_metrics ))
+       old.Ledger.r_views);
+  Alcotest.(check bool) "no notes, summary or paths" true
+    (old.Ledger.r_notes = [] && old.Ledger.r_summary = [] && old.Ledger.r_paths = []);
+  let shown = Ledger.report ~id:"run-000002-0badcafe" old in
+  Alcotest.(check bool) "shows" true (contains shown "    R                    relaxed");
+  Alcotest.(check bool) "without a profile line" false (contains shown "LP vars");
+  Alcotest.(check (option (float 0.0)))
+    "diffs" (Some 2.0)
+    (List.assoc_opt "legacy.counter" (Ledger.metric_kvs old))
 
 let suite =
   [
@@ -1388,6 +1496,8 @@ let suite =
         Alcotest.test_case "prune by count" `Quick test_ledger_prune_keep;
         Alcotest.test_case "pre-span records still load" `Quick
           test_ledger_legacy_record;
+        Alcotest.test_case "per-view profile round-trips, absent fields load empty"
+          `Quick test_ledger_profile;
         Alcotest.test_case "archived renderings equal live ones" `Quick
           test_record_renderings;
         QCheck_alcotest.to_alcotest prop_json_float_roundtrip;
