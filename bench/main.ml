@@ -962,7 +962,7 @@ let obs_bench () =
   let off, off_t = best run in
   (* full stack: span collector sink, live Prometheus ticker, and a
      ledger archive of the run — everything `--obs-dir --progress
-     --chrome-out` would turn on *)
+     --export chrome=FILE` would turn on *)
   Obs.set_enabled true;
   let collector = Flame.create () in
   Obs.add_sink (Flame.sink collector);

@@ -106,71 +106,92 @@ let collected_spans () =
   match !collector with Some c -> Flame.spans c | None -> []
 
 (* The process's run record: [final_record] once the subcommand built
-   one, else the live registry. The exit-time file exports (one (file,
-   rendering) row per --metrics-out / --flame-out / --chrome-out /
-   HYDRA_OBS metrics=) render it from [at_exit], so they survive the
-   degraded exit codes 3/4; the live endpoint serves it as
-   /runs/current. *)
-let exports : (string * Ledger.format) list ref = ref []
-let final_record : Ledger.run option ref = ref None
+   one, else the live registry. The live endpoint serves it as
+   /runs/current; the exports render it once it is final. *)
+let final_record : Ledger.entry option ref = ref None
 let started = Mclock.now ()
 
-let current_record () =
+let current_entry () =
   match !final_record with
-  | Some r -> r
+  | Some e -> e
   | None ->
-      Ledger.current ~spans:(collected_spans ())
-        ~seconds:(Mclock.now () -. started) ()
+      Ledger.live
+        (Ledger.current ~spans:(collected_spans ())
+           ~seconds:(Mclock.now () -. started) ())
 
-let export path fmt =
-  telemetry_on ();
-  exports := (path, fmt) :: !exports
+(* the (format, file) exports, in the order given; file "-" is stdout *)
+let exports : (Ledger.format * string) list ref = ref []
 
+(* the human-readable lines yield stdout to an export that claims it *)
+let stdout_free () = not (List.exists (fun (_, file) -> file = "-") !exports)
+
+(* Written once, when the record is final: [summary] calls this right
+   after building its record, every other subcommand at exit. Either
+   way they survive the degraded exit codes 3/4. *)
 let write_exports () =
-  let r = lazy (current_record ()) in
+  let e = lazy (current_entry ()) in
   List.iter
-    (fun (path, fmt) ->
-      Hydra_durable.Durable_io.write_atomic ~fsync:false path (fun b ->
-          Buffer.add_string b (Ledger.render fmt (Lazy.force r))))
-    (List.rev !exports)
+    (fun (fmt, file) ->
+      let text = Ledger.render fmt (Lazy.force e) in
+      if file = "-" then print_string text
+      else
+        Hydra_durable.Durable_io.write_atomic ~fsync:false file (fun b ->
+            Buffer.add_string b text))
+    !exports;
+  exports := []
 
-(* --trace and the file exports, as one setup action the command runs
-   first (inside its error handling) *)
-let telemetry_args =
-  let file name doc =
-    Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
-  in
-  let setup trace metrics_out flame_out chrome_out () =
-    Option.iter
-      (fun path ->
-        Obs.add_sink (Obs.jsonl_sink path);
-        telemetry_on ())
-      trace;
-    List.iter
-      (fun (path, fmt) -> Option.iter (fun p -> export p fmt) path)
-      [
-        (metrics_out, Ledger.Metrics_json);
-        (flame_out, Ledger.Folded);
-        (chrome_out, Ledger.Chrome);
-      ]
-  in
-  Term.(
-    const setup
-    $ file "trace"
-        "Append one JSON line per finished span and event to $(docv) \
-         (JSONL trace)."
-    $ file "metrics-out"
-        "Write a JSON snapshot of all counters, gauges, histograms and \
-         span aggregates to $(docv) when the command exits."
-    $ file "flame-out"
-        "Write folded stacks (flamegraph.pl-compatible, one \
-         $(i,path value_us) line per distinct span path) to $(docv) when \
-         the command exits (implies metric collection)."
-    $ file "chrome-out"
-        "Write a Chrome trace-event JSON timeline of every span to \
-         $(docv) when the command exits — opens directly in Perfetto, \
-         chrome://tracing or speedscope; concurrent domains land in \
-         separate lanes (implies metric collection).")
+(* ---- telemetry settings ----
+
+   The telemetry flags and HYDRA_OBS produce one settings value through
+   the same converters: a token NAME=VALUE means --NAME VALUE. *)
+
+type telemetry = {
+  trace : string option;
+  export : (Ledger.format * string) list;
+  progress : float option;
+  serve : int option;
+}
+
+let no_telemetry = { trace = None; export = []; progress = None; serve = None }
+
+let export_conv =
+  Arg.conv'
+    ( Ledger.export_of_string,
+      fun ppf (fmt, file) ->
+        Format.fprintf ppf "%s=%s"
+          (fst (List.find (fun (_, f) -> f = fmt) Ledger.formats))
+          file )
+
+let progress_conv =
+  Arg.conv' (Progress.period_of_string, Format.pp_print_float)
+
+let serve_conv = Arg.conv' (Serve.port_of_string, Format.pp_print_int)
+
+let trace_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "trace" ] ~docv:"FILE"
+        ~doc:
+          "Append one JSON line per finished span and event to $(docv) \
+           (JSONL trace).")
+
+let export_arg =
+  Arg.(
+    value & opt_all export_conv []
+    & info [ "export" ] ~docv:"FORMAT=FILE"
+        ~doc:
+          "Write the run record rendered as $(i,FORMAT) to $(i,FILE) \
+           ($(b,-) is stdout, which then carries only the exports) once \
+           the record is final, even on the degraded exit codes 3/4. \
+           $(i,FORMAT) is $(b,text) (the report $(b,hydra obs show) \
+           prints), $(b,json) (the $(b,hydra-ledger/1) record \
+           $(b,--obs-dir) archives, byte for byte), $(b,metrics) (JSON \
+           snapshot of every counter, gauge, histogram and span \
+           aggregate), $(b,folded) (flamegraph folded stacks), \
+           $(b,chrome) (Chrome trace-event JSON for Perfetto or \
+           chrome://tracing) or $(b,prometheus) (text exposition). \
+           Repeatable; implies metric collection.")
 
 (* run telemetry ledger: --obs-dir beats HYDRA_OBS_DIR; absent both, no
    archiving. Shared by the recording commands and the `hydra obs`
@@ -192,15 +213,14 @@ let obs_dir_arg =
 let progress_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some progress_conv) None
     & info [ "progress" ] ~docv:"SECONDS"
         ~doc:
           "Live progress export every $(docv) seconds: a one-line \
            heartbeat on stderr (views done/total, rung split, cache \
            hits, retries) and an atomically rewritten Prometheus-text \
            $(i,metrics.prom) (in --obs-dir if given, else the working \
-           directory). A final tick fires at exit. Also available as a \
-           $(b,progress=N) token in $(b,HYDRA_OBS).")
+           directory). A final tick fires at exit.")
 
 (* the resource sampler rides along with every live-observation mode
    (--progress, --serve): its gauges (process.rss_bytes, gc.*_words)
@@ -208,37 +228,26 @@ let progress_arg =
 let resource_sampler : Resource.t option ref = ref None
 
 let start_resource_sampler () =
-  match !resource_sampler with
-  | Some _ -> ()
-  | None ->
-      telemetry_on ();
-      let t = Resource.start () in
-      resource_sampler := Some t;
-      at_exit (fun () -> Resource.stop t)
-
-let progress_ticker : Progress.t option ref = ref None
+  if Option.is_none !resource_sampler then begin
+    let t = Resource.start () in
+    resource_sampler := Some t;
+    at_exit (fun () -> Resource.stop t)
+  end
 
 let start_progress ?obs_dir period =
-  match !progress_ticker with
-  | Some _ -> () (* one ticker per process, flag beats env by order *)
-  | None ->
-      telemetry_on ();
-      start_resource_sampler ();
-      let prom_out =
-        match obs_dir with
-        | Some d ->
-            Hydra_durable.Durable_io.mkdir_p d;
-            Filename.concat d "metrics.prom"
-        | None -> "metrics.prom"
-      in
-      let t =
-        Progress.start ~heartbeat:stderr ~prom_out ~period_s:period ()
-      in
-      progress_ticker := Some t;
-      (* runs before the [at_exit Obs.finish] registered at startup
-         (reverse registration order), so the final prom rewrite still
-         sees every sink open *)
-      at_exit (fun () -> Progress.stop t)
+  start_resource_sampler ();
+  let prom_out =
+    match obs_dir with
+    | Some d ->
+        Hydra_durable.Durable_io.mkdir_p d;
+        Filename.concat d "metrics.prom"
+    | None -> "metrics.prom"
+  in
+  let t = Progress.start ~heartbeat:stderr ~prom_out ~period_s:period () in
+  (* runs before the [at_exit Obs.finish] registered at startup
+     (reverse registration order), so the final prom rewrite still
+     sees every sink open *)
+  at_exit (fun () -> Progress.stop t)
 
 let audit_out_arg =
   Arg.(
@@ -294,7 +303,7 @@ let read_spec path =
 let serve_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some serve_conv) None
     & info [ "serve" ] ~docv:"PORT"
         ~doc:
           "Serve live telemetry on http://127.0.0.1:$(docv) while the run \
@@ -303,23 +312,22 @@ let serve_arg =
            picks an ephemeral port (printed on stderr). After the run \
            completes the final state stays up until SIGTERM/SIGINT. \
            Scraping never changes the output — summaries are \
-           byte-identical with or without a scraper attached. Also \
-           available as a $(b,serve=PORT) token in $(b,HYDRA_OBS).")
+           byte-identical with or without a scraper attached.")
 
 let live_server : Serve.t option ref = ref None
 
 let start_live_serve ?obs_dir port =
-  match !live_server with
-  | Some _ -> () (* one endpoint per process, same rule as the ticker *)
-  | None -> (
-      telemetry_on ();
-      start_resource_sampler ();
-      match Serve.start ?obs_dir ~current:current_record ~port () with
-      | Ok s ->
-          live_server := Some s;
-          Printf.eprintf "obs serve: listening on http://127.0.0.1:%d\n%!"
-            (Serve.port s)
-      | Error m -> or_die (Error ("serve: " ^ m)))
+  start_resource_sampler ();
+  match
+    Serve.start ?obs_dir
+      ~current:(fun () -> (current_entry ()).Ledger.e_run)
+      ~port ()
+  with
+  | Ok s ->
+      live_server := Some s;
+      Printf.eprintf "obs serve: listening on http://127.0.0.1:%d\n%!"
+        (Serve.port s)
+  | Error m -> or_die (Error ("serve: " ^ m))
 
 (* block until SIGTERM/SIGINT; exit stays clean (the caller's exit code,
    not a signal death), so `kill && wait` in scripts sees 0 *)
@@ -348,11 +356,89 @@ let serve_linger () =
       wait_for_shutdown ();
       Serve.stop s
 
-(* uniform rendering of domain errors raised below the command layer:
-   one actionable line on stderr, no OCaml backtrace, and the error
-   family's row of the exit table *)
-let protecting f x =
-  try f x with
+(* ---- telemetry settings: a subcommand's flags over HYDRA_OBS ---- *)
+
+(* --progress and --serve are the live modes, only on [summary] *)
+let telemetry_args ~live =
+  let settings trace export progress serve =
+    { trace; export; progress; serve }
+  in
+  let live_only arg = if live then arg else Term.const None in
+  Term.(
+    const settings $ trace_arg $ export_arg $ live_only progress_arg
+    $ live_only serve_arg)
+
+(* HYDRA_OBS, parsed once at startup. [on], [text] and [level=] have no
+   flag and act at once; a bad value or an unknown token is a usage
+   error with the converter's own message. *)
+let env_telemetry = ref no_telemetry
+
+let level_conv =
+  Arg.enum
+    (List.map (fun l -> (Obs.level_name l, l)) Obs.[ Debug; Info; Warn; Error ])
+
+let parse_env_telemetry () =
+  let token t (name, value) =
+    let arg conv =
+      match Arg.conv_parser conv (Option.get value) with
+      | Ok v -> v
+      | Error (`Msg m) ->
+          die Usage_error (Printf.sprintf "HYDRA_OBS: %s: %s" name m)
+    in
+    match (name, value) with
+    | "on", None ->
+        Obs.set_enabled true;
+        t
+    | "text", None ->
+        Obs.add_sink (Obs.text_sink stderr);
+        Obs.set_enabled true;
+        t
+    | "level", Some _ ->
+        Obs.set_sink_level (arg level_conv);
+        t
+    | "trace", Some _ -> { t with trace = Some (arg Arg.string) }
+    | "export", Some _ -> { t with export = t.export @ [ arg export_conv ] }
+    | "progress", Some _ -> { t with progress = Some (arg progress_conv) }
+    | "serve", Some _ -> { t with serve = Some (arg serve_conv) }
+    | _ ->
+        die Usage_error
+          (Printf.sprintf
+             "HYDRA_OBS: unknown token %S (expected on, text, level=, trace=, \
+              export=, progress= or serve=)"
+             (name ^ Option.fold ~none:"" ~some:(( ^ ) "=") value))
+  in
+  let spec = Option.value ~default:"" (Sys.getenv_opt "HYDRA_OBS") in
+  env_telemetry := List.fold_left token no_telemetry (Obs.spec_tokens spec)
+
+(* The subcommand's flags over HYDRA_OBS: the exports of both apply, a
+   flag's single value beats the token's. *)
+let start_telemetry ?obs_dir flags =
+  let env = !env_telemetry in
+  let either f e = if Option.is_some f then f else e in
+  let t =
+    {
+      trace = either flags.trace env.trace;
+      export = env.export @ flags.export;
+      progress = either flags.progress env.progress;
+      serve = either flags.serve env.serve;
+    }
+  in
+  if t <> no_telemetry then telemetry_on ();
+  Option.iter (fun path -> Obs.add_sink (Obs.jsonl_sink path)) t.trace;
+  exports := t.export;
+  Option.iter (start_progress ?obs_dir) t.progress;
+  Option.iter (start_live_serve ?obs_dir) t.serve
+
+(* Every subcommand runs through here: its telemetry settings start
+   first (HYDRA_OBS alone for subcommands without telemetry flags), and
+   domain errors raised below the command layer render uniformly — one
+   actionable line on stderr, no OCaml backtrace, and the error
+   family's row of the exit table. *)
+let protecting ?(telemetry = no_telemetry) ?obs_dir f x =
+  try
+    start_telemetry ?obs_dir telemetry;
+    f x
+  with
   | Hydra_rel.Schema.Schema_error m -> die Usage_error ("schema: " ^ m)
   | Hydra_workload.Cc_parser.Parse_error m -> die Usage_error ("parse: " ^ m)
   | Invalid_argument m | Sys_error m -> die Usage_error m
@@ -418,8 +504,7 @@ let chaos_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "chaos" ]
-        ~env:(Cmd.Env.info "HYDRA_CHAOS") ~docv:"PLAN"
+    & info [ "chaos" ] ~docv:"PLAN"
         ~doc:
           "Deterministic fault injection (testing). $(docv) is \
            comma-separated key=value pairs: $(b,site)=<name> (required; \
@@ -428,7 +513,9 @@ let chaos_arg =
            $(b,kind)=transient|crash|kill (default crash), \
            $(b,after)=N (fire on the N-th pass, default 1), \
            $(b,times)=N (consecutive passes that fire, default 1, 0 = \
-           unlimited). Example: --chaos site=solve,kind=kill,after=2.")
+           unlimited). Example: --chaos site=solve,kind=kill,after=2. \
+           Overrides a plan armed through $(b,HYDRA_CHAOS), which takes \
+           the same value and applies to every subcommand.")
 
 (* LP engine: --solve-mode beats HYDRA_SOLVE_MODE. The CLI defaults to
    float-first (shadow simplex in doubles, terminal basis verified in
@@ -483,7 +570,7 @@ let status_line (v : Hydra_core.Pipeline.view_stats) =
         (if List.length vs = 1 then "" else "s")
   | Hydra_core.Pipeline.Fallback reason -> "fallback: " ^ reason
 
-(* the human-readable run lines; --json prints the run record instead *)
+(* the human-readable run lines; a stdout export replaces them *)
 let print_summary_lines ?cache ~out (result : Hydra_core.Pipeline.result) =
   let open Hydra_core.Pipeline in
   let summary = result.summary in
@@ -547,34 +634,9 @@ let summary_cmd =
       & info [ "max-nodes" ] ~docv:"N"
           ~doc:"Branch-and-bound node budget per view before degradation.")
   in
-  let report =
-    Arg.(
-      value & flag
-      & info [ "report" ]
-          ~doc:
-            "Print the run record as a text report after the run (implies \
-             metric collection).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Print the run record on stdout instead of the human-readable \
-             lines (implies metric collection): the same \
-             $(b,hydra-ledger/1) document $(b,--obs-dir) archives, with \
-             each view's LP size, attempts, reason and metric profile. \
-             The summary file is still written.")
-  in
   let run spec_path out deadline_s max_nodes jobs cache_dir state_dir chaos
-      solve_mode telemetry audit_out obs_dir progress serve report json =
-    telemetry ();
-    (match progress with Some p -> start_progress ?obs_dir p | None -> ());
-    (match serve with
-    | Some port -> start_live_serve ?obs_dir port
-    | None -> ());
-    if report || json || audit_out <> None || obs_dir <> None then
-      telemetry_on ();
+      solve_mode audit_out obs_dir =
+    if audit_out <> None || obs_dir <> None then telemetry_on ();
     arm_chaos chaos;
     let jobs = resolve_jobs jobs in
     let spec = or_die (read_spec spec_path) in
@@ -586,11 +648,11 @@ let summary_cmd =
     in
     let summary = result.Hydra_core.Pipeline.summary in
     Hydra_core.Summary.save out summary;
-    (* resource gauges (RSS, GC words) land in the --report table, the
+    (* resource gauges (RSS, GC words) land in the text report, the
        metrics snapshot and the ledger record even without a sampler
        running; one post-run sample is enough for a batch run *)
     if Obs.enabled () then Resource.sample ();
-    if not json then print_summary_lines ?cache ~out result;
+    if stdout_free () then print_summary_lines ?cache ~out result;
     (* audited validation runs against the dynamic generator: the same
        tuples materialization would produce, with no storage and no
        jobs-dependence, so the report is byte-identical across --jobs *)
@@ -602,7 +664,7 @@ let summary_cmd =
         in
         Hydra_audit.Audit.write_report ~reconciles
           ~incidents:(audit_incidents ()) path records;
-        if not json then print_audit_line records reconciles path)
+        if stdout_free () then print_audit_line records reconciles path)
       audit_out;
     let d = result.Hydra_core.Pipeline.diagnostics in
     let outcome =
@@ -624,18 +686,16 @@ let summary_cmd =
         ~exit_code:(Option.fold ~none:0 ~some:exit_code outcome)
         ~spans:(collected_spans ()) ~paths result
     in
-    final_record := Some record;
-    (* the confirmation goes to stderr so --json stdout stays parseable *)
-    let entry =
-      match obs_dir with
-      | Some dir ->
-          let e = Ledger.record ~dir record in
-          Printf.eprintf "obs: run %s archived -> %s\n%!" e.Ledger.e_id dir;
-          e
-      | None -> Ledger.live record
-    in
-    if json then print_string (Ledger.document entry)
-    else if report then print_string (Ledger.report ~id:entry.Ledger.e_id record);
+    (* the confirmation goes to stderr so stdout stays an export's *)
+    final_record :=
+      Some
+        (match obs_dir with
+        | Some dir ->
+            let e = Ledger.record ~dir record in
+            Printf.eprintf "obs: run %s archived -> %s\n%!" e.Ledger.e_id dir;
+            e
+        | None -> Ledger.live record);
+    write_exports ();
     (* with --serve attached, keep the final state scrapeable until the
        operator (or the test harness) sends SIGTERM *)
     serve_linger ();
@@ -644,11 +704,11 @@ let summary_cmd =
   let doc = "Build a database summary from a schema + CC spec." in
   Cmd.v (cmd_info "summary" ~doc)
     Term.(
-      const (fun a b c d e f g h i j k l m n o p ->
-          protecting (run a b c d e f g h i j k l m n o) p)
+      const (fun a b c d e f g h i j k telemetry ->
+          protecting ~telemetry ?obs_dir:k (run a b c d e f g h i j) k)
       $ spec_arg $ out $ deadline $ max_nodes $ jobs_arg $ cache_dir_arg
-      $ state_dir_arg $ chaos_arg $ solve_mode_arg $ telemetry_args
-      $ audit_out_arg $ obs_dir_arg $ progress_arg $ serve_arg $ report $ json)
+      $ state_dir_arg $ chaos_arg $ solve_mode_arg $ audit_out_arg $ obs_dir_arg
+      $ telemetry_args ~live:true)
 
 (* ---- materialize ---- *)
 
@@ -697,8 +757,7 @@ let validate_cmd =
             "Execute against the dynamic tuple generator instead of \
              materialized tables.")
   in
-  let run spec_path summary_path dynamic jobs telemetry audit_out =
-    telemetry ();
+  let run spec_path summary_path dynamic jobs audit_out =
     if audit_out <> None then telemetry_on ();
     let jobs = resolve_jobs jobs in
     let spec = or_die (read_spec spec_path) in
@@ -719,34 +778,36 @@ let validate_cmd =
           in
           Hydra_audit.Audit.write_report ~reconciles
             ~incidents:(audit_incidents ()) path records;
-          print_audit_line records reconciles path;
+          if stdout_free () then print_audit_line records reconciles path;
           v
     in
-    Format.printf "%a@." Hydra_core.Validate.pp v;
-    List.iter
-      (fun (rr : Hydra_core.Validate.relation_report) ->
-        Format.printf "  %-24s %3d/%-3d exact, max |err| %.2f%%@."
-          (String.concat "," rr.Hydra_core.Validate.rr_rels)
-          rr.Hydra_core.Validate.rr_exact rr.Hydra_core.Validate.rr_ccs
-          (100.0 *. rr.Hydra_core.Validate.rr_max_abs_error))
-      (Hydra_core.Validate.by_relation v);
-    List.iter
-      (fun (r : Hydra_core.Validate.cc_report) ->
-        if r.Hydra_core.Validate.rel_error <> 0.0 then
-          Format.printf "  %+.2f%%  %a (got %d)@."
-            (100.0 *. r.Hydra_core.Validate.rel_error)
-            Hydra_workload.Cc.pp r.Hydra_core.Validate.cc
-            r.Hydra_core.Validate.actual)
-      (Hydra_core.Validate.worst v 10);
+    if stdout_free () then begin
+      Format.printf "%a@." Hydra_core.Validate.pp v;
+      List.iter
+        (fun (rr : Hydra_core.Validate.relation_report) ->
+          Format.printf "  %-24s %3d/%-3d exact, max |err| %.2f%%@."
+            (String.concat "," rr.Hydra_core.Validate.rr_rels)
+            rr.Hydra_core.Validate.rr_exact rr.Hydra_core.Validate.rr_ccs
+            (100.0 *. rr.Hydra_core.Validate.rr_max_abs_error))
+        (Hydra_core.Validate.by_relation v);
+      List.iter
+        (fun (r : Hydra_core.Validate.cc_report) ->
+          if r.Hydra_core.Validate.rel_error <> 0.0 then
+            Format.printf "  %+.2f%%  %a (got %d)@."
+              (100.0 *. r.Hydra_core.Validate.rel_error)
+              Hydra_workload.Cc.pp r.Hydra_core.Validate.cc
+              r.Hydra_core.Validate.actual)
+        (Hydra_core.Validate.worst v 10)
+    end;
     if v.Hydra_core.Validate.max_abs_error > 0.5 then exit_with Validation_failed
   in
   let doc = "Check volumetric similarity of a summary against its CCs." in
   Cmd.v
     (cmd_info "validate" ~doc)
     Term.(
-      const (fun a b c d e f -> protecting (run a b c d e) f)
-      $ spec_arg $ summary_pos_arg $ dynamic $ jobs_arg $ telemetry_args
-      $ audit_out_arg)
+      const (fun a b c d e telemetry -> protecting ~telemetry (run a b c d) e)
+      $ spec_arg $ summary_pos_arg $ dynamic $ jobs_arg $ audit_out_arg
+      $ telemetry_args ~live:false)
 
 (* ---- extract (the client-site flow of Fig. 2) ---- *)
 
@@ -928,20 +989,31 @@ let obs_show_cmd =
     Arg.(
       value & opt int 10
       & info [ "events" ] ~docv:"N"
-          ~doc:"Show the last $(docv) archived events (0 hides them).")
+          ~doc:
+            "Show the last $(docv) archived events in the $(b,text) \
+             rendering (0 hides them).")
   in
-  let run obs_dir ref_ events_n =
+  let format =
+    Arg.(
+      value
+      & opt (enum Ledger.formats) Ledger.Text
+      & info [ "format" ] ~docv:"FORMAT"
+          ~doc:
+            "Rendering: $(b,text) (the report), $(b,json) (the record), \
+             $(b,metrics), $(b,folded), $(b,chrome) or $(b,prometheus) \
+             — byte-equal to the run's own $(b,--export) $(docv)=FILE.")
+  in
+  let run obs_dir ref_ events format =
     let dir = require_obs_dir obs_dir in
-    let e = or_die (Ledger.find ~dir ref_) in
-    print_string (Ledger.report ~events:events_n ~id:e.Ledger.e_id e.Ledger.e_run)
+    print_string (Ledger.render ~events format (or_die (Ledger.find ~dir ref_)))
   in
-  let doc = "Render one archived run's full report." in
+  let doc = "Render one archived run in any export format." in
   Cmd.v (cmd_info "show" ~doc)
     Term.(
-      const (fun a b c -> protecting (run a b) c)
+      const (fun a b c d -> protecting (run a b c) d)
       $ obs_dir_arg
       $ run_ref_arg 0 "RUN"
-      $ events_n)
+      $ events_n $ format)
 
 let obs_diff_cmd =
   let thresholds =
@@ -1235,77 +1307,7 @@ let fuzz_cmd =
              and CCs of $(docv) — a reproducer written by a previous fuzz \
              run, or any hand-written spec.")
   in
-  let shape_arg =
-    Arg.(
-      value & opt string "mixed"
-      & info [ "shape" ] ~docv:"SHAPE"
-          ~doc:
-            "Join-shape template: $(b,star), $(b,snowflake), $(b,chain), \
-             or $(b,mixed) (drawn per seed; default).")
-  in
-  let knob name default doc =
-    Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc)
-  in
-  let d = Synth.default_config in
-  let relations_arg =
-    knob "relations" d.Synth.max_relations
-      "Upper bound on relations per schema (fact/chain head included)."
-  in
-  let queries_arg =
-    knob "queries" d.Synth.max_queries "Upper bound on queries per workload."
-  in
-  let fact_rows_arg =
-    knob "fact-rows" d.Synth.max_fact_rows
-      "Upper bound on client-side fact rows — against the fixed attribute \
-       domains this sets the fact-grid/region pressure."
-  in
-  let filter_width_arg =
-    knob "filter-width" d.Synth.max_filter_width
-      "Widest generated range atom."
-  in
-  let or_arms_arg =
-    knob "or-arms" d.Synth.max_or_arms
-      "Upper bound on disjuncts per OR-heavy predicate."
-  in
-  let group_pct_arg =
-    knob "group-pct" d.Synth.group_by_pct
-      "Chance (0-100) a query aggregates (distinct-count head)."
-  in
-  let scale_arg =
-    knob "max-scale" d.Synth.max_scale
-      "Upper bound on the integer CODD scale factor applied after \
-       measurement."
-  in
-  let config shape relations queries fact_rows filter_width or_arms group_pct
-      scale =
-    let shape = or_die (Synth.shape_of_string shape) in
-    let pos name v =
-      if v < 1 then
-        invalid_arg (Printf.sprintf "--%s must be at least 1 (got %d)" name v)
-    in
-    pos "relations" relations;
-    pos "queries" queries;
-    pos "fact-rows" fact_rows;
-    pos "filter-width" filter_width;
-    pos "or-arms" or_arms;
-    pos "max-scale" scale;
-    if group_pct < 0 || group_pct > 100 then
-      invalid_arg
-        (Printf.sprintf "--group-pct must be in 0..100 (got %d)" group_pct);
-    {
-      d with
-      Synth.shape;
-      max_relations = relations;
-      max_queries = queries;
-      max_fact_rows = fact_rows;
-      max_filter_width = filter_width;
-      max_or_arms = or_arms;
-      group_by_pct = group_pct;
-      max_scale = scale;
-    }
-  in
-  let run seed count out replay shape relations queries fact_rows filter_width
-      or_arms group_pct scale solve_mode =
+  let run seed count out replay solve_mode =
     match replay with
     | Some path ->
         Fuzz.with_tmp_root ~prefix:"hydra-fuzz" (fun tmp_root ->
@@ -1316,14 +1318,10 @@ let fuzz_cmd =
                   f.Fuzz.f_detail;
                 exit_with Fuzz_failure)
     | None ->
-        let cfg =
-          config shape relations queries fact_rows filter_width or_arms
-            group_pct scale
-        in
         if count < 1 then invalid_arg "--count must be at least 1";
         let sweep =
           Fuzz.with_tmp_root ~prefix:"hydra-fuzz" (fun tmp_root ->
-              Fuzz.run_sweep ~config:cfg ~solve_mode ~out_dir:out ~tmp_root
+              Fuzz.run_sweep ~solve_mode ~out_dir:out ~tmp_root
                 ~seed ~count ~emit:print_endline ())
         in
         Printf.printf "fuzz: %d/%d workload(s) passed (seed %d)\n"
@@ -1341,11 +1339,8 @@ let fuzz_cmd =
   in
   Cmd.v (cmd_info "fuzz" ~doc)
     Term.(
-      const (fun a b c dd e f g h i j k l m ->
-          protecting (run a b c dd e f g h i j k l) m)
-      $ seed_arg $ count_arg $ out_arg $ replay_arg $ shape_arg $ relations_arg
-      $ queries_arg $ fact_rows_arg $ filter_width_arg $ or_arms_arg
-      $ group_pct_arg $ scale_arg $ solve_mode_arg)
+      const (fun a b c d e -> protecting (run a b c d) e)
+      $ seed_arg $ count_arg $ out_arg $ replay_arg $ solve_mode_arg)
 
 (* ---- inspect ---- *)
 
@@ -1371,21 +1366,8 @@ let main =
     ]
 
 let () =
-  Obs.init_from_env ();
-  Option.iter
-    (fun path -> export path Ledger.Metrics_json)
-    (Obs.env_value "metrics" Option.some);
+  parse_env_telemetry ();
   if Obs.enabled () then telemetry_on ();
-  (* HYDRA_OBS progress=N starts the live exporter even for subcommands
-     without a --progress flag; HYDRA_OBS_DIR routes metrics.prom there *)
-  (match Progress.period_from_env () with
-  | Some p -> start_progress ?obs_dir:(Sys.getenv_opt "HYDRA_OBS_DIR") p
-  | None -> ());
-  (* HYDRA_OBS serve=PORT attaches the live endpoint to any subcommand *)
-  (match Serve.port_from_env () with
-  | Some port ->
-      start_live_serve ?obs_dir:(Sys.getenv_opt "HYDRA_OBS_DIR") port
-  | None -> ());
   (* HYDRA_CHAOS arms fault injection for every subcommand, including
      those without a --chaos flag (e.g. materialize) *)
   or_die (Chaos.init_from_env ());

@@ -17,10 +17,10 @@ module Obs = Hydra_obs.Obs
 module Chaos = Hydra_chaos.Chaos
 module Durable_io = Hydra_durable.Durable_io
 
-(* 2: the Formulate payload grew a terminal-basis line for warm-started
-   verification. Entries written by older builds read as clean misses
-   (and as "stale", not corrupt, under scrub). *)
-let format_version = 2
+(* 3: the Formulate payload dropped its terminal-basis line (version 2
+   added it). Entries written by older builds read as clean misses (and
+   as "stale", not corrupt, under scrub). *)
+let format_version = 3
 
 let m_hit = Obs.counter "cache.hit"
 let m_miss = Obs.counter "cache.miss"

@@ -411,19 +411,14 @@ let warm_fingerprint_of_lp view lp =
   add "%s" (Format.asprintf "%a" Lp.pp_structure lp);
   digest buf
 
-(* a terminal basis, one tableau column index per row; "-" when none
-   was captured *)
-let basis_to_string = function
-  | None -> "basis -"
-  | Some b ->
-      String.concat " "
-        ("basis" :: Array.to_list (Array.map string_of_int b))
+(* a terminal basis, one tableau column index per row *)
+let basis_to_string b =
+  String.concat " " ("basis" :: Array.to_list (Array.map string_of_int b))
 
 let basis_of_string line =
   match String.split_on_char ' ' (String.trim line) with
-  | [ "basis"; "-" ] -> Some None
   | "basis" :: rest -> (
-      try Some (Some (Array.of_list (List.map int_of_string rest)))
+      try Some (Array.of_list (List.map int_of_string rest))
       with Failure _ -> None)
   | _ -> None
 
@@ -434,7 +429,7 @@ let warm_entry_version = 1
 
 let encode_warm basis =
   Printf.sprintf "hydra-warm %d\n%s\n" warm_entry_version
-    (basis_to_string (Some basis))
+    (basis_to_string basis)
 
 let decode_warm payload =
   match String.split_on_char '\n' payload with
@@ -442,7 +437,7 @@ let decode_warm payload =
     when header = Printf.sprintf "hydra-warm %d" warm_entry_version
          && List.for_all (fun l -> String.trim l = "") rest -> (
       match basis_of_string basis with
-      | Some (Some b) when Array.length b > 0 -> Some b
+      | Some b when Array.length b > 0 -> Some b
       | _ -> None)
   | _ -> None
 
@@ -453,36 +448,30 @@ type raw_solve =
   | Raw_relaxed of Hydra_arith.Bigint.t array * Hydra_arith.Rat.t
   | Raw_failed of string
 
-(* 2: a fourth payload line records the root LP's terminal basis, the
-   seed for warm-started verification of near-miss solves. The cache
-   format_version was bumped in lockstep, so v1 entries never reach this
-   codec. *)
-let entry_version = 2
+(* 3: the payload is the rung and the vector; version 2's fourth line,
+   a terminal basis no reader used, is gone (the warm hint lives under
+   the structural key). The cache format_version was bumped in lockstep,
+   so older entries never reach this codec. *)
+let entry_version = 3
 
 let failed_prefix = "rung failed "
 
-let encode_entry ?basis raw =
+let encode_entry raw =
   match raw with
   | Raw_exact x ->
-      Printf.sprintf "hydra-solve %d\nrung exact\n%s\n%s\n" entry_version
-        (Lp.vector_to_string x) (basis_to_string basis)
+      Printf.sprintf "hydra-solve %d\nrung exact\n%s\n" entry_version
+        (Lp.vector_to_string x)
   | Raw_relaxed (x, violation) ->
-      (* relaxed solves go through the slack-augmented system, whose
-         basis does not fit the original tableau: never warm-start from
-         one *)
-      Printf.sprintf "hydra-solve %d\nrung relaxed %s\n%s\n%s\n"
-        entry_version
+      Printf.sprintf "hydra-solve %d\nrung relaxed %s\n%s\n" entry_version
         (Hydra_arith.Rat.to_string violation)
-        (Lp.vector_to_string x) (basis_to_string None)
+        (Lp.vector_to_string x)
   | Raw_failed m ->
       Printf.sprintf "hydra-solve %d\n%s%s\n\n" entry_version failed_prefix
         (String.map (function '\n' | '\r' -> ' ' | c -> c) m)
 
 (* [None] on any malformation; length and (for exact entries)
    feasibility are re-checked against the freshly formulated LP, so even
-   a key collision cannot replay a wrong solution as Exact. The basis is
-   advisory — replay uses the vector — but a malformed basis line
-   poisons the whole entry: the entry is not what this build wrote. *)
+   a key collision cannot replay a wrong solution as Exact. *)
 let decode_entry lp payload =
   let blank l = String.trim l = "" in
   match String.split_on_char '\n' payload with
@@ -497,9 +486,9 @@ let decode_entry lp payload =
                     (String.length failed_prefix)
                     (String.length rung - String.length failed_prefix)))
           else None
-      | vector :: basis :: rest when List.for_all blank rest -> (
-          match (Lp.vector_of_string vector, basis_of_string basis) with
-          | Some x, Some _ when Array.length x = Lp.num_vars lp -> (
+      | vector :: rest when List.for_all blank rest -> (
+          match Lp.vector_of_string vector with
+          | Some x when Array.length x = Lp.num_vars lp -> (
               match String.split_on_char ' ' rung with
               | [ "rung"; "exact" ] ->
                   if Int_feasible.check lp x then Some (Raw_exact x) else None
@@ -642,13 +631,12 @@ let solve_view_robust ?(max_nodes = 2000) ?(retries = 1) ?deadline ?cache
       in
       (* every store that missed records the outcome — a shared-cache
          hit included, so a later resume does not depend on the shared
-         cache still holding the entry. Only a fresh solve captured a
-         basis. *)
+         cache still holding the entry. *)
       let record store ~failures disposition =
         match (store, disposition, raw) with
         | _, _, Raw_failed _ when not failures -> ()
         | Some c, Cache_miss, _ ->
-            Cache.store c ~key (encode_entry ?basis:!root_basis raw)
+            Cache.store c ~key (encode_entry raw)
         | _ -> ()
       in
       record state ~failures:true via_journal;

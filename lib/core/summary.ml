@@ -401,6 +401,13 @@ let load path schema =
                 | None -> corrupt lineno "malformed summary extra line: %s" line)
             | None -> () (* unknown lines are reserved for future blocks *)))
   done;
+  (* a file save wrote always has a trailer or a block (usually both);
+     with neither it holds no summary at all, not an empty one *)
+  if
+    !relations = [] && !views = [] && !extras = []
+    && Int64.of_int (String.length text)
+       = In_channel.with_open_bin path In_channel.length
+  then corrupt 0 "no summary block and no digest trailer";
   {
     schema;
     views = List.rev !views;

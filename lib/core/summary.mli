@@ -91,7 +91,9 @@ val load : string -> Schema.t -> t
     including [views] and [extra_tuples] (both were silently dropped
     before). Files written by older versions — without views, extras,
     or the digest trailer — still load, with the missing fields empty.
+    A file with neither a block nor a trailer holds no summary.
     @raise Corrupt on truncated or garbled content (never a raw
-    [End_of_file]/[Failure]). *)
+    [End_of_file]/[Failure]), and at line 0 on a file without a
+    summary. *)
 
 val pp : Format.formatter -> t -> unit

@@ -318,16 +318,31 @@ let metric_kvs r =
       (Obs.percentiles r.r_metrics)
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-type format = Chrome | Folded | Prometheus | Metrics_json
+type format = Text | Json | Metrics | Folded | Chrome | Prometheus
 
-let render fmt r =
-  match fmt with
-  | Chrome -> Trace_event.to_string r.r_spans ^ "\n"
-  | Folded -> Flame.folded_string r.r_spans
-  | Prometheus -> Prom.render r.r_metrics
-  | Metrics_json -> Json.to_string_pretty (Obs.snapshot_json r.r_metrics) ^ "\n"
+let formats =
+  [
+    ("text", Text); ("json", Json); ("metrics", Metrics); ("folded", Folded);
+    ("chrome", Chrome); ("prometheus", Prometheus);
+  ]
 
-let report ?(events = 10) ~id r =
+let export_of_string s =
+  match String.index_opt s '=' with
+  | None -> Error (Printf.sprintf "expected FORMAT=FILE, got %S" s)
+  | Some i -> (
+      let name = String.sub s 0 i in
+      let file = String.sub s (i + 1) (String.length s - i - 1) in
+      match List.assoc_opt name formats with
+      | None ->
+          Error
+            (Printf.sprintf "unknown format %S, expected one of %s" name
+               (String.concat ", " (List.map fst formats)))
+      | Some _ when file = "" ->
+          Error (Printf.sprintf "no FILE after %S" (name ^ "="))
+      | Some fmt -> Ok (fmt, file))
+
+let report ~events e =
+  let r = e.e_run in
   let b = Buffer.create 4096 in
   let line fmt = Printf.bprintf b (fmt ^^ "\n") in
   let section title rows f =
@@ -338,7 +353,7 @@ let report ?(events = 10) ~id r =
   in
   let get k l = Option.value ~default:0 (List.assoc_opt k l) in
   let ex, rx, fb = rungs r in
-  line "run %s" id;
+  line "run %s" e.e_id;
   line "  subcommand    %s" r.r_subcommand;
   line "  config digest %s" r.r_config_digest;
   line "  spec digest   %s" r.r_spec_digest;
@@ -394,3 +409,13 @@ let report ?(events = 10) ~id r =
       (get "cache.miss" counters) (get "cache.store" counters)
   else line "  cache: off";
   Buffer.contents b
+
+let render ?(events = 10) fmt e =
+  let r = e.e_run in
+  match fmt with
+  | Text -> report ~events e
+  | Json -> document e
+  | Metrics -> Json.to_string_pretty (Obs.snapshot_json r.r_metrics) ^ "\n"
+  | Folded -> Flame.folded_string r.r_spans
+  | Chrome -> Trace_event.to_string r.r_spans ^ "\n"
+  | Prometheus -> Prom.render r.r_metrics

@@ -61,8 +61,7 @@ type run = {
           records written before spans were archived) *)
 }
 (** The one record of a run. Every telemetry export — the ledger file,
-    the endpoint's routes, the exit-time files and the text report — is
-    a rendering of it. *)
+    the endpoint's routes and every {!format} — is a rendering of it. *)
 
 val current : ?spans:Obs.span list -> ?seconds:float -> unit -> run
 (** The live registry as a record with no run outcome yet: metrics
@@ -76,7 +75,7 @@ val config_digest : subcommand:string -> string list -> string
 
 val run_json : id:string -> seq:int -> run -> Json.t
 (** The record as archived: a [hydra-ledger/1] document, and the one
-    encoder of a run report ([hydra summary --json], [/runs/ID]).
+    encoder of a run report (the [json] export, [/runs/ID]).
     Reading it back ({!runs}, {!find}) is exact. Fields added after the
     first records (spans, the per-view profile, notes, summary, paths)
     load empty when absent. *)
@@ -90,10 +89,6 @@ type entry = {
 
 val live : run -> entry
 (** A run that is not archived: id [current], sequence 0. *)
-
-val document : entry -> string
-(** The entry's {!run_json}, pretty-printed and newline-terminated: the
-    body of an archived record (before its digest trailer). *)
 
 val record : dir:string -> run -> entry
 (** Archive the run; creates [dir] as needed. *)
@@ -127,17 +122,30 @@ val metric_kvs : run -> (string * float) list
     [name.p50]/[name.p95]/[name.p99] per histogram, sorted by name. *)
 
 type format =
-  | Chrome  (** {!Trace_event} JSON, newline-terminated *)
-  | Folded  (** {!Flame.folded_string} *)
+  | Text
+      (** the text report: the [run ID] header and identity fields,
+          per-view outcomes with their LP size, attempts, reason and
+          profile, the notes, summary facts and paths, the metrics
+          table, populated histogram percentiles, the event tail, and
+          last the resume story (how the state dir and the solve cache
+          served the run) *)
+  | Json
+      (** the entry's {!run_json}, pretty-printed and newline-terminated:
+          the body of an archived record (before its digest trailer) *)
+  | Metrics  (** pretty {!Obs.snapshot_json}, newline-terminated *)
+  | Folded  (** {!Flame.folded_string} of the spans *)
+  | Chrome  (** {!Trace_event} JSON of the spans, newline-terminated *)
   | Prometheus  (** {!Prom.render} of the metrics *)
-  | Metrics_json  (** pretty {!Obs.snapshot_json}, newline-terminated *)
+(** Every rendering of a run record, by one name each. *)
 
-val render : format -> run -> string
+val formats : (string * format) list
+(** The names: [text], [json], [metrics], [folded], [chrome],
+    [prometheus]. *)
 
-val report : ?events:int -> id:string -> run -> string
-(** The text report: the [run ID] header and identity fields, per-view
-    outcomes with their LP size, attempts, reason and profile, the
-    notes, summary facts and paths, the metrics table, populated
-    histogram percentiles, the last [?events] (default 10) events, and
-    last the resume story (how the state dir and the solve cache served
-    the run). *)
+val export_of_string : string -> (format * string, string) result
+(** Parse [FORMAT=FILE] (the value of [--export] and of an [export=]
+    token in [HYDRA_OBS]); [Error] names what is wrong. *)
+
+val render : ?events:int -> format -> entry -> string
+(** The one renderer of a run record. [?events] (default 10) bounds the
+    event tail of {!Text}. *)

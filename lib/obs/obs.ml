@@ -773,38 +773,18 @@ let finish () =
     sinks := []
   end
 
-(* [HYDRA_OBS]-style specs: comma-separated [key=VALUE] or bare tokens *)
+(* [HYDRA_OBS]-style specs: comma-separated [name=VALUE] or bare
+   tokens; the value runs to the next comma, [=] included *)
 let spec_tokens spec =
-  List.map
+  List.filter_map
     (fun tok ->
-      let tok = String.trim tok in
-      match String.index_opt tok '=' with
-      | Some i ->
-          (String.sub tok 0 i, Some (String.sub tok (i + 1) (String.length tok - i - 1)))
-      | None -> (tok, None))
+      match String.trim tok with
+      | "" -> None
+      | tok -> (
+          match String.index_opt tok '=' with
+          | Some i ->
+              Some
+                ( String.sub tok 0 i,
+                  Some (String.sub tok (i + 1) (String.length tok - i - 1)) )
+          | None -> Some (tok, None)))
     (String.split_on_char ',' spec)
-
-let spec_value key parse spec =
-  List.fold_left
-    (fun acc -> function
-      | k, Some v when k = key -> ( match parse v with None -> acc | x -> x)
-      | _ -> acc)
-    None (spec_tokens spec)
-
-let env_spec () = Option.value ~default:"" (Sys.getenv_opt "HYDRA_OBS")
-let env_value key parse = spec_value key parse (env_spec ())
-
-let init_from_env () =
-  List.iter
-    (function
-      | "trace", Some path ->
-          add_sink (jsonl_sink path);
-          set_enabled true
-      | "metrics", Some _ -> set_enabled true
-      | "level", Some l -> Option.iter set_sink_level (level_of_name l)
-      | ("on" | "1"), None -> set_enabled true
-      | "text", None ->
-          add_sink (text_sink stderr);
-          set_enabled true
-      | _ -> ())
-    (spec_tokens (env_spec ()))

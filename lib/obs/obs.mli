@@ -216,22 +216,10 @@ val reset : unit -> unit
 (** Zero every registered metric, span aggregate and the event ring.
     Handles returned by {!counter}/{!gauge}/{!histogram} stay valid. *)
 
-val init_from_env : unit -> unit
-(** Parse [HYDRA_OBS] — comma-separated [on], [text], [trace=FILE],
-    [metrics=FILE], [level=LEVEL] — and enable the corresponding sinks.
-    [metrics=] only switches collection on: writing the file is the
-    caller's exit-time export (read the path with {!env_value}).
-    [level=] only sets the sink threshold ({!set_sink_level}); it does
-    not enable tracing by itself. Unknown tokens are ignored (the CLI
-    reads [progress=N] and [serve=PORT] from the same variable). *)
-
-val spec_value : string -> (string -> 'a option) -> string -> 'a option
-(** [spec_value key parse spec]: the last value of a [key=VALUE] token
-    in a comma-separated [HYDRA_OBS]-style [spec] that [parse] accepts;
-    [None] when there is none. *)
-
-val env_value : string -> (string -> 'a option) -> 'a option
-(** {!spec_value} applied to [HYDRA_OBS]. *)
+val spec_tokens : string -> (string * string option) list
+(** Split an [HYDRA_OBS]-style spec into its comma-separated tokens:
+    [name=VALUE] as [(name, Some VALUE)] (the value may hold further
+    [=]), a bare [name] as [(name, None)]; blank tokens are dropped. *)
 
 val finish : unit -> unit
 (** Flush and close all sinks. Idempotent; safe from [at_exit]. *)

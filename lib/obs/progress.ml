@@ -113,8 +113,8 @@ let stop t =
     t.p_tick ()
   end
 
-let positive v =
-  match float_of_string_opt v with Some p when p > 0.0 -> Some p | _ -> None
-
-let period_of_spec = Obs.spec_value "progress" positive
-let period_from_env () = Obs.env_value "progress" positive
+let period_of_string v =
+  match float_of_string_opt v with
+  | Some p when p > 0.0 && Float.is_finite p -> Ok p
+  | _ ->
+      Error (Printf.sprintf "expected a positive number of seconds, got %S" v)

@@ -51,10 +51,7 @@ val heartbeat_line : ?elapsed_s:float -> Obs.snapshot -> string
     with [ | X.XX views/s | eta Y.Ys] appended when {!rate_eta} has an
     estimate. *)
 
-val period_of_spec : string -> float option
-(** Parse a [progress=N] token (seconds, decimal fractions allowed) out
-    of an [HYDRA_OBS]-style comma-separated spec; [None] when absent or
-    non-positive. *)
-
-val period_from_env : unit -> float option
-(** {!period_of_spec} applied to [HYDRA_OBS]. *)
+val period_of_string : string -> (float, string) result
+(** Parse a tick period for [--progress] and a [progress=] token in
+    [HYDRA_OBS]: a positive, finite number of seconds (decimal fractions
+    allowed). *)

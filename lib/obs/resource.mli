@@ -1,7 +1,7 @@
 (** Background process-resource sampler.
 
     Feeds four gauges into the metric registry so live scrapes, the
-    human [--report], metrics snapshots and ledger records carry a
+    text report, metrics snapshots and ledger records carry a
     memory/GC profile of the run:
 
     - [process.rss_bytes] — resident set size from

@@ -94,9 +94,9 @@ let handler ?obs_dir ?current () =
       match segments with
       | [ "healthz" ] -> Http.text "ok\n"
       | [ "metrics" ] ->
-          with_run None (fun _ run ->
+          with_run None (fun e _ ->
               Http.response ~content_type:prom_content_type
-                (Ledger.render Ledger.Prometheus run))
+                (Ledger.render Ledger.Prometheus e))
       | [ "progress" ] ->
           with_run None (fun _ run ->
               json_doc
@@ -109,8 +109,8 @@ let handler ?obs_dir ?current () =
               json_doc
                 (Json.Obj (Json.obj doc @ [ ("live", Json.Bool (e.Ledger.e_id = "current")) ])))
       | [ "runs"; r; "trace" ] ->
-          with_run (Some r) (fun _ run ->
-              Http.json (Ledger.render Ledger.Chrome run))
+          with_run (Some r) (fun e _ ->
+              Http.json (Ledger.render Ledger.Chrome e))
       | _ -> Http.not_found ("no route for " ^ req.Http.path)
 
 let start ?obs_dir ?current ~port () =
@@ -119,10 +119,7 @@ let start ?obs_dir ?current ~port () =
 let port = Server.port
 let stop = Server.stop
 
-let valid_port v =
+let port_of_string v =
   match int_of_string_opt v with
-  | Some p when p >= 0 && p <= 65535 -> Some p
-  | _ -> None
-
-let port_of_spec = Obs.spec_value "serve" valid_port
-let port_from_env () = Obs.env_value "serve" valid_port
+  | Some p when p >= 0 && p <= 65535 -> Ok p
+  | _ -> Error (Printf.sprintf "expected a port in 0..65535, got %S" v)

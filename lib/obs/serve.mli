@@ -23,7 +23,7 @@
       full id, or unique prefix); live mode also serves
       [/runs/current].
     - [/runs/<ref>/trace] — Chrome [traceEvents] JSON
-      ({!Ledger.Chrome}), byte-equal to the run's [--chrome-out] file.
+      ({!Ledger.Chrome}), byte-equal to the run's [chrome] export.
 
     Unknown paths and unknown run references return JSON 404 bodies,
     never a backtrace.
@@ -64,10 +64,6 @@ val port : t -> int
 val stop : t -> unit
 (** Stop the listener and join its domains. Idempotent. *)
 
-val port_of_spec : string -> int option
-(** Parse a [serve=PORT] token out of an [HYDRA_OBS]-style
-    comma-separated spec; [None] when absent or not a valid port
-    ([0..65535]; 0 = ephemeral). *)
-
-val port_from_env : unit -> int option
-(** {!port_of_spec} applied to [HYDRA_OBS]. *)
+val port_of_string : string -> (int, string) result
+(** Parse a port for [--serve] and a [serve=] token in [HYDRA_OBS]:
+    [0..65535], 0 meaning ephemeral. *)

@@ -26,8 +26,8 @@
 # same spec, listed and diffed — the diff must pass clean under the
 # strictest deterministic gate and fail (exit 5) under an impossible
 # injected threshold — and the first run's trace served back from the
-# ledger byte-equal to its --chrome-out file, and its --json stdout
-# byte-equal to the archived record), a --state-dir smoke (the
+# ledger byte-equal to its chrome export, and its json export on
+# stdout byte-equal to the archived record), a --state-dir smoke (the
 # state dir scrubs clean as a cache directory and a second run replays
 # every view), a live
 # endpoint smoke, and a fixed-seed `hydra fuzz` smoke:
@@ -57,8 +57,8 @@ cc |sigma(S.A in [20,60))(S)| = 400;
 SPEC
 
 "$hydra" summary "$obs_tmp/ci.hydra" -o "$obs_tmp/a.summary" \
-  --obs-dir "$obs_tmp/ledger" --progress 60 --json \
-  --chrome-out "$obs_tmp/a.trace.json" > "$obs_tmp/a.json" 2> /dev/null
+  --obs-dir "$obs_tmp/ledger" --progress 60 --export json=- \
+  --export chrome="$obs_tmp/a.trace.json" > "$obs_tmp/a.json" 2> /dev/null
 "$hydra" summary "$obs_tmp/ci.hydra" -o "$obs_tmp/b.summary" \
   --obs-dir "$obs_tmp/ledger" > /dev/null 2>&1
 cmp "$obs_tmp/a.summary" "$obs_tmp/b.summary"
@@ -79,7 +79,7 @@ else
 fi
 
 # the archived run renders back post hoc: the ledger endpoint's trace
-# of run 1 is byte-equal to the run's own --chrome-out file
+# of run 1 is byte-equal to the run's own chrome export
 "$hydra" obs serve --obs-dir "$obs_tmp/ledger" --port 0 > "$obs_tmp/ledger.serve" 2>&1 &
 ledger_pid=$!
 for _ in $(seq 1 150); do
@@ -91,14 +91,14 @@ ledger_port=$(sed -n 's|.*http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$obs_tmp/ledge
 kill "$ledger_pid"
 wait "$ledger_pid" || { echo "obs smoke: ledger server did not exit clean" >&2; exit 1; }
 cmp "$obs_tmp/a.trace.json" "$obs_tmp/a.trace.served" \
-  || { echo "obs smoke: archived trace differs from --chrome-out" >&2; exit 1; }
+  || { echo "obs smoke: archived trace differs from its export" >&2; exit 1; }
 
-# --json prints the run record itself: byte-equal to the archived file
-# minus its digest trailer line
+# --export json=- prints the run record itself: byte-equal to the
+# archived file minus its digest trailer line
 sed '$d' "$obs_tmp"/ledger/run-000001-*.json | cmp - "$obs_tmp/a.json" \
-  || { echo "obs smoke: --json differs from the archived record" >&2; exit 1; }
+  || { echo "obs smoke: json export differs from the archive" >&2; exit 1; }
 
-echo "obs smoke: ledger, list, gated diff, post-hoc trace and --json record ok"
+echo "obs smoke: ledger, list, gated diff, post-hoc trace and json record ok"
 
 # ---- state-dir smoke ----
 # a --state-dir run leaves a plain durable store: the cache tooling

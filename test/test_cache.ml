@@ -328,7 +328,7 @@ let test_hits_counted_after_decode () =
            cold.Pipeline.views)
           .Pipeline.fingerprint
       in
-      Cache.store c ~key:s_key "hydra-solve 2\nrung exact\n1 0\nbasis -\n";
+      Cache.store c ~key:s_key "hydra-solve 3\nrung exact\n1 0\n";
       let c = Cache.create ~dir:(Cache.dir c) in
       let m_hit = Hydra_obs.Obs.counter "cache.hit" in
       let was_enabled = Hydra_obs.Obs.enabled () in
@@ -354,6 +354,44 @@ let test_hits_counted_after_decode () =
       Alcotest.(check string) "rejected entry re-solves identically"
         (summary_bytes cold.Pipeline.summary)
         (summary_bytes warm.Pipeline.summary))
+
+let test_v2_entry_is_a_miss () =
+  (* version 2 wrote a fourth, never-read basis line; a v2 payload with
+     the right vector, under the right key, is still not this build's
+     entry *)
+  with_cache (fun c ->
+      let spec = Cc_parser.parse spec_text in
+      let run c =
+        Pipeline.regenerate ~cache:c spec.Cc_parser.schema spec.Cc_parser.ccs
+      in
+      let cold = run c in
+      let s_key =
+        (List.find (fun (v : Pipeline.view_stats) -> v.Pipeline.rel = "S")
+           cold.Pipeline.views)
+          .Pipeline.fingerprint
+      in
+      let v3 = Option.get (Cache.find c ~key:s_key) in
+      let vector =
+        match String.split_on_char '\n' v3 with
+        | [ "hydra-solve 3"; "rung exact"; vector; "" ] -> vector
+        | _ -> Alcotest.failf "unexpected v3 entry %S" v3
+      in
+      Cache.store c ~key:s_key
+        (Printf.sprintf "hydra-solve 2\nrung exact\n%s\nbasis -\n" vector);
+      let c = Cache.create ~dir:(Cache.dir c) in
+      let warm = run c in
+      Alcotest.(check (list (pair string bool)))
+        "only S misses"
+        [ ("S", false); ("T", true); ("R", true) ]
+        (List.map
+           (fun (v : Pipeline.view_stats) ->
+             (v.Pipeline.rel, v.Pipeline.cache = Formulate.Cache_hit))
+           warm.Pipeline.views);
+      Alcotest.(check string) "the miss re-solves identically"
+        (summary_bytes cold.Pipeline.summary)
+        (summary_bytes warm.Pipeline.summary);
+      Alcotest.(check (option string)) "and re-stores the v3 entry" (Some v3)
+        (Cache.find c ~key:s_key))
 
 let test_relaxed_outcomes_replay () =
   (* an infeasible workload lands on the Relaxed rung; its closest-
@@ -430,6 +468,8 @@ let suite =
           `Quick test_corrupt_entry_resolves;
         Alcotest.test_case "relaxed outcomes replay with violations" `Quick
           test_relaxed_outcomes_replay;
+        Alcotest.test_case "a version-2 solve entry is a miss" `Quick
+          test_v2_entry_is_a_miss;
         Alcotest.test_case "hits are counted after the entry decodes" `Quick
           test_hits_counted_after_decode;
       ] );

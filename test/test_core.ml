@@ -282,6 +282,23 @@ let test_summary_load_is_exact_inverse () =
   Alcotest.(check int) "old format: no extras" 0
     (List.length old.Summary.extra_tuples)
 
+(* a file with neither a block nor a digest trailer is no summary at
+   all; a saved empty summary (trailer only) still loads empty *)
+let test_summary_load_rejects_garbage () =
+  let path = Filename.temp_file "hydra" ".summary" in
+  let load_text text =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    match Summary.load path toy_schema with
+    | s -> Ok (List.length s.Summary.relations)
+    | exception Summary.Corrupt c -> Error c.Summary.sum_line
+  in
+  let res = Alcotest.(result int int) in
+  Alcotest.(check res) "garbage" (Error 0) (load_text "garbage");
+  Alcotest.(check res) "empty file" (Error 0) (load_text "");
+  Alcotest.(check res) "trailer only" (Ok 0)
+    (load_text (Hydra_durable.Durable_io.digest_trailer ""));
+  Sys.remove path
+
 (* ---- viewgraph ---- *)
 
 let test_viewgraph_cliques () =
@@ -726,6 +743,8 @@ let suite =
         Alcotest.test_case "summary roundtrip" `Quick test_toy_summary_roundtrip;
         Alcotest.test_case "load inverts save (views, extras)" `Quick
           test_summary_load_is_exact_inverse;
+        Alcotest.test_case "load rejects a file without a summary" `Quick
+          test_summary_load_rejects_garbage;
         Alcotest.test_case "validate helpers" `Quick test_validate_helpers;
       ] );
   ]

@@ -518,22 +518,32 @@ let test_heartbeat_rate_eta () =
   | None, None -> ()
   | _ -> Alcotest.fail "no estimate before the first view lands"
 
+(* HYDRA_OBS tokens and the converter --progress shares with them *)
 let test_progress_spec_parsing () =
-  Alcotest.(check (option (float 0.0)))
-    "plain token" (Some 2.0)
-    (Progress.period_of_spec "progress=2");
-  Alcotest.(check (option (float 1e-9)))
-    "fractional, other tokens around" (Some 0.25)
-    (Progress.period_of_spec "level=warn,progress=0.25,jsonl=x.jsonl");
-  Alcotest.(check (option (float 0.0)))
-    "absent" None
-    (Progress.period_of_spec "level=debug");
-  Alcotest.(check (option (float 0.0)))
-    "non-positive rejected" None
-    (Progress.period_of_spec "progress=0");
-  Alcotest.(check (option (float 0.0)))
-    "garbage rejected" None
-    (Progress.period_of_spec "progress=fast")
+  let period spec =
+    List.filter_map
+      (function
+        | "progress", Some v -> Some (Progress.period_of_string v) | _ -> None)
+      (Obs.spec_tokens spec)
+  in
+  let res = Alcotest.(result (float 1e-9) string) in
+  Alcotest.(check (list res)) "plain token" [ Ok 2.0 ] (period "progress=2");
+  Alcotest.(check (list res))
+    "fractional, other tokens around" [ Ok 0.25 ]
+    (period "level=warn, progress=0.25,,jsonl=x.jsonl");
+  Alcotest.(check (list res)) "absent" [] (period "level=debug");
+  Alcotest.(check (list res))
+    "non-positive rejected"
+    [ Error "expected a positive number of seconds, got \"0\"" ]
+    (period "progress=0");
+  Alcotest.(check (list res))
+    "garbage rejected"
+    [ Error "expected a positive number of seconds, got \"fast\"" ]
+    (period "progress=fast");
+  Alcotest.(check (list (pair string (option string))))
+    "a value keeps its own '=', blanks drop, bare tokens have none"
+    [ ("export", Some "json=-"); ("on", None) ]
+    (Obs.spec_tokens " export=json=- ,, on")
 
 (* ---- Chrome trace-event export ---- *)
 
@@ -1068,23 +1078,26 @@ let test_resource_sampler () =
   Alcotest.(check bool) "major words present" true (v "gc.major_words" >= 0.0);
   Alcotest.(check bool) "heap words present" true (v "gc.heap_words" >= 0.0)
 
+(* the converter --serve shares with HYDRA_OBS serve= tokens *)
 let test_serve_spec_parsing () =
-  Alcotest.(check (option int))
-    "plain token" (Some 9100)
-    (Serve.port_of_spec "serve=9100");
-  Alcotest.(check (option int))
-    "ephemeral port, other tokens around" (Some 0)
-    (Serve.port_of_spec "progress=2,serve=0,level=warn");
-  Alcotest.(check (option int)) "absent" None (Serve.port_of_spec "on");
-  Alcotest.(check (option int))
-    "negative rejected" None
-    (Serve.port_of_spec "serve=-1");
-  Alcotest.(check (option int))
-    "out of range rejected" None
-    (Serve.port_of_spec "serve=70000");
-  Alcotest.(check (option int))
-    "garbage rejected" None
-    (Serve.port_of_spec "serve=http")
+  let port spec =
+    List.filter_map
+      (function "serve", Some v -> Some (Serve.port_of_string v) | _ -> None)
+      (Obs.spec_tokens spec)
+  in
+  let res = Alcotest.(result int string) in
+  let bad v = Error (Printf.sprintf "expected a port in 0..65535, got %S" v) in
+  Alcotest.(check (list res)) "plain token" [ Ok 9100 ] (port "serve=9100");
+  Alcotest.(check (list res))
+    "ephemeral port, other tokens around" [ Ok 0 ]
+    (port "progress=2,serve=0,level=warn");
+  Alcotest.(check (list res)) "absent" [] (port "on");
+  Alcotest.(check (list res))
+    "negative rejected" [ bad "-1" ] (port "serve=-1");
+  Alcotest.(check (list res))
+    "out of range rejected" [ bad "70000" ] (port "serve=70000");
+  Alcotest.(check (list res))
+    "garbage rejected" [ bad "http" ] (port "serve=http")
 
 (* ---- property: observation never changes what is computed ---- *)
 
@@ -1261,6 +1274,10 @@ let prop_snapshot_codec =
       | Error m -> QCheck.Test.fail_reportf "reparse: %s" m
       | Ok doc -> Obs.snapshot_of_json doc = Ok snap)
 
+(* the text rendering of a record under a given run id *)
+let report ~id r =
+  Ledger.render Ledger.Text { (Ledger.live r) with Ledger.e_id = id }
+
 (* a real run's record, its archived copy, and each rendering of both *)
 let test_record_renderings () =
   scrub ();
@@ -1278,20 +1295,18 @@ let test_record_renderings () =
   let id = archive ~dir r in
   let back =
     match Ledger.find ~dir id with
-    | Ok e -> e.Ledger.e_run
+    | Ok e -> e
     | Error m -> Alcotest.failf "find: %s" m
   in
+  (* every format, the id-bearing text and json included *)
   List.iter
     (fun (name, fmt) ->
-      Alcotest.(check string) name (Ledger.render fmt r) (Ledger.render fmt back))
-    [
-      ("chrome", Ledger.Chrome);
-      ("folded", Ledger.Folded);
-      ("prometheus", Ledger.Prometheus);
-      ("metrics json", Ledger.Metrics_json);
-    ];
-  Alcotest.(check string) "report" (Ledger.report ~id r) (Ledger.report ~id back);
-  Alcotest.(check bool) "the reloaded record equals the original" true (back = r)
+      Alcotest.(check string) name
+        (Ledger.render fmt { back with Ledger.e_run = r })
+        (Ledger.render fmt back))
+    Ledger.formats;
+  Alcotest.(check bool) "the reloaded record equals the original" true
+    (back.Ledger.e_run = r)
 
 (* a record written before spans were archived: [folded], no [spans] *)
 let test_ledger_legacy_record () =
@@ -1328,7 +1343,7 @@ let test_ledger_legacy_record () =
   in
   Alcotest.(check int) "no spans" 0 (List.length old.Ledger.r_spans);
   Alcotest.(check bool) "shows" true
-    (contains (Ledger.report ~id:legacy_id old) "run run-000001-0badcafe");
+    (contains (report ~id:legacy_id old) "run run-000001-0badcafe");
   Alcotest.(check (option (float 0.0)))
     "diffs" (Some 2.0)
     (List.assoc_opt "legacy.counter" (Ledger.metric_kvs old));
@@ -1380,10 +1395,11 @@ let test_ledger_profile () =
   in
   Alcotest.(check bool) "every new field round-trips exactly" true
     (find (archive ~dir r) = r);
-  let report = Ledger.report ~id:"x" r in
+  let text = report ~id:"x" r in
   List.iter
     (fun needle ->
-      Alcotest.(check bool) ("report shows " ^ needle) true (contains report needle))
+      Alcotest.(check bool)
+        ("report shows " ^ needle) true (contains text needle))
     [
       "17 LP vars, 9 constraints, 2 attempt(s)";
       "relaxed: S.A in [20,60) expected 400 achieved 399";
@@ -1431,7 +1447,7 @@ let test_ledger_profile () =
        old.Ledger.r_views);
   Alcotest.(check bool) "no notes, summary or paths" true
     (old.Ledger.r_notes = [] && old.Ledger.r_summary = [] && old.Ledger.r_paths = []);
-  let shown = Ledger.report ~id:"run-000002-0badcafe" old in
+  let shown = report ~id:"run-000002-0badcafe" old in
   Alcotest.(check bool) "shows" true (contains shown "    R                    relaxed");
   Alcotest.(check bool) "without a profile line" false (contains shown "LP vars");
   Alcotest.(check (option (float 0.0)))
