@@ -566,7 +566,7 @@ let robust () =
         List.length
           (List.filter
              (fun (v : Pipeline.view_stats) ->
-               v.Pipeline.journal = Hydra_core.Formulate.Cache_hit)
+               v.Pipeline.tier = Hydra_core.Formulate.State)
              resumed.Pipeline.views)
       in
       let resume_identical =

@@ -437,10 +437,14 @@ let start_telemetry ?obs_dir flags =
 let protecting ?(telemetry = no_telemetry) ?obs_dir f x =
   try
     start_telemetry ?obs_dir telemetry;
-    f x
+    f x;
+    flush stdout
   with
   | Hydra_rel.Schema.Schema_error m -> die Usage_error ("schema: " ^ m)
   | Hydra_workload.Cc_parser.Parse_error m -> die Usage_error ("parse: " ^ m)
+  (* a closed stdout ends the run on the I/O row, quietly: a reader
+     that stopped early (say, head) asked for no more *)
+  | Sys_error m when m = Unix.error_message Unix.EPIPE -> exit_with Usage_error
   | Invalid_argument m | Sys_error m -> die Usage_error m
   | Hydra_core.Summary.Corrupt c ->
       die Corrupt_summary
@@ -496,9 +500,8 @@ let state_dir_arg =
            proceeds; re-running after a crash or kill replays the \
            recorded views and re-solves only the missing ones, \
            producing a byte-identical summary. Corrupt or truncated \
-           entries are misses, never fatal. A $(b,run.journal) left by \
-           older builds is ignored. Defaults to $(b,HYDRA_STATE) when \
-           set.")
+           entries are misses, never fatal. Defaults to $(b,HYDRA_STATE) \
+           when set.")
 
 let chaos_arg =
   Arg.(
@@ -582,8 +585,10 @@ let print_summary_lines ?cache ~out (result : Hydra_core.Pipeline.result) =
     (fun v ->
       Printf.printf "  view %-20s %6d LP vars %5d constraints %.2fs  %s%s\n"
         v.rel v.num_lp_vars v.num_lp_constraints v.solve_seconds (status_line v)
-        ((if v.journal = Hydra_core.Formulate.Cache_hit then " [replayed]" else "")
-        ^ (if v.cache = Hydra_core.Formulate.Cache_hit then " [cached]" else "")
+        ((match v.tier with
+         | Hydra_core.Formulate.State -> " [replayed]"
+         | Cache -> " [cached]"
+         | Solve -> "")
         ^
         if v.attempts > 1 then Printf.sprintf " [%d attempts]" v.attempts
         else "");
@@ -1366,6 +1371,9 @@ let main =
     ]
 
 let () =
+  (* a closed stdout must not kill the process before the file exports
+     land: writing to it is an EPIPE [Sys_error] instead *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   parse_env_telemetry ();
   if Obs.enabled () then telemetry_on ();
   (* HYDRA_CHAOS arms fault injection for every subcommand, including
@@ -1374,7 +1382,10 @@ let () =
   (* the file exports must land even on the degraded-summary exit codes *)
   at_exit (fun () ->
       write_exports ();
-      Obs.finish ());
+      Obs.finish ();
+      (* drop what a closed stdout could not take, so the runtime's own
+         exit flush does not raise the EPIPE again *)
+      try flush stdout with Sys_error _ -> close_out_noerr stdout);
   let code = Cmd.eval main in
   (* env-attached endpoints on subcommands without their own linger
      call (everything but summary) keep the final state up here *)

@@ -14,8 +14,9 @@ val sites : string list
 (** The registry of named injection sites, in pipeline order:
     ["solve"], ["pool.task"], ["cache.read"], ["cache.write"],
     ["journal.append"], ["summary.save"], ["materialize.shard"].
-    ["journal.append"] taps each write of the [--state-dir] store (the
-    name predates that store). *)
+    ["journal.append"] taps each write of the [--state-dir] store. The
+    name predates that store and no report says "journal" any more; it
+    is kept because existing chaos plans aim at it. *)
 
 type kind =
   | Transient  (** raise {!Injected} — a retryable worker failure *)

@@ -303,13 +303,9 @@ type outcome =
   | Relaxed of view_result * Hydra_arith.Rat.t
   | Failed of string
 
-type cache_disposition = Cache_off | Cache_bypass | Cache_hit | Cache_miss
+type tier = Solve | State | Cache
 
-type provenance = {
-  via_cache : cache_disposition;
-  via_journal : cache_disposition;
-  via_fingerprint : string;
-}
+type provenance = { tier : tier; fingerprint : string }
 
 (* Violating a consistency constraint makes sub-view marginals disagree,
    which can defeat align-and-merge entirely; a violated CC merely skews
@@ -503,22 +499,14 @@ let decode_entry lp payload =
       | _ -> None)
   | _ -> None
 
-let off_or_bypass = function None -> Cache_off | Some _ -> Cache_bypass
-
-let bypass_prov ?cache ?state () =
-  {
-    via_cache = off_or_bypass cache;
-    via_journal = off_or_bypass state;
-    via_fingerprint = "";
-  }
+let unsolved = { tier = Solve; fingerprint = "" }
 
 let solve_view_robust ?(max_nodes = 2000) ?(retries = 1) ?deadline ?cache
     ?state ?(solve_mode = Simplex.Exact) (view : Preprocess.view) =
-  let bypass_prov = bypass_prov ?cache ?state () in
   try
     if view.Preprocess.subviews = [] then
       (* nothing was solved, so there is nothing worth caching *)
-      (Exact (trivial_result view), bypass_prov)
+      (Exact (trivial_result view), unsolved)
     else begin
       let problems, lp, n_cc_constraints =
         Obs.with_span "view.formulate" (fun () -> formulate view)
@@ -598,54 +586,41 @@ let solve_view_robust ?(max_nodes = 2000) ?(retries = 1) ?deadline ?cache
                 violation )
         | Raw_failed m -> Failed m
       in
-      (* One lookup over [state; shared], first valid hit wins. The
-         run-scoped store also replays failures: within one run (same
-         budgets, same deadline discipline) that keeps a resumed run on
-         the rung the interrupted one landed on. The shared cache never
-         does — a failure reflects the budget of the run that produced
-         it — so a Failed entry found there is a miss. *)
-      let probe store ~failures ~after_hit =
-        match store with
-        | None -> (Cache_off, None)
-        | Some _ when after_hit -> (Cache_bypass, None)
-        | Some c -> (
-            match
-              Cache.find_map c ~key (fun payload ->
-                  match decode_entry lp payload with
-                  | Some (Raw_failed _) when not failures -> None
-                  | d -> d)
-            with
-            | Some raw -> (Cache_hit, Some raw)
-            | None -> (Cache_miss, None))
+      (* One lookup chain, state dir then shared cache, and the first
+         entry that decodes wins. The run-scoped store also replays
+         failures: within one run (same budgets, same deadline
+         discipline) that keeps a resumed run on the rung the
+         interrupted one landed on. The shared cache never does — a
+         failure reflects the budget of the run that produced it — so a
+         Failed entry found there is a miss. *)
+      let lookup store ~failures =
+        Option.bind store (fun c ->
+            Cache.find_map c ~key (fun payload ->
+                match decode_entry lp payload with
+                | Some (Raw_failed _) when not failures -> None
+                | d -> d))
       in
-      let via_journal, from_state =
-        probe state ~failures:true ~after_hit:false
+      let tier, raw =
+        match lookup state ~failures:true with
+        | Some raw -> (State, raw)
+        | None -> (
+            match lookup cache ~failures:false with
+            | Some raw -> (Cache, raw)
+            | None -> (Solve, attempt max_nodes retries))
       in
-      let via_cache, from_cache =
-        probe cache ~failures:false ~after_hit:(from_state <> None)
-      in
-      let raw =
-        match (from_state, from_cache) with
-        | Some raw, _ | None, Some raw -> raw
-        | None, None -> attempt max_nodes retries
-      in
-      (* every store that missed records the outcome — a shared-cache
-         hit included, so a later resume does not depend on the shared
-         cache still holding the entry. *)
-      let record store ~failures disposition =
-        match (store, disposition, raw) with
-        | _, _, Raw_failed _ when not failures -> ()
-        | Some c, Cache_miss, _ ->
-            Cache.store c ~key (encode_entry raw)
-        | _ -> ()
-      in
-      record state ~failures:true via_journal;
-      record cache ~failures:false via_cache;
+      (* a state dir that missed records the outcome, failures and
+         shared-cache hits included, so a later resume depends on
+         neither the budget nor the shared cache still holding the
+         entry; the shared cache records only a fresh usable solve *)
+      let record = Option.iter (fun c -> Cache.store c ~key (encode_entry raw)) in
+      if tier <> State then record state;
+      (match (tier, raw) with
+      | Solve, (Raw_exact _ | Raw_relaxed _) -> record cache
+      | _ -> ());
       store_warm ();
-      (finish raw, { via_cache; via_journal; via_fingerprint = key })
+      (finish raw, { tier; fingerprint = key })
     end
   with
-  | Formulation_error m -> (Failed m, bypass_prov)
-  | Preprocess.Preprocess_error m -> (Failed m, bypass_prov)
-  | e when not (Chaos.is_injected e) ->
-      (Failed (Printexc.to_string e), bypass_prov)
+  | Formulation_error m -> (Failed m, unsolved)
+  | Preprocess.Preprocess_error m -> (Failed m, unsolved)
+  | e when not (Chaos.is_injected e) -> (Failed (Printexc.to_string e), unsolved)

@@ -52,33 +52,23 @@ type outcome =
       (** nothing usable could be produced (relaxation timed out or an
           internal error); the reason is an actionable one-liner *)
 
-type cache_disposition =
-  | Cache_off  (** no cache was supplied *)
-  | Cache_bypass
-      (** a cache was supplied but not consulted: the solve is not
-          cacheable (trivial views with no sub-views, or a
-          pre-formulation error), or an earlier store already served it *)
-  | Cache_hit  (** the solution was replayed from a stored entry *)
-  | Cache_miss  (** solved fresh; the result was offered to the store *)
+type tier =
+  | Solve
+      (** the ladder ran: solved fresh, or never reached a store
+          (trivial views, pre-formulation errors) *)
+  | State  (** replayed from the [--state-dir] run-scoped store *)
+  | Cache  (** replayed from the shared solve cache *)
+(** Which source produced a view's outcome. Whether a store was
+    configured at all is a fact of the run, not of the view. *)
 
 type provenance = {
-  via_cache : cache_disposition;
-  via_journal : cache_disposition;
-      (** same vocabulary, applied to the [--state-dir] run-scoped
-          store: [Cache_hit] means the view was replayed from a prior
-          (interrupted) run's record *)
-  via_fingerprint : string;
+  tier : tier;
+  fingerprint : string;
       (** the {!fingerprint} this solve is addressed by — reported even
-          when no store consumed it (the run ledger archives
-          it); [""] when the view never reached formulation (trivial
-          views, pre-formulation errors) *)
+          when no store consumed it (the run ledger archives it); [""]
+          when the view never reached formulation (trivial views,
+          pre-formulation errors) *)
 }
-
-val bypass_prov :
-  ?cache:Hydra_cache.Cache.t -> ?state:Hydra_cache.Cache.t -> unit -> provenance
-(** The provenance of a view no store was consulted for:
-    [Cache_bypass] for each store supplied, [Cache_off] otherwise, and
-    no fingerprint. *)
 
 val fingerprint :
   ?max_nodes:int -> ?retries:int -> Preprocess.view -> string
@@ -120,12 +110,13 @@ val solve_view_robust :
     produced it.
 
     [?state] is the [--state-dir] run-scoped store (a
-    {!Hydra_cache.Cache.Durable} cache). One lookup runs over
-    [state; cache] in that order and the first valid hit wins; a store
-    that missed records the outcome (a cache hit included). The state
-    store also records and replays [Failed] outcomes, so a resumed run
-    replays the interrupted run's exact per-view rungs rather than
-    re-rolling the dice against budgets and deadlines.
+    {!Hydra_cache.Cache.Durable} cache). One lookup chain runs state,
+    then cache, then the solve ladder; the first entry that decodes
+    wins and names the view's {!tier}. A state store that missed
+    records the outcome (a cache hit included); it also records and
+    replays [Failed] outcomes, so a resumed run replays the interrupted
+    run's exact per-view rungs rather than re-rolling the dice against
+    budgets and deadlines.
 
     [solve_mode] (default [Exact]) selects the LP engine:
     [Float_first] runs the double-precision shadow simplex and verifies

@@ -57,8 +57,7 @@ type view_stats = {
       (* per-view delta of the obs registry (solver counters, phase span
          durations); [] when tracing is disabled *)
   status : view_status;
-  cache : Formulate.cache_disposition;
-  journal : Formulate.cache_disposition;
+  tier : Formulate.tier;
   fingerprint : string;
       (* the view's [Formulate.fingerprint] content address; "" when the
          view never reached formulation *)
@@ -244,8 +243,8 @@ let regenerate ?(sizes = []) ?(max_nodes = 2000) ?(policy = `Low_corner)
     let out =
       Obs.with_span ~attrs:[ ("rel", Obs.Str rname) ] "pipeline.view"
       @@ fun () ->
-        let bypass_prov = Formulate.bypass_prov ?cache ?state () in
-        let fallback ?(prov = bypass_prov) reason =
+        let fallback ?(prov = { Formulate.tier = Solve; fingerprint = "" })
+            reason =
           (* structured view/rung/reason attrs, not just the message:
              audit reports join incidents to views through them *)
           Obs.event ~level:Obs.Warn
@@ -268,9 +267,8 @@ let regenerate ?(sizes = []) ?(max_nodes = 2000) ?(policy = `Low_corner)
               solve_seconds = Mclock.now () -. t;
               metrics = view_metrics ();
               status = Fallback reason;
-              cache = prov.Formulate.via_cache;
-              journal = prov.Formulate.via_journal;
-              fingerprint = prov.Formulate.via_fingerprint;
+              tier = prov.Formulate.tier;
+              fingerprint = prov.Formulate.fingerprint;
               attempts = 1;
             },
             [] )
@@ -324,9 +322,8 @@ let regenerate ?(sizes = []) ?(max_nodes = 2000) ?(policy = `Low_corner)
                   solve_seconds = Mclock.now () -. t;
                   metrics = view_metrics ();
                   status;
-                  cache = prov.Formulate.via_cache;
-                  journal = prov.Formulate.via_journal;
-                  fingerprint = prov.Formulate.via_fingerprint;
+                  tier = prov.Formulate.tier;
+                  fingerprint = prov.Formulate.fingerprint;
                   attempts = 1;
                 },
                 view_residuals )
@@ -342,16 +339,10 @@ let regenerate ?(sizes = []) ?(max_nodes = 2000) ?(policy = `Low_corner)
                 Formulate.solve_view_robust ~max_nodes ~retries ?deadline
                   ?cache ?state ~solve_mode view
               with
-              | Formulate.Exact r, prov -> (
-                  try finish r prov (fun _ -> Exact)
-                  with e when not (Chaos.is_injected e) ->
-                    fallback (exn_message e))
-              | Formulate.Relaxed (r, _total), prov -> (
-                  try
-                    finish r prov (fun merged ->
-                        Relaxed (view_violations view merged))
-                  with e when not (Chaos.is_injected e) ->
-                    fallback (exn_message e))
+              | Formulate.Exact r, prov -> finish r prov (fun _ -> Exact)
+              | Formulate.Relaxed (r, _total), prov ->
+                  finish r prov (fun merged ->
+                      Relaxed (view_violations view merged))
               | Formulate.Failed m, prov -> fallback ~prov m
             with e when not (Chaos.is_injected e) ->
               fallback (exn_message e))
@@ -424,18 +415,6 @@ let regenerate ?(sizes = []) ?(max_nodes = 2000) ?(policy = `Low_corner)
   in
   let assemble_seconds = Mclock.now () -. assemble_t in
   let count f = List.length (List.filter f stats) in
-  let journal_notes =
-    match state with
-    | None -> []
-    | Some c -> (
-        match Hydra_cache.Cache.stats c with
-        | { hits = 0; stores = 0; _ } -> []
-        | s ->
-            [
-              Printf.sprintf "journal: %d view(s) replayed, %d recorded (%s)"
-                s.hits s.stores (Hydra_cache.Cache.dir c);
-            ])
-  in
   let diagnostics =
     {
       exact_views = count (fun s -> s.status = Exact);
@@ -443,7 +422,7 @@ let regenerate ?(sizes = []) ?(max_nodes = 2000) ?(policy = `Low_corner)
         count (fun s -> match s.status with Relaxed _ -> true | _ -> false);
       fallback_views =
         count (fun s -> match s.status with Fallback _ -> true | _ -> false);
-      notes = route_notes @ journal_notes @ assembly_notes;
+      notes = route_notes @ assembly_notes;
     }
   in
   {
@@ -466,12 +445,6 @@ let status_word = function
   | Relaxed _ -> "relaxed"
   | Fallback _ -> "fallback"
 
-let disposition_word = function
-  | Formulate.Cache_off -> "off"
-  | Formulate.Cache_bypass -> "bypass"
-  | Formulate.Cache_hit -> "hit"
-  | Formulate.Cache_miss -> "miss"
-
 let status_detail = function
   | Exact -> []
   | Fallback reason -> [ reason ]
@@ -485,11 +458,13 @@ let status_detail = function
 let to_ledger ~subcommand ~spec_digest ~jobs ~exit_code ?(spans = [])
     ?(paths = []) r =
   let module L = Hydra_obs.Ledger in
-  let journaled d = List.length (List.filter (fun v -> v.journal = d) r.views) in
   let view v =
     { L.v_rel = v.rel; v_status = status_word v.status;
-      v_fingerprint = v.fingerprint; v_cache = disposition_word v.cache;
-      v_journal = disposition_word v.journal; v_seconds = v.solve_seconds;
+      v_fingerprint = v.fingerprint;
+      v_tier =
+        (match v.tier with
+        | Formulate.Solve -> "solve" | State -> "state" | Cache -> "cache");
+      v_seconds = v.solve_seconds;
       v_lp_vars = v.num_lp_vars; v_lp_constraints = v.num_lp_constraints;
       v_attempts = v.attempts; v_detail = status_detail v.status;
       v_metrics = v.metrics }
@@ -508,10 +483,5 @@ let to_ledger ~subcommand ~spec_digest ~jobs ~exit_code ?(spans = [])
     r_notes = r.diagnostics.notes;
     r_summary = List.map relation r.summary.Summary.relations;
     r_paths = paths;
-    r_journal =
-      (if journaled Formulate.Cache_off = List.length r.views then []
-       else
-         [ ("replayed", journaled Formulate.Cache_hit);
-           ("solved", journaled Formulate.Cache_miss) ]);
     r_metrics = Obs.snapshot (); r_events = Obs.recent_events ();
     r_spans = spans }

@@ -45,13 +45,10 @@ type view_stats = {
           durations ([span.view.solve.seconds], …) accrued while this
           view was processed. Empty when tracing is disabled. *)
   status : view_status;
-  cache : Formulate.cache_disposition;
-      (** how the solve cache served this view ({!Formulate.Cache_off}
-          when {!regenerate} was called without [?cache]) *)
-  journal : Formulate.cache_disposition;
-      (** how the [--state-dir] run-scoped store served this view:
-          [Cache_hit] means the view was replayed from an interrupted
-          run's record instead of being re-solved *)
+  tier : Formulate.tier;
+      (** the source that produced this view's outcome: [State] means
+          it was replayed from an interrupted run's record, [Cache] from
+          the shared solve cache, [Solve] that it was solved here *)
   fingerprint : string;
       (** the view's {!Formulate.fingerprint} content address, archived
           by the run ledger; [""] when the view never reached
@@ -135,10 +132,9 @@ val regenerate :
     the view completes, and a later run with the same [state_dir]
     replays recorded outcomes — including failures — instead of
     re-solving, so a run killed at any point resumes to a byte-identical
-    summary. A [run.journal] written by older builds is not read. [supervision] tunes the
-    {!Hydra_par.Supervisor} retry policy for transient task failures
-    (default: 2 retries, 50ms exponential backoff with deterministic
-    jitter). [solve_mode] (default [Exact]) selects the LP engine per
+    summary. [supervision] tunes the {!Hydra_par.Supervisor} retry
+    policy for transient task failures (default: 2 retries, 50ms
+    exponential backoff with deterministic jitter). [solve_mode] (default [Exact]) selects the LP engine per
     view — [Float_first] shadows the exact pivot rules in doubles and
     verifies the terminal basis exactly, so summaries are byte-identical
     across modes (see {!Formulate.solve_view_robust}).
@@ -174,10 +170,8 @@ val to_ledger :
   ?spans:Hydra_obs.Obs.span list -> ?paths:(string * string) list ->
   result -> Hydra_obs.Ledger.run
 (** The finished run as its ledger record, with the registry snapshot
-    and event ring read now. Rungs are {!status_word}s and cache and
-    state-dir dispositions ["off"] / ["bypass"] / ["hit"] / ["miss"].
-    Each view carries its LP size,
+    and event ring read now. Rungs are {!status_word}s and tiers
+    ["solve"] / ["state"] / ["cache"]. Each view carries its LP size,
     attempts, {!status_detail} and metric delta, the diagnostics notes,
     and the summary's rows, tuples and repair tuples per relation.
-    [?paths] names the run's artifacts (default none). The state-dir
-    aggregate is [[]] when no view consulted a state dir. *)
+    [?paths] names the run's artifacts (default none). *)

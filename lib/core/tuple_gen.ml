@@ -24,6 +24,27 @@ let group_starts (rs : Summary.relation_summary) =
   done;
   starts
 
+(* The group covering [row]: the greatest g with starts.(g) <= row.
+   [cursor] keeps the last answer, so a sequential scan stays on its
+   group or steps to the next; any other access binary-searches. *)
+let locate (starts : int array) ngroups cursor (row : int) =
+  let g = !cursor in
+  if g < ngroups && starts.(g) <= row && row < starts.(g + 1) then g
+  else if g + 1 < ngroups && starts.(g + 1) <= row && row < starts.(g + 2)
+  then begin
+    cursor := g + 1;
+    g + 1
+  end
+  else begin
+    let lo = ref 0 and hi = ref (ngroups - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if starts.(mid) <= row then lo := mid else hi := mid - 1
+    done;
+    cursor := !lo;
+    !lo
+  end
+
 (* ---- static materialization ---- *)
 
 (* Fill rows [lo, hi) of the value columns from the row-groups. Writes
@@ -32,15 +53,7 @@ let group_starts (rs : Summary.relation_summary) =
    single sequential pass regardless of the sharding. *)
 let fill_range (rs : Summary.relation_summary) starts value_cols lo hi =
   let ncols = Array.length value_cols in
-  let ngroups = Array.length rs.Summary.rs_rows in
-  (* greatest g with starts.(g) <= lo *)
-  let g = ref 0 in
-  let l = ref 0 and h = ref (ngroups - 1) in
-  while !l < !h do
-    let mid = (!l + !h + 1) / 2 in
-    if starts.(mid) <= lo then l := mid else h := mid - 1
-  done;
-  g := max 0 !l;
+  let g = ref (locate starts (Array.length rs.Summary.rs_rows) (ref 0) lo) in
   let pos = ref lo in
   while !pos < hi do
     let values, _ = rs.Summary.rs_rows.(!g) in
@@ -95,32 +108,12 @@ let materialize ?(jobs = 1) (summary : Summary.t) =
 
 (* ---- dynamic generation ---- *)
 
-(* Column accessor over the summary: sequential scans advance a per-closure
-   cursor; random access falls back to binary search over the cumulative
-   boundaries. *)
+(* Column accessor over the summary: each column closure keeps its own
+   [locate] cursor. *)
 let generated_relation schema (rs : Summary.relation_summary) =
   let r = Schema.find schema rs.Summary.rs_rel in
   let starts = group_starts rs in
   let ngroups = Array.length rs.Summary.rs_rows in
-  let find_group cursor row =
-    let g = !cursor in
-    if g < ngroups && starts.(g) <= row && row < starts.(g + 1) then g
-    else if g + 1 < ngroups && starts.(g + 1) <= row && row < starts.(g + 2)
-    then begin
-      cursor := g + 1;
-      g + 1
-    end
-    else begin
-      (* binary search: greatest g with starts.(g) <= row *)
-      let lo = ref 0 and hi = ref (ngroups - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        if starts.(mid) <= row then lo := mid else hi := mid - 1
-      done;
-      cursor := !lo;
-      !lo
-    end
-  in
   let col_of_name =
     let tbl = Hashtbl.create 8 in
     Array.iteri (fun i c -> Hashtbl.replace tbl c i) rs.Summary.rs_cols;
@@ -135,9 +128,7 @@ let generated_relation schema (rs : Summary.relation_summary) =
             (Printf.sprintf "datagen %s: unknown column %S" rs.Summary.rs_rel cname)
       | Some ci ->
           let cursor = ref 0 in
-          fun row ->
-            let g = find_group cursor row in
-            fst rs.Summary.rs_rows.(g) |> fun values -> values.(ci)
+          fun row -> (fst rs.Summary.rs_rows.(locate starts ngroups cursor row)).(ci)
   in
   { Database.gen_rows = rs.Summary.rs_total; gen_col }
 
@@ -161,25 +152,7 @@ let row_source (rs : Summary.relation_summary) =
   let cursor = ref 0 in
   let ncols = Array.length rs.Summary.rs_cols in
   fun row ->
-    let g = !cursor in
-    let g =
-      if g < ngroups && starts.(g) <= row && row < starts.(g + 1) then g
-      else if g + 1 < ngroups && starts.(g + 1) <= row && row < starts.(g + 2)
-      then begin
-        cursor := g + 1;
-        g + 1
-      end
-      else begin
-        let lo = ref 0 and hi = ref (ngroups - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi + 1) / 2 in
-          if starts.(mid) <= row then lo := mid else hi := mid - 1
-        done;
-        cursor := !lo;
-        !lo
-      end
-    in
-    let values, _ = rs.Summary.rs_rows.(g) in
+    let values, _ = rs.Summary.rs_rows.(locate starts ngroups cursor row) in
     let tuple = Array.make (ncols + 1) (row + 1) in
     Array.blit values 0 tuple 1 ncols;
     tuple

@@ -10,8 +10,7 @@ type view = {
   v_rel : string;
   v_status : string;
   v_fingerprint : string;
-  v_cache : string;
-  v_journal : string;
+  v_tier : string;
   v_seconds : float;
   v_lp_vars : int;
   v_lp_constraints : int;
@@ -33,7 +32,6 @@ type run = {
   r_notes : string list;
   r_summary : relation list;
   r_paths : (string * string) list;
-  r_journal : (string * int) list;
   r_metrics : Obs.snapshot;
   r_events : Obs.event list;
   r_spans : Obs.span list;
@@ -43,7 +41,7 @@ let current ?(spans = []) ?(seconds = 0.0) () =
   {
     r_subcommand = ""; r_config_digest = ""; r_spec_digest = ""; r_jobs = 0;
     r_exit = 0; r_seconds = seconds; r_views = []; r_notes = []; r_summary = [];
-    r_paths = []; r_journal = [];
+    r_paths = [];
     r_metrics = Obs.snapshot (); r_events = Obs.recent_events ();
     r_spans = spans;
   }
@@ -95,8 +93,8 @@ let run_json ~id ~seq r =
     Json.Obj
       [
         str "rel" v.v_rel; str "status" v.v_status;
-        str "fingerprint" v.v_fingerprint; str "cache" v.v_cache;
-        str "journal" v.v_journal; ("seconds", Json.Float v.v_seconds);
+        str "fingerprint" v.v_fingerprint; str "tier" v.v_tier;
+        ("seconds", Json.Float v.v_seconds);
         int "lp_vars" v.v_lp_vars; int "lp_constraints" v.v_lp_constraints;
         int "attempts" v.v_attempts; strs "detail" v.v_detail;
         ("metrics", Json.Obj (List.map (fun (k, x) -> (k, Json.Float x)) v.v_metrics));
@@ -117,7 +115,6 @@ let run_json ~id ~seq r =
       strs "notes" r.r_notes;
       ("summary", Json.List (List.map relation r.r_summary));
       ("paths", Json.Obj (List.map (fun (k, v) -> str k v) r.r_paths));
-      ("journal", Json.Obj (List.map (fun (k, v) -> int k v) r.r_journal));
       ("metrics", Obs.snapshot_json r.r_metrics);
       ("events", Json.List (List.map Obs.event_json r.r_events));
       ("spans", Json.List (List.map Obs.span_json r.r_spans));
@@ -135,6 +132,15 @@ let run_of_json doc =
      when absent; records written before spans were archived carry
      folded stacks instead *)
   let opt read empty k j = if Json.member k j = None then empty else read k j in
+  (* records written before the tier carry two store dispositions
+     instead: a [hit] on either names the tier, and their run-level
+     [journal] aggregate is ignored *)
+  let tier j =
+    if Json.member "tier" j <> None then str "tier" j
+    else if str "journal" j = "hit" then "state"
+    else if str "cache" j = "hit" then "cache"
+    else "solve"
+  in
   let attrs j =
     List.map
       (fun (k, v) ->
@@ -149,8 +155,8 @@ let run_of_json doc =
   let view j =
     {
       v_rel = str "rel" j; v_status = str "status" j;
-      v_fingerprint = str "fingerprint" j; v_cache = str "cache" j;
-      v_journal = str "journal" j; v_seconds = num "seconds" j;
+      v_fingerprint = str "fingerprint" j; v_tier = tier j;
+      v_seconds = num "seconds" j;
       v_lp_vars = opt int 0 "lp_vars" j;
       v_lp_constraints = opt int 0 "lp_constraints" j;
       v_attempts = opt int 0 "attempts" j;
@@ -186,7 +192,6 @@ let run_of_json doc =
       r_notes = opt (each Json.str) [] "notes" doc;
       r_summary = opt (each relation) [] "summary" doc;
       r_paths = opt (pairs Json.str) [] "paths" doc;
-      r_journal = pairs Json.int "journal" doc;
       r_metrics =
         (match Obs.snapshot_of_json (Json.field "metrics" doc) with
         | Ok snap -> snap
@@ -364,8 +369,7 @@ let report ~events e =
   List.iter
     (fun v ->
       let fp = v.v_fingerprint in
-      line "    %-20s %-8s cache %-6s journal %-8s lp %s  %.6fs" v.v_rel
-        v.v_status v.v_cache v.v_journal
+      line "    %-20s %-8s tier %-5s lp %s  %.6fs" v.v_rel v.v_status v.v_tier
         (if fp = "" then "-" else String.sub fp 0 (min 12 (String.length fp)))
         v.v_seconds;
       (* attempts is 0 only in records written before the profile *)
@@ -396,18 +400,21 @@ let report ~events e =
   section "events"
     (List.filteri (fun i _ -> i >= skip) r.r_events)
     (fun ev -> line "    [%s] %s" (Obs.level_name ev.Obs.ev_level) ev.Obs.ev_msg);
-  (* last, the resume story: how the state dir and the solve cache
-     served the run *)
-  line "resume story:";
-  if r.r_journal = [] then line "  journal: off"
-  else
-    line "  journal: %d view(s) replayed, %d solved fresh"
-      (get "replayed" r.r_journal) (get "solved" r.r_journal);
+  (* last, the resume story: which tier served how many views, and the
+     stores the run was given *)
+  let served tier = List.length (List.filter (fun v -> v.v_tier = tier) r.r_views) in
   let counters = Obs.snapshot_counters r.r_metrics in
-  if List.exists (fun v -> v.v_cache <> "off") r.r_views then
-    line "  cache: %d hit(s), %d miss(es), %d store(s)" (get "cache.hit" counters)
-      (get "cache.miss" counters) (get "cache.store" counters)
-  else line "  cache: off";
+  line "resume story:";
+  (match List.assoc_opt "state" r.r_paths with
+  | None -> line "  state: off"
+  | Some dir -> line "  state: %d view(s) replayed from %s" (served "state") dir);
+  (match List.assoc_opt "cache" r.r_paths with
+  | None -> line "  cache: off"
+  | Some dir ->
+      line "  cache: %d view(s) replayed from %s (%d hit(s), %d miss(es), %d store(s))"
+        (served "cache") dir (get "cache.hit" counters)
+        (get "cache.miss" counters) (get "cache.store" counters));
+  line "  solve: %d view(s)" (served "solve");
   Buffer.contents b
 
 let render ?(events = 10) fmt e =

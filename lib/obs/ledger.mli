@@ -18,13 +18,11 @@ type view = {
   v_rel : string;
   v_status : string;  (** ["exact"] / ["relaxed"] / ["fallback"] *)
   v_fingerprint : string;  (** [Formulate.fingerprint], [""] if unknown *)
-  v_cache : string;
-      (** how the solve cache served the view: ["hit"] / ["miss"] /
-          ["bypass"], ["off"] when no cache was used *)
-  v_journal : string;
-      (** how the [--state-dir] store served the view, in the same
-          words: ["hit"] means replayed, ["miss"] solved fresh, ["off"]
-          no state dir *)
+  v_tier : string;
+      (** the source of the view's outcome: ["state"] (replayed from
+          the [--state-dir] store), ["cache"] (replayed from the solve
+          cache) or ["solve"]. Records written before the tier load it
+          from their [journal]/[cache] dispositions. *)
   v_seconds : float;
   v_lp_vars : int;
   v_lp_constraints : int;
@@ -51,9 +49,6 @@ type run = {
   r_summary : relation list;
   r_paths : (string * string) list;
       (** the run's artifacts: [summary], [cache], [state], [audit] *)
-  r_journal : (string * int) list;
-      (** state-dir aggregate counts ([replayed]/[solved]), [[]] when no
-          state dir was used *)
   r_metrics : Obs.snapshot;  (** the registry at the end of the run *)
   r_events : Obs.event list;
   r_spans : Obs.span list;
@@ -127,8 +122,8 @@ type format =
           per-view outcomes with their LP size, attempts, reason and
           profile, the notes, summary facts and paths, the metrics
           table, populated histogram percentiles, the event tail, and
-          last the resume story (how the state dir and the solve cache
-          served the run) *)
+          last the resume story (how many views each tier served, with
+          the stores from [r_paths] and the cache's traffic) *)
   | Json
       (** the entry's {!run_json}, pretty-printed and newline-terminated:
           the body of an archived record (before its digest trailer) *)

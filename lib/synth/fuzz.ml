@@ -134,6 +134,19 @@ let battery_exn ~solve_mode ~dir schema ccs =
   in
   if summary_bytes dir "warm" warm <> base_bytes then
     broke "cache-replay" "cache-warm summary differs from cold run";
+  (* every view that reached a store is served from it on the rerun;
+     the shared cache never stores a failure (a Fallback view) *)
+  let served tier (v : Pipeline.view_stats) =
+    v.Pipeline.fingerprint = "" || v.Pipeline.tier = tier
+  in
+  let stored (v : Pipeline.view_stats) =
+    match v.Pipeline.status with Pipeline.Fallback _ -> false | _ -> true
+  in
+  if
+    List.exists
+      (fun v -> stored v && not (served Hydra_core.Formulate.Cache v))
+      warm.Pipeline.views
+  then broke "cache-replay" "cache-warm run re-solved a stored view";
   (* journal resume: a second run over the same state dir replays *)
   let state_dir = Filename.concat dir "state" in
   let j1 =
@@ -148,6 +161,8 @@ let battery_exn ~solve_mode ~dir schema ccs =
   in
   if summary_bytes dir "j2" j2 <> base_bytes then
     broke "journal-resume" "journal replay differs from recorded run";
+  if not (List.for_all (served Hydra_core.Formulate.State) j2.Pipeline.views) then
+    broke "journal-resume" "state-dir rerun re-solved a recorded view";
   (* audited validation over the dynamically generated database *)
   let db = Tuple_gen.dynamic base.Pipeline.summary in
   let trail = Audit.create () in

@@ -18,9 +18,10 @@
       simplex plus exact verification must be indistinguishable from
       the all-exact reference;
     - ["cache-replay"]: a cache-warm rerun replays the cold run's
-      summary bytes;
+      summary bytes, every stored view at tier [Cache];
     - ["journal-resume"]: rerunning with the same [--state-dir] replays
-      the journaled run byte-identically;
+      the recorded run byte-identically, every recorded view at tier
+      [State];
     - ["audit-reconcile"]: audited validation over the dynamically
       generated database reconciles with the audit trail's roll-up;
     - ["exactness"]: when every view is {!Hydra_core.Pipeline.Exact},

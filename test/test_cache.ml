@@ -242,10 +242,8 @@ let statuses (r : Pipeline.result) =
         | Pipeline.Fallback _ -> "fallback" ))
     r.Pipeline.views
 
-let dispositions (r : Pipeline.result) =
-  List.map
-    (fun (v : Pipeline.view_stats) -> v.Pipeline.cache)
-    r.Pipeline.views
+let tiers (r : Pipeline.result) =
+  List.map (fun (v : Pipeline.view_stats) -> v.Pipeline.tier) r.Pipeline.views
 
 let test_warm_replay_identical () =
   with_cache (fun c ->
@@ -256,13 +254,13 @@ let test_warm_replay_identical () =
       in
       let cold = run () in
       Alcotest.(check bool) "cold run misses every view" true
-        (List.for_all (( = ) Formulate.Cache_miss) (dispositions cold));
+        (List.for_all (( = ) Formulate.Solve) (tiers cold));
       let after_cold = Cache.stats c in
       Alcotest.(check int) "cold stores one entry per view"
         after_cold.Cache.misses after_cold.Cache.stores;
       let warm = run () in
       Alcotest.(check bool) "warm run hits every view" true
-        (List.for_all (( = ) Formulate.Cache_hit) (dispositions warm));
+        (List.for_all (( = ) Formulate.Cache) (tiers warm));
       Alcotest.(check string) "warm summary is byte-identical"
         (summary_bytes cold.Pipeline.summary)
         (summary_bytes warm.Pipeline.summary);
@@ -271,16 +269,28 @@ let test_warm_replay_identical () =
       (* jobs-invariance: a pooled warm run replays the same bytes *)
       let warm4 = run ~jobs:4 () in
       Alcotest.(check bool) "jobs=4 warm run hits every view" true
-        (List.for_all (( = ) Formulate.Cache_hit) (dispositions warm4));
+        (List.for_all (( = ) Formulate.Cache) (tiers warm4));
       Alcotest.(check string) "jobs=4 warm summary is byte-identical"
         (summary_bytes cold.Pipeline.summary)
         (summary_bytes warm4.Pipeline.summary))
 
-let test_no_cache_means_off () =
+let test_no_stores_means_solve () =
+  let module Obs = Hydra_obs.Obs in
   let spec = Cc_parser.parse spec_text in
-  let r = Pipeline.regenerate spec.Cc_parser.schema spec.Cc_parser.ccs in
-  Alcotest.(check bool) "without ?cache every view is Cache_off" true
-    (List.for_all (( = ) Formulate.Cache_off) (dispositions r))
+  let was_enabled = Obs.enabled () in
+  Obs.set_enabled true;
+  let before = Obs.snapshot () in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled was_enabled)
+      (fun () -> Pipeline.regenerate spec.Cc_parser.schema spec.Cc_parser.ccs)
+  in
+  Alcotest.(check bool) "without stores every view is tier Solve" true
+    (List.for_all (( = ) Formulate.Solve) (tiers r));
+  Alcotest.(check (list (pair string (float 0.0)))) "no cache.* counter moves" []
+    (List.filter
+       (fun (k, _) -> String.starts_with ~prefix:"cache." k)
+       (Obs.diff before (Obs.snapshot ())))
 
 let test_corrupt_entry_resolves () =
   with_cache (fun c ->
@@ -304,14 +314,14 @@ let test_corrupt_entry_resolves () =
         (Sys.readdir (Cache.dir c));
       let rerun = run () in
       Alcotest.(check bool) "corrupt entries all miss" true
-        (List.for_all (( = ) Formulate.Cache_miss) (dispositions rerun));
+        (List.for_all (( = ) Formulate.Solve) (tiers rerun));
       Alcotest.(check string) "resolved run matches the cold run"
         (summary_bytes cold.Pipeline.summary)
         (summary_bytes rerun.Pipeline.summary);
       (* the re-store repaired the cache: a third run hits *)
       let warm = run () in
       Alcotest.(check bool) "repaired cache hits again" true
-        (List.for_all (( = ) Formulate.Cache_hit) (dispositions warm)))
+        (List.for_all (( = ) Formulate.Cache) (tiers warm)))
 
 let test_hits_counted_after_decode () =
   (* a well-formed entry under S's key, digest and all, whose vector has
@@ -345,7 +355,7 @@ let test_hits_counted_after_decode () =
         [ ("S", false); ("T", true); ("R", true) ]
         (List.map
            (fun (v : Pipeline.view_stats) ->
-             (v.Pipeline.rel, v.Pipeline.cache = Formulate.Cache_hit))
+             (v.Pipeline.rel, v.Pipeline.tier = Formulate.Cache))
            warm.Pipeline.views);
       Alcotest.(check int) "stats.hits = views served" 2
         (Cache.stats c).Cache.hits;
@@ -385,7 +395,7 @@ let test_v2_entry_is_a_miss () =
         [ ("S", false); ("T", true); ("R", true) ]
         (List.map
            (fun (v : Pipeline.view_stats) ->
-             (v.Pipeline.rel, v.Pipeline.cache = Formulate.Cache_hit))
+             (v.Pipeline.rel, v.Pipeline.tier = Formulate.Cache))
            warm.Pipeline.views);
       Alcotest.(check string) "the miss re-solves identically"
         (summary_bytes cold.Pipeline.summary)
@@ -417,7 +427,7 @@ cc |sigma(S.A in [5,10))(S)| = 80;
         (statuses cold);
       let warm = run () in
       Alcotest.(check bool) "relaxed solve replays from cache" true
-        (List.for_all (( = ) Formulate.Cache_hit) (dispositions warm));
+        (List.for_all (( = ) Formulate.Cache) (tiers warm));
       Alcotest.(check string) "replayed relaxed summary identical"
         (summary_bytes cold.Pipeline.summary)
         (summary_bytes warm.Pipeline.summary);
@@ -462,8 +472,8 @@ let suite =
       [
         Alcotest.test_case "warm run: 100% hits, byte-identical, any jobs"
           `Quick test_warm_replay_identical;
-        Alcotest.test_case "no cache supplied reports Cache_off" `Quick
-          test_no_cache_means_off;
+        Alcotest.test_case "without stores every view is tier Solve" `Quick
+          test_no_stores_means_solve;
         Alcotest.test_case "corrupt entries re-solve and repair the cache"
           `Quick test_corrupt_entry_resolves;
         Alcotest.test_case "relaxed outcomes replay with violations" `Quick

@@ -468,7 +468,7 @@ let crash_resume_case ~site ~jobs =
           true
           (List.exists
              (fun (v : Pipeline.view_stats) ->
-               v.Pipeline.journal = Formulate.Cache_hit)
+               v.Pipeline.tier = Formulate.State)
              resumed.Pipeline.views))
 
 let battery_sites =
@@ -489,13 +489,13 @@ let test_completed_run_replays_fully () =
       Alcotest.(check bool) "cold run solves every view" true
         (List.for_all
            (fun (v : Pipeline.view_stats) ->
-             v.Pipeline.journal = Formulate.Cache_miss)
+             v.Pipeline.tier = Formulate.Solve)
            first.Pipeline.views);
       let again = regen ~state_dir:sdir ~jobs:4 () in
       Alcotest.(check bool) "second run replays every view" true
         (List.for_all
            (fun (v : Pipeline.view_stats) ->
-             v.Pipeline.journal = Formulate.Cache_hit)
+             v.Pipeline.tier = Formulate.State)
            again.Pipeline.views);
       Alcotest.(check string) "replayed bytes identical"
         (Lazy.force baseline_bytes)
@@ -596,7 +596,7 @@ let test_state_crash_states () =
               (Printf.sprintf "%s: view %s replays iff its entry is intact"
                  label v.Pipeline.rel)
               (List.mem v.Pipeline.rel intact)
-              (v.Pipeline.journal = Formulate.Cache_hit))
+              (v.Pipeline.tier = Formulate.State))
           r.Pipeline.views
       in
       let rels = List.map (fun (rel, _, _) -> rel) entries in

@@ -658,7 +658,6 @@ let mk_run ?(subcommand = "summary") ?(jobs = 1) ?(views = []) () =
     r_notes = [];
     r_summary = [];
     r_paths = [];
-    r_journal = [ ("replayed", 1); ("solved", 2) ];
     r_metrics = Obs.snapshot ();
     r_events = [];
     r_spans = [ mk_span 1 (-1) "a" 0.0 0.5; mk_span 2 1 "b" 0.1 0.2 ];
@@ -697,9 +696,7 @@ let test_ledger_roundtrip () =
   | Ok _ -> Alcotest.fail "unknown seq must not resolve");
   (* run parameters survive the round trip *)
   let e2 = (List.nth l.Ledger.l_entries 1).Ledger.e_run in
-  Alcotest.(check int) "jobs archived" 4 e2.Ledger.r_jobs;
-  Alcotest.(check bool) "journal aggregates archived" true
-    (List.assoc_opt "replayed" e2.Ledger.r_journal = Some 1)
+  Alcotest.(check int) "jobs archived" 4 e2.Ledger.r_jobs
 
 let test_ledger_metric_kvs () =
   scrub ();
@@ -1358,7 +1355,7 @@ let profiled_run () =
   let view rel status detail =
     {
       Ledger.v_rel = rel; v_status = status; v_fingerprint = "f" ^ rel;
-      v_cache = "miss"; v_journal = "off"; v_seconds = 0.125;
+      v_tier = "solve"; v_seconds = 0.125;
       v_lp_vars = 17; v_lp_constraints = 9; v_attempts = 2; v_detail = detail;
       v_metrics =
         [ ("simplex.degenerate_pivots", 3.0); ("simplex.dual_pivots", 1.0);
@@ -1375,7 +1372,7 @@ let profiled_run () =
          ]
        ())
     with
-    Ledger.r_notes = [ "journal: 1 view(s) replayed, 2 recorded (sd)" ];
+    Ledger.r_notes = [ "dropped unroutable CC |U| = 5: no relation U" ];
     r_summary =
       [ { Ledger.s_rel = "S"; s_rows = 13; s_tuples = 700; s_repair = 2 } ];
     r_paths = [ ("summary", "toy.summary"); ("audit", "audit.json") ];
@@ -1406,7 +1403,7 @@ let test_ledger_profile () =
       "fallback: no size CC";
       "profile: simplex.degenerate_pivots 3, simplex.dual_pivots 1, \
        span.view.solve.seconds 0.3";
-      "notes:\n    journal: 1 view(s) replayed, 2 recorded (sd)";
+      "notes:\n    dropped unroutable CC |U| = 5: no relation U";
       "S                    13 / 700 / 2";
     ];
   (* the same record as written before the profile existed *)
@@ -1453,6 +1450,83 @@ let test_ledger_profile () =
   Alcotest.(check (option (float 0.0)))
     "diffs" (Some 2.0)
     (List.assoc_opt "legacy.counter" (Ledger.metric_kvs old))
+
+(* a record as builds before the tier wrote it: [cache] and [journal]
+   dispositions on each view, a run-level [journal] aggregate, no
+   [tier]. It loads as the tiered record and renders each view's tier *)
+let test_ledger_pre_tier_record () =
+  with_tmp_dir @@ fun dir ->
+  scrub ();
+  let view rel tier =
+    {
+      Ledger.v_rel = rel; v_status = "exact"; v_fingerprint = "f" ^ rel;
+      v_tier = tier; v_seconds = 0.25; v_lp_vars = 3; v_lp_constraints = 2;
+      v_attempts = 1; v_detail = []; v_metrics = [];
+    }
+  in
+  let r =
+    {
+      (mk_run ~views:[ view "S" "state"; view "T" "cache"; view "R" "solve" ] ())
+      with
+      Ledger.r_paths = [ ("cache", "cd"); ("state", "sd") ];
+    }
+  in
+  (* (cache, journal) as the two-disposition builds wrote them *)
+  let old_keys = function
+    | "S" -> ("bypass", "hit")
+    | "T" -> ("hit", "miss")
+    | _ -> ("miss", "miss")
+  in
+  let old_view = function
+    | Json.Obj fields ->
+        let cache, journal = old_keys (Json.str (List.assoc "rel" fields)) in
+        Json.Obj
+          (List.concat_map
+             (function
+               | "tier", _ ->
+                   [ ("cache", Json.String cache); ("journal", Json.String journal) ]
+               | kv -> [ kv ])
+             fields)
+    | j -> j
+  in
+  let doc =
+    match Ledger.run_json ~id:"run-000001-0badcafe" ~seq:1 r with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (function
+               | "views", Json.List vs -> ("views", Json.List (List.map old_view vs))
+               | kv -> kv)
+             fields
+          @ [ ("journal", Json.Obj [ ("replayed", Json.Int 1); ("solved", Json.Int 2) ]) ])
+    | _ -> Alcotest.fail "run_json is not an object"
+  in
+  Hydra_durable.Durable_io.write_atomic ~digest:true
+    (Filename.concat dir "run-000001-0badcafe.json")
+    (fun b -> Buffer.add_string b (Json.to_string_pretty doc ^ "\n"));
+  let l = Ledger.runs ~dir in
+  Alcotest.(check (pair int int)) "lists, not corrupt" (1, 0)
+    (List.length l.Ledger.l_entries, List.length l.Ledger.l_corrupt);
+  let old =
+    match Ledger.find ~dir "1" with
+    | Ok e -> e.Ledger.e_run
+    | Error m -> Alcotest.failf "find: %s" m
+  in
+  Alcotest.(check (list string)) "tiers from the dispositions"
+    [ "state"; "cache"; "solve" ]
+    (List.map (fun v -> v.Ledger.v_tier) old.Ledger.r_views);
+  Alcotest.(check bool) "loads as the tiered record" true (old = r);
+  let shown = report ~id:"run-000001-0badcafe" old in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("report shows " ^ needle) true (contains shown needle))
+    [
+      "    S                    exact    tier state";
+      "    T                    exact    tier cache";
+      "    R                    exact    tier solve";
+      "  state: 1 view(s) replayed from sd";
+      "  solve: 1 view(s)";
+    ]
 
 let suite =
   [
@@ -1512,6 +1586,8 @@ let suite =
         Alcotest.test_case "prune by count" `Quick test_ledger_prune_keep;
         Alcotest.test_case "pre-span records still load" `Quick
           test_ledger_legacy_record;
+        Alcotest.test_case "records before the tier load their views' tiers"
+          `Quick test_ledger_pre_tier_record;
         Alcotest.test_case "per-view profile round-trips, absent fields load empty"
           `Quick test_ledger_profile;
         Alcotest.test_case "archived renderings equal live ones" `Quick
