@@ -504,10 +504,6 @@ let robust () =
     (Pipeline.regenerate ~sizes ~deadline_s:0.0 T.schema ccs);
   (* ---- crash safety: supervised retries and journaled resume ---- *)
   let module Chaos = Hydra_chaos.Chaos in
-  let module Supervisor = Hydra_par.Supervisor in
-  let quiet =
-    { Supervisor.default_policy with Supervisor.sleep = (fun _ -> ()) }
-  in
   let summary_bytes s =
     let path = Filename.temp_file "hydra_bench_robust" ".summary" in
     Fun.protect
@@ -522,7 +518,7 @@ let robust () =
   let retried =
     Chaos.with_plan
       { Chaos.site = "solve"; kind = Chaos.Transient; after = 1; times = 1 }
-      (fun () -> Pipeline.regenerate ~sizes ~supervision:quiet T.schema ccs)
+      (fun () -> Pipeline.regenerate ~sizes T.schema ccs)
   in
   let retried_tasks =
     List.length
@@ -551,17 +547,12 @@ let robust () =
       Chaos.arm
         { Chaos.site = "solve"; kind = Chaos.Crash; after = 2; times = 1 };
       let crash_interrupted =
-        match
-          Pipeline.regenerate ~sizes ~state_dir ~supervision:quiet T.schema
-            ccs
-        with
+        match Pipeline.regenerate ~sizes ~state_dir T.schema ccs with
         | _ -> false
         | exception Chaos.Crashed _ -> true
       in
       Chaos.disarm ();
-      let resumed =
-        Pipeline.regenerate ~sizes ~state_dir ~supervision:quiet T.schema ccs
-      in
+      let resumed = Pipeline.regenerate ~sizes ~state_dir T.schema ccs in
       let replayed_views =
         List.length
           (List.filter

@@ -165,7 +165,23 @@ let export_conv =
 let progress_conv =
   Arg.conv' (Progress.period_of_string, Format.pp_print_float)
 
-let serve_conv = Arg.conv' (Serve.port_of_string, Format.pp_print_int)
+let port_conv = Arg.conv' (Serve.port_of_string, Format.pp_print_int)
+
+let seconds_conv =
+  Arg.conv'
+    ( (fun v ->
+        match float_of_string_opt v with
+        | Some s when s >= 0.0 && Float.is_finite s -> Ok s
+        | _ -> Error (Printf.sprintf "expected finite seconds >= 0, got %S" v)),
+      Format.pp_print_float )
+
+let count_conv =
+  Arg.conv'
+    ( (fun v ->
+        match int_of_string_opt v with
+        | Some n when n >= 0 -> Ok n
+        | _ -> Error (Printf.sprintf "expected an integer >= 0, got %S" v)),
+      Format.pp_print_int )
 
 let trace_arg =
   Arg.(
@@ -303,7 +319,7 @@ let read_spec path =
 let serve_arg =
   Arg.(
     value
-    & opt (some serve_conv) None
+    & opt (some port_conv) None
     & info [ "serve" ] ~docv:"PORT"
         ~doc:
           "Serve live telemetry on http://127.0.0.1:$(docv) while the run \
@@ -399,7 +415,7 @@ let parse_env_telemetry () =
     | "trace", Some _ -> { t with trace = Some (arg Arg.string) }
     | "export", Some _ -> { t with export = t.export @ [ arg export_conv ] }
     | "progress", Some _ -> { t with progress = Some (arg progress_conv) }
-    | "serve", Some _ -> { t with serve = Some (arg serve_conv) }
+    | "serve", Some _ -> { t with serve = Some (arg port_conv) }
     | _ ->
         die Usage_error
           (Printf.sprintf
@@ -626,7 +642,7 @@ let summary_cmd =
   let deadline =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some seconds_conv) None
       & info [ "deadline" ] ~docv:"SECONDS"
           ~doc:
             "Wall-clock budget for the whole run; views still unsolved when \
@@ -635,7 +651,7 @@ let summary_cmd =
   in
   let max_nodes =
     Arg.(
-      value & opt int 2000
+      value & opt count_conv 2000
       & info [ "max-nodes" ] ~docv:"N"
           ~doc:"Branch-and-bound node budget per view before degradation.")
   in
@@ -1197,7 +1213,7 @@ let obs_prune_cmd =
 let obs_serve_cmd =
   let port =
     Arg.(
-      value & opt int 0
+      value & opt port_conv 0
       & info [ "port" ] ~docv:"PORT"
           ~doc:
             "TCP port on 127.0.0.1; $(b,0) (the default) picks an \
@@ -1226,7 +1242,7 @@ let obs_get_cmd =
   let port =
     Arg.(
       required
-      & opt (some int) None
+      & opt (some port_conv) None
       & info [ "port" ] ~docv:"PORT" ~doc:"TCP port of the endpoint.")
   in
   let host =

@@ -31,8 +31,8 @@ type plan = {
 }
 
 exception Injected of string
-(** A transient injected failure; carries the site name. Classified as
-    retryable by [Supervisor.default_policy]. *)
+(** A transient injected failure; carries the site name. The one
+    failure [Supervisor.map_range] retries. *)
 
 exception Crashed of string
 (** A simulated crash; carries the site name. Never caught inside the

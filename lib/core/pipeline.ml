@@ -193,8 +193,7 @@ let exn_message = function
 
 let regenerate ?(sizes = []) ?(max_nodes = 2000) ?(policy = `Low_corner)
     ?(histograms = []) ?deadline_s ?(retries = 1) ?(jobs = 1) ?cache
-    ?state_dir ?(supervision = Supervisor.default_policy)
-    ?(solve_mode = Hydra_lp.Simplex.Exact) schema ccs =
+    ?state_dir ?(solve_mode = Hydra_lp.Simplex.Exact) schema ccs =
   let jobs = max 1 jobs in
   let t0 = Mclock.now () in
   (* deadlines live on the monotonic timeline, so a wall-clock step can
@@ -352,18 +351,16 @@ let regenerate ?(sizes = []) ?(max_nodes = 2000) ?(policy = `Low_corner)
     Obs.incr m_done_views 1;
     out
   in
-  (* Supervised execution: every view task runs under the retry
-     supervisor, so a transient worker failure (an interrupted syscall,
-     an injected chaos fault) is retried with backoff instead of
-     degrading the view. A view whose retries are exhausted — or whose
-     failure is classified fatal — degrades to its Fallback rung right
+  (* Every view task runs under the supervisor, so an injected transient
+     fault is retried at once instead of degrading the view. A view
+     still failing after its retries degrades to its Fallback rung right
      here, preserving regenerate's never-raises contract (simulated
      [Chaos.Crashed] deaths excepted, by design). *)
   let views_arr = Array.of_list views in
   let processed =
     Pool.with_pool jobs (fun pool ->
         let results, attempts =
-          Supervisor.map_range supervision pool (Array.length views_arr)
+          Supervisor.map_range pool (Array.length views_arr)
             (fun i -> process_view views_arr.(i))
         in
         Array.to_list

@@ -108,7 +108,6 @@ val regenerate :
   ?jobs:int ->
   ?cache:Hydra_cache.Cache.t ->
   ?state_dir:string ->
-  ?supervision:Hydra_par.Supervisor.policy ->
   ?solve_mode:Hydra_lp.Simplex.mode ->
   Schema.t -> Cc.t list -> result
 (** Preprocess, formulate and solve every view, align-and-merge, build the
@@ -132,10 +131,10 @@ val regenerate :
     the view completes, and a later run with the same [state_dir]
     replays recorded outcomes — including failures — instead of
     re-solving, so a run killed at any point resumes to a byte-identical
-    summary. [supervision] tunes the {!Hydra_par.Supervisor} retry
-    policy for transient task failures (default: 2 retries, 50ms
-    exponential backoff with deterministic jitter). [solve_mode] (default [Exact]) selects the LP engine per
-    view — [Float_first] shadows the exact pivot rules in doubles and
+    summary. A view task that raises an injected transient fault is
+    re-run at once, at most twice ({!Hydra_par.Supervisor}).
+    [solve_mode] (default [Exact]) selects the LP engine per view —
+    [Float_first] shadows the exact pivot rules in doubles and
     verifies the terminal basis exactly, so summaries are byte-identical
     across modes (see {!Formulate.solve_view_robust}).
 

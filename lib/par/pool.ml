@@ -198,28 +198,25 @@ let map_range_result (type a) t n (f : int -> a) :
       results
   end
 
-let failures_of results =
-  Array.to_seq results
-  |> Seq.filter_map (function Error f -> Some f | Ok _ -> None)
-  |> List.of_seq
-
-let raise_failures = function
-  | [] -> ()
-  | fs -> (
-      (* a simulated crash ends the run as itself — it must reach the
-         harness (or the CLI's exit-70 mapping) unwrapped, like a real
-         kill would. Only after every slot settled, so an exception
-         never leaves half a batch running. *)
-      match List.find_opt (fun f -> Chaos.is_injected f.f_exn) fs with
-      | Some f when (match f.f_exn with Chaos.Crashed _ -> true | _ -> false)
-        ->
-          Printexc.raise_with_backtrace f.f_exn f.f_backtrace
-      | _ -> raise (Batch_failure fs))
+let raise_crash results =
+  (* a simulated crash ends the run as itself — it must reach the
+     harness (or the CLI's exit-70 mapping) unwrapped, like a real kill
+     would. Only after every slot settled, so an exception never leaves
+     half a batch running. *)
+  Array.iter
+    (function
+      | Error { f_exn = Chaos.Crashed _ as e; f_backtrace; _ } ->
+          Printexc.raise_with_backtrace e f_backtrace
+      | _ -> ())
+    results
 
 let map_range t n f =
   let results = map_range_result t n f in
-  raise_failures (failures_of results);
-  Array.map (function Ok v -> v | Error _ -> assert false) results
+  raise_crash results;
+  let failed = function Error f -> Some f | Ok _ -> None in
+  match List.filter_map failed (Array.to_list results) with
+  | [] -> Array.map Result.get_ok results
+  | fs -> raise (Batch_failure fs)
 
 let iter_range t n f = ignore (map_range t n f)
 

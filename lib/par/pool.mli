@@ -61,6 +61,10 @@ val map_range_result : t -> int -> (int -> 'a) -> ('a, failure) result array
 (** Like {!map_range} but never raises: each slot carries its task's
     result or captured failure. *)
 
+val raise_crash : ('a, failure) result array -> unit
+(** Re-raise the lowest-index simulated [Chaos.Crashed] of a settled
+    batch, unwrapped, with its backtrace; otherwise do nothing. *)
+
 val iter_range : t -> int -> (int -> unit) -> unit
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list

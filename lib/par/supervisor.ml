@@ -1,163 +1,67 @@
-(* Retry supervision over Pool batches.
+(* Retries over Pool batches.
 
-   The supervisor only ever re-runs indices that failed with a
-   Transient classification, so a run with zero failures costs exactly
-   one Pool batch. Retries run as fresh (smaller) batches over the
-   failed index subset; each retried task sleeps its own backoff delay
-   inside the task, so concurrent retries back off independently
-   without serialising the batch.
-
-   Determinism: retries change timing, never placement — a task's
-   result still lands in its own slot, so output is byte-identical
-   whether a task succeeded on attempt 1 or attempt 4. The jitter is a
-   pure hash of (seed, index, attempt), so delays are reproducible
-   run-to-run. *)
+   A task is a pure function of its index, so re-running a failed one
+   needs no tuning: an index whose task raised [Chaos.Injected] is
+   re-run at once in a fresh (smaller) batch over the failed indices,
+   at most [max_retries] times. A run with zero failures costs exactly
+   one Pool batch, and a task's result lands in its own slot whichever
+   attempt produced it. *)
 
 module Chaos = Hydra_chaos.Chaos
 module Obs = Hydra_obs.Obs
 
-type classification = Transient | Deadline | Fatal
-
-type policy = {
-  max_retries : int;
-  base_backoff_s : float;
-  max_backoff_s : float;
-  jitter_seed : int;
-  classify : exn -> classification;
-  sleep : float -> unit;
-}
-
-let classification_name = function
-  | Transient -> "transient"
-  | Deadline -> "deadline"
-  | Fatal -> "fatal"
-
-let default_classify = function
-  | Chaos.Injected _ -> Transient
-  | Unix.Unix_error
-      ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EBUSY), _, _) ->
-      Transient
-  | e ->
-      (* timeouts are a budget decision, not a fault: retrying them
-         burns the remaining deadline for nothing *)
-      let name = Printexc.to_string e in
-      let lower = String.lowercase_ascii name in
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-        nn > 0 && go 0
-      in
-      if contains lower "timeout" || contains lower "deadline" then Deadline
-      else Fatal
-
-let default_policy =
-  {
-    max_retries = 2;
-    base_backoff_s = 0.05;
-    max_backoff_s = 2.0;
-    jitter_seed = 0;
-    classify = default_classify;
-    sleep = (fun s -> if s > 0.0 then Unix.sleepf s);
-  }
-
-let backoff_delay p ~index ~attempt =
-  let attempt = max 1 attempt in
-  let base = p.base_backoff_s *. (2.0 ** float_of_int (attempt - 1)) in
-  let capped = Float.min p.max_backoff_s base in
-  (* deterministic jitter in [0, 0.5): same (seed, index, attempt) →
-     same delay, distinct tasks → decorrelated wakeups *)
-  let h = Hashtbl.hash (p.jitter_seed, index, attempt) land 0xFFFF in
-  capped *. (1.0 +. (float_of_int h /. 65536.0 /. 2.0))
-
+let max_retries = 2
 let m_retries = Obs.counter "par.supervisor.retries"
 let m_recovered = Obs.counter "par.supervisor.recovered"
 let m_gave_up = Obs.counter "par.supervisor.gave_up"
 
-let incident ~index ~attempt ~backoff_s ~(failure : Pool.failure) ~outcome =
-  Obs.event ~level:Obs.Warn "par.task_retry"
-    ~attrs:
-      [
-        ("index", Obs.Int index);
-        ("attempt", Obs.Int attempt);
-        ("backoff_s", Obs.Float backoff_s);
-        ("error", Obs.Str (Printexc.to_string failure.Pool.f_exn));
-        ("outcome", Obs.Str outcome);
-      ]
-
-let map_range (type a) policy pool n (f : int -> a) :
-    (a, Pool.failure) result array * int array =
+let map_range pool n f =
   let results = Pool.map_range_result pool n f in
-  let attempts = Array.make n (if n = 0 then 0 else 1) in
-  let crash_check rs =
-    (* simulated process death is not a task failure to manage: it must
-       unwind, as the real thing would *)
-    Array.iter
-      (function
-        | Error f
-          when match f.Pool.f_exn with Chaos.Crashed _ -> true | _ -> false
-          ->
-            Printexc.raise_with_backtrace f.Pool.f_exn f.Pool.f_backtrace
-        | _ -> ())
-      rs
-  in
-  crash_check results;
-  let retryable rs =
-    Array.to_seq rs
-    |> Seq.filter_map (function
-         | Error f when policy.classify f.Pool.f_exn = Transient ->
-             Some f.Pool.f_index
-         | _ -> None)
-    |> Array.of_seq
-  in
-  let round = ref 1 in
-  let pending = ref (retryable results) in
-  while Array.length !pending > 0 && !round <= policy.max_retries do
-    let attempt = !round + 1 in
-    let idx = !pending in
-    Array.iter
-      (fun i ->
-        match results.(i) with
-        | Error f ->
-            let backoff_s = backoff_delay policy ~index:i ~attempt:!round in
-            Obs.incr m_retries 1;
-            incident ~index:i ~attempt ~backoff_s ~failure:f
-              ~outcome:"retrying"
-        | Ok _ -> ())
-      idx;
-    let retried =
-      Pool.map_range_result pool (Array.length idx) (fun j ->
-          let i = idx.(j) in
-          policy.sleep (backoff_delay policy ~index:i ~attempt:(attempt - 1));
-          f i)
+  let attempts = Array.make n 1 in
+  Pool.raise_crash results;
+  for attempt = 2 to 1 + max_retries do
+    let failed =
+      Array.to_seq results
+      |> Seq.filter_map (function
+           | Error ({ Pool.f_exn = Chaos.Injected _; _ } as e) -> Some e
+           | _ -> None)
+      |> Array.of_seq
     in
-    Array.iteri
-      (fun j r ->
-        let i = idx.(j) in
-        attempts.(i) <- attempt;
-        match r with
-        | Ok v ->
-            Obs.incr m_recovered 1;
-            results.(i) <- Ok v
-        | Error f -> results.(i) <- Error { f with Pool.f_index = i })
-      retried;
-    crash_check results;
-    incr round;
-    pending := retryable results
+    Array.iter
+      (fun (e : Pool.failure) ->
+        Obs.incr m_retries 1;
+        Obs.event ~level:Obs.Warn "par.task_retry"
+          ~attrs:
+            [
+              ("index", Obs.Int e.f_index);
+              ("attempt", Obs.Int attempt);
+              ("error", Obs.Str (Printexc.to_string e.f_exn));
+              ("outcome", Obs.Str "retrying");
+            ])
+      failed;
+    let index j = failed.(j).Pool.f_index in
+    Pool.map_range_result pool (Array.length failed) (fun j -> f (index j))
+    |> Array.iteri (fun j r ->
+           let i = index j in
+           attempts.(i) <- attempt;
+           results.(i) <-
+             (match r with
+             | Ok v ->
+                 Obs.incr m_recovered 1;
+                 Ok v
+             | Error e -> Error { e with Pool.f_index = i }));
+    Pool.raise_crash results
   done;
-  (* whatever is still Transient here exhausted its retries *)
   Array.iter
     (function
-      | Error f ->
+      | Error e ->
           Obs.incr m_gave_up 1;
           Obs.event ~level:Obs.Error "par.task_failed"
             ~attrs:
               [
-                ("index", Obs.Int f.Pool.f_index);
-                ("attempts", Obs.Int attempts.(f.Pool.f_index));
-                ( "class",
-                  Obs.Str (classification_name (policy.classify f.Pool.f_exn))
-                );
-                ("error", Obs.Str (Printexc.to_string f.Pool.f_exn));
+                ("index", Obs.Int e.Pool.f_index);
+                ("attempts", Obs.Int attempts.(e.Pool.f_index));
+                ("error", Obs.Str (Printexc.to_string e.Pool.f_exn));
               ]
       | Ok _ -> ())
     results;

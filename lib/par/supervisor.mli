@@ -1,45 +1,18 @@
-(** Retry supervision for {!Pool} batches.
+(** Retries for {!Pool} batches.
 
-    Classifies each task failure as [Transient] (worth retrying),
-    [Deadline] (a budget decision — never retried), or [Fatal]
-    (deterministic bug — never retried), and re-runs transient failures
-    with capped exponential backoff and deterministic seeded jitter.
-    Retries affect timing only: results stay slotted by index, so a
-    supervised run's output is byte-identical to an unsupervised one
-    that happened not to fault. *)
-
-type classification = Transient | Deadline | Fatal
-
-type policy = {
-  max_retries : int;  (** extra attempts after the first (0 = no retry) *)
-  base_backoff_s : float;  (** delay before the first retry *)
-  max_backoff_s : float;  (** cap on the exponential *)
-  jitter_seed : int;  (** decorrelates task wakeups, deterministically *)
-  classify : exn -> classification;
-  sleep : float -> unit;  (** injectable for tests *)
-}
-
-val default_policy : policy
-(** 2 retries, 50ms base doubling to a 2s cap, [Chaos.Injected] and
-    interruptible-syscall [Unix_error]s transient, exception names
-    containing "timeout"/"deadline" classified [Deadline], everything
-    else [Fatal]. *)
-
-val classification_name : classification -> string
-
-val backoff_delay : policy -> index:int -> attempt:int -> float
-(** Delay before retry [attempt] (1-based) of task [index]:
-    [min max_backoff (base * 2^(attempt-1))] scaled by a deterministic
-    jitter in [[1, 1.5)] hashed from [(jitter_seed, index, attempt)]. *)
+    A task that raised [Chaos.Injected] (a transient fault) is re-run
+    at once, at most twice. Every other failure is final. Retries
+    affect timing only: results stay slotted by index, so a run whose
+    fault was retried is byte-identical to one that did not fault. *)
 
 val map_range :
-  policy -> Pool.t -> int -> (int -> 'a) -> ('a, Pool.failure) result array * int array
-(** [map_range policy pool n f] runs the batch under supervision and
-    returns the settled per-index results plus how many attempts each
-    index consumed (1 = first try succeeded). Transient failures are
-    retried up to [policy.max_retries] times, each retry preceded by
-    its backoff delay and logged as a Warn-level obs incident event;
-    exhausted or non-transient failures stay as [Error] slots (an
-    Error-level incident each) — the caller decides how to degrade.
-    Never raises, except [Chaos.Crashed] which is re-raised unwrapped
-    (simulated process death). *)
+  Pool.t -> int -> (int -> 'a) -> ('a, Pool.failure) result array * int array
+(** [map_range pool n f] runs the batch and returns the settled
+    per-index results plus how many attempts each index consumed
+    (1 = first try succeeded). The indices whose task raised
+    [Chaos.Injected] are re-run together as a fresh batch, up to two
+    times, each retry logged as a Warn-level obs incident. Every other
+    failure, and an injected one still failing after two retries, stays
+    an [Error] slot (an Error-level incident each): the caller decides
+    how to degrade. Never raises, except [Chaos.Crashed], which is
+    re-raised unwrapped (simulated process death). *)

@@ -34,6 +34,9 @@
 # 25 synthesized workloads through the full invariant battery, run
 # twice to assert the sweep itself is byte-deterministic. The
 # nightly-sized sweep is `dune build @fuzz` (100 workloads).
+#
+# Last, scripts/loc.sh prints the program's size (lib/ + bin/), the
+# measure ROADMAP tracks from change to change.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -163,3 +166,7 @@ grep -q '^fuzz: 25/25 workload(s) passed' "$obs_tmp/fuzz.a" \
   || { echo "fuzz smoke: sweep did not pass clean" >&2; cat "$obs_tmp/fuzz.a" >&2; exit 1; }
 
 echo "fuzz smoke: 25/25 workloads passed, sweep deterministic"
+
+# ---- program size ----
+
+scripts/loc.sh

@@ -1,5 +1,5 @@
 (* The crash-safety battery: deterministic fault injection (hydra.chaos),
-   hardened durable I/O, retry supervision, the crash states of the
+   hardened durable I/O, task retries, the crash states of the
    run-scoped store, and the headline acceptance property — kill a
    regeneration at any registered site, resume with the same
    --state-dir, and the summary comes out byte-identical to an
@@ -45,10 +45,6 @@ let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
-
-(* retries affect timing only; don't let tests actually sleep *)
-let quiet_supervision =
-  { Supervisor.default_policy with Supervisor.sleep = (fun _ -> ()) }
 
 (* ---- chaos plans ---- *)
 
@@ -186,38 +182,34 @@ let test_malformed_trailer () =
       | _ -> Alcotest.fail "malformed trailer must not verify"
       | exception Durable_io.Corrupt _ -> ())
 
-(* ---- retry supervision ---- *)
+(* ---- task retries ---- *)
 
-let test_backoff_deterministic () =
-  let p =
-    { quiet_supervision with
-      Supervisor.base_backoff_s = 0.05;
-      max_backoff_s = 2.0;
-      jitter_seed = 17;
-    }
-  in
-  let d1 = Supervisor.backoff_delay p ~index:3 ~attempt:2 in
-  let d2 = Supervisor.backoff_delay p ~index:3 ~attempt:2 in
-  Alcotest.(check (float 0.0)) "same inputs, same delay" d1 d2;
-  (* exponential base for attempt 2 is 0.1s; jitter scales into [1, 1.5) *)
-  Alcotest.(check bool) "within the jitter window" true
-    (d1 >= 0.1 && d1 < 0.15);
-  let capped = Supervisor.backoff_delay p ~index:3 ~attempt:30 in
-  Alcotest.(check bool) "cap holds under jitter" true
-    (capped >= 2.0 && capped < 3.0)
+let test_retry_rule () =
+  Pool.with_pool 2 (fun pool ->
+      let tries = Array.init 4 (fun _ -> Atomic.make 0) in
+      let results, attempts =
+        Supervisor.map_range pool 4 (fun i ->
+            let k = Atomic.fetch_and_add tries.(i) 1 in
+            match i with
+            | 0 when k < 2 -> raise (Chaos.Injected "test")
+            | 1 -> raise (Chaos.Injected "test")
+            | 2 -> failwith "deterministic bug"
+            | _ -> i)
+      in
+      let tries = Array.map Atomic.get tries in
+      Alcotest.(check (array int)) "runs per index" [| 3; 3; 1; 1 |] tries;
+      Alcotest.(check (array int)) "attempts match the runs" tries attempts;
+      Alcotest.(check bool) "third attempt recovers" true (results.(0) = Ok 0);
+      Alcotest.(check bool) "two retries exhaust" true
+        (Result.is_error results.(1));
+      Alcotest.(check bool) "other failures are final" true
+        (Result.is_error results.(2)))
 
 let test_transient_retried_recovers () =
   Pool.with_pool 4 (fun pool ->
-      let sleeps = Atomic.make 0 in
-      let policy =
-        { quiet_supervision with
-          Supervisor.max_retries = 2;
-          sleep = (fun _ -> Atomic.incr sleeps);
-        }
-      in
       let tries = Array.init 8 (fun _ -> Atomic.make 0) in
       let results, attempts =
-        Supervisor.map_range policy pool 8 (fun i ->
+        Supervisor.map_range pool 8 (fun i ->
             if Atomic.fetch_and_add tries.(i) 1 = 0 && i = 2 then
               raise (Chaos.Injected "test")
             else i * 10)
@@ -232,7 +224,6 @@ let test_transient_retried_recovers () =
       Alcotest.(check bool) "others took one" true
         (Array.for_all (fun a -> a >= 1) attempts
         && Array.to_list attempts |> List.filter (( = ) 2) |> List.length = 1);
-      Alcotest.(check int) "one backoff sleep" 1 (Atomic.get sleeps);
       Alcotest.(check bool) "retry incident in the event ring" true
         (List.exists
            (fun (e : Obs.event) -> e.Obs.ev_msg = "par.task_retry")
@@ -240,9 +231,8 @@ let test_transient_retried_recovers () =
 
 let test_transient_exhausted () =
   Pool.with_pool 2 (fun pool ->
-      let policy = { quiet_supervision with Supervisor.max_retries = 2 } in
       let results, attempts =
-        Supervisor.map_range policy pool 4 (fun i ->
+        Supervisor.map_range pool 4 (fun i ->
             if i = 1 then raise (Chaos.Injected "test") else i)
       in
       (match results.(1) with
@@ -260,7 +250,7 @@ let test_transient_exhausted () =
 let test_fatal_not_retried () =
   Pool.with_pool 2 (fun pool ->
       let results, attempts =
-        Supervisor.map_range quiet_supervision pool 3 (fun i ->
+        Supervisor.map_range pool 3 (fun i ->
             if i = 0 then failwith "deterministic bug" else i)
       in
       (match results.(0) with
@@ -276,7 +266,7 @@ exception Deadline_exceeded
 let test_deadline_not_retried () =
   Pool.with_pool 2 (fun pool ->
       let results, attempts =
-        Supervisor.map_range quiet_supervision pool 2 (fun i ->
+        Supervisor.map_range pool 2 (fun i ->
             if i = 1 then raise Deadline_exceeded else i)
       in
       (match results.(1) with
@@ -288,7 +278,7 @@ let test_deadline_not_retried () =
 let test_crashed_reraised_unwrapped () =
   Pool.with_pool 2 (fun pool ->
       match
-        Supervisor.map_range quiet_supervision pool 4 (fun i ->
+        Supervisor.map_range pool 4 (fun i ->
             if i = 2 then raise (Chaos.Crashed "pool.task") else i)
       with
       | _ -> Alcotest.fail "simulated crash must unwind"
@@ -431,8 +421,8 @@ let test_summary_crash_at_save_keeps_old () =
 
 let regen ?cache ?state_dir ~jobs () =
   let spec = Cc_parser.parse spec_text in
-  Pipeline.regenerate ?cache ?state_dir ~supervision:quiet_supervision ~jobs
-    spec.Cc_parser.schema spec.Cc_parser.ccs
+  Pipeline.regenerate ?cache ?state_dir ~jobs spec.Cc_parser.schema
+    spec.Cc_parser.ccs
 
 let crash_resume_case ~site ~jobs =
   let sdir = tmpdir () and cdir = tmpdir () in
@@ -501,24 +491,31 @@ let test_completed_run_replays_fully () =
         (Lazy.force baseline_bytes)
         (summary_bytes again.Pipeline.summary))
 
-let test_transient_solve_fault_transparent () =
-  (* one injected solver failure: the supervisor retries it, the output
-     is indistinguishable from an undisturbed run *)
-  Chaos.with_plan
-    { Chaos.site = "solve"; kind = Chaos.Transient; after = 1; times = 1 }
-    (fun () ->
-      let r = regen ~jobs:2 () in
-      Alcotest.(check string) "retried run byte-identical"
-        (Lazy.force baseline_bytes)
-        (summary_bytes r.Pipeline.summary);
-      Alcotest.(check bool) "a view consumed a retry" true
-        (List.exists
-           (fun (v : Pipeline.view_stats) -> v.Pipeline.attempts > 1)
-           r.Pipeline.views);
-      Alcotest.(check bool) "the retry left an incident trail" true
-        (List.exists
-           (fun (e : Obs.event) -> e.Obs.ev_msg = "par.task_retry")
-           (Obs.recent_events ())))
+(* one injected transient fault at [site]: the supervisor retries it,
+   and the output is indistinguishable from an undisturbed run. At
+   [pool.task] it fires in [Pool.guarded], before the view function *)
+let transient_fault_transparent ~site ~widths () =
+  List.iter
+    (fun jobs ->
+      Chaos.with_plan
+        { Chaos.site; kind = Chaos.Transient; after = 1; times = 1 }
+        (fun () ->
+          let r = regen ~jobs () in
+          Alcotest.(check string)
+            (Printf.sprintf "jobs=%d: retried run byte-identical" jobs)
+            (Lazy.force baseline_bytes)
+            (summary_bytes r.Pipeline.summary);
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs=%d: a view consumed a retry" jobs)
+            true
+            (List.exists
+               (fun (v : Pipeline.view_stats) -> v.Pipeline.attempts > 1)
+               r.Pipeline.views);
+          Alcotest.(check bool) "the retry left an incident trail" true
+            (List.exists
+               (fun (e : Obs.event) -> e.Obs.ev_msg = "par.task_retry")
+               (Obs.recent_events ()))))
+    widths
 
 let test_materialize_shard_faults_aggregate () =
   let summary = (Lazy.force baseline_result).Pipeline.summary in
@@ -669,9 +666,8 @@ let crash_sweep =
           let spec = Cc_parser.parse small_spec_text in
           let cache = Cache.create ~dir:cdir in
           let run () =
-            Pipeline.regenerate ~cache ~state_dir:sdir
-              ~supervision:quiet_supervision ~jobs spec.Cc_parser.schema
-              spec.Cc_parser.ccs
+            Pipeline.regenerate ~cache ~state_dir:sdir ~jobs
+              spec.Cc_parser.schema spec.Cc_parser.ccs
           in
           Chaos.arm { Chaos.site; kind = Chaos.Crash; after; times = 1 };
           let final =
@@ -719,8 +715,8 @@ let suite =
       ] );
     ( "supervisor",
       [
-        Alcotest.test_case "backoff is deterministic and bounded" `Quick
-          test_backoff_deterministic;
+        Alcotest.test_case "only injected faults are retried, at most twice"
+          `Quick test_retry_rule;
         Alcotest.test_case "transient failure retried to recovery" `Quick
           test_transient_retried_recovers;
         Alcotest.test_case "retries exhaust into an Error slot" `Quick
@@ -759,7 +755,10 @@ let suite =
         Alcotest.test_case "every crash state of the state dir resumes"
           `Quick test_state_crash_states;
         Alcotest.test_case "transient solve fault is invisible in the output"
-          `Quick test_transient_solve_fault_transparent;
+          `Quick
+          (transient_fault_transparent ~site:"solve" ~widths:[ 2 ]);
+        Alcotest.test_case "transient pool.task fault is invisible too" `Quick
+          (transient_fault_transparent ~site:"pool.task" ~widths:[ 1; 4 ]);
         Alcotest.test_case "shard faults aggregate per worker" `Quick
           test_materialize_shard_faults_aggregate;
         QCheck_alcotest.to_alcotest crash_sweep;
