@@ -17,27 +17,6 @@ module Serve = Hydra_obs.Serve
 module Pool = Hydra_par.Pool
 module Chaos = Hydra_chaos.Chaos
 
-(* shared parallelism knob: --jobs beats HYDRA_JOBS beats the machine's
-   recommended domain count. Output is identical for any value (the
-   determinism contract in Pipeline/Tuple_gen/Workload). *)
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Solve views, materialize row-range shards and evaluate workload \
-           queries on $(docv) domains. Defaults to the $(b,HYDRA_JOBS) \
-           environment variable, then to the machine's core count. The \
-           output is identical for any value.")
-
-let resolve_jobs = function
-  | Some n when n < 1 ->
-      invalid_arg
-        (Printf.sprintf "--jobs must be at least 1 (got %d)" n)
-  | Some n -> n
-  | None -> Pool.default_jobs ()
-
 (* ---- exit codes ----
 
    One table, one meaning per code: every exit below goes through
@@ -175,13 +154,36 @@ let seconds_conv =
         | _ -> Error (Printf.sprintf "expected finite seconds >= 0, got %S" v)),
       Format.pp_print_float )
 
-let count_conv =
+let at_least lo =
   Arg.conv'
     ( (fun v ->
         match int_of_string_opt v with
-        | Some n when n >= 0 -> Ok n
-        | _ -> Error (Printf.sprintf "expected an integer >= 0, got %S" v)),
+        | Some n when n >= lo -> Ok n
+        | _ -> Error (Printf.sprintf "expected an integer >= %d, got %S" lo v)),
       Format.pp_print_int )
+
+(* port 0 asks a server for an ephemeral port; a client cannot dial it *)
+let client_port_conv =
+  Arg.conv'
+    ( (fun v ->
+        match int_of_string_opt v with
+        | Some p when p >= 1 && p <= 65535 -> Ok p
+        | _ -> Error (Printf.sprintf "expected a port in 1..65535, got %S" v)),
+      Format.pp_print_int )
+
+(* shared parallelism knob: --jobs beats HYDRA_JOBS beats the machine's
+   recommended domain count. Output is identical for any value (the
+   determinism contract in Pipeline/Tuple_gen/Workload). *)
+let jobs_arg =
+  Arg.(
+    value
+    & opt (at_least 1) (Domain.recommended_domain_count ())
+    & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "HYDRA_JOBS")
+        ~absent:"the machine's core count"
+        ~doc:
+          "Solve views, materialize row-range shards and evaluate workload \
+           queries on $(docv) domains. The output is identical for any \
+           value.")
 
 let trace_arg =
   Arg.(
@@ -651,7 +653,7 @@ let summary_cmd =
   in
   let max_nodes =
     Arg.(
-      value & opt count_conv 2000
+      value & opt (at_least 0) 2000
       & info [ "max-nodes" ] ~docv:"N"
           ~doc:"Branch-and-bound node budget per view before degradation.")
   in
@@ -659,7 +661,6 @@ let summary_cmd =
       solve_mode audit_out obs_dir =
     if audit_out <> None || obs_dir <> None then telemetry_on ();
     arm_chaos chaos;
-    let jobs = resolve_jobs jobs in
     let spec = or_die (read_spec spec_path) in
     let cache = open_cache cache_dir in
     let result =
@@ -740,7 +741,6 @@ let materialize_cmd =
       & info [ "d"; "dir" ] ~docv:"DIR" ~doc:"Output directory for CSVs.")
   in
   let run spec_path summary_path dir jobs =
-    let jobs = resolve_jobs jobs in
     let spec = or_die (read_spec spec_path) in
     let summary =
       Hydra_core.Summary.load summary_path spec.Hydra_workload.Cc_parser.schema
@@ -780,7 +780,6 @@ let validate_cmd =
   in
   let run spec_path summary_path dynamic jobs audit_out =
     if audit_out <> None then telemetry_on ();
-    let jobs = resolve_jobs jobs in
     let spec = or_die (read_spec spec_path) in
     let summary =
       Hydra_core.Summary.load summary_path spec.Hydra_workload.Cc_parser.schema
@@ -848,7 +847,6 @@ let extract_cmd =
           ~doc:"Write the CC spec here instead of stdout.")
   in
   let run spec_path data_dir out jobs =
-    let jobs = resolve_jobs jobs in
     let spec = or_die (read_spec spec_path) in
     if spec.Hydra_workload.Cc_parser.queries = [] then
       or_die (Error "extract: the spec declares no queries");
@@ -1242,7 +1240,7 @@ let obs_get_cmd =
   let port =
     Arg.(
       required
-      & opt (some port_conv) None
+      & opt (some client_port_conv) None
       & info [ "port" ] ~docv:"PORT" ~doc:"TCP port of the endpoint.")
   in
   let host =

@@ -137,7 +137,7 @@ module Exact_arith = struct
       basis;
     sign !sum
 
-  let pivot s r ~degenerate =
+  let pivot s r _q ~degenerate =
     (* a degenerate step is zero: xb does not move *)
     if not degenerate then begin
       let step = Rat.div s.xb.(r) s.d.(r) in

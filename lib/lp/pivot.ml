@@ -48,7 +48,7 @@ module type ARITH = sig
   val row_entry : t -> int -> int -> sign
   val dual_ratio : t -> int -> int -> sign
   val artificial_sum : t -> int array -> art_first:int -> sign
-  val pivot : t -> int -> degenerate:bool -> unit
+  val pivot : t -> int -> int -> degenerate:bool -> unit
   val count : event -> unit
 end
 
@@ -125,7 +125,7 @@ module Make (F : ARITH) = struct
           in_basis.(basis.(r)) <- false;
           in_basis.(entering) <- true;
           basis.(r) <- entering;
-          F.pivot s r ~degenerate;
+          F.pivot s r entering ~degenerate;
           loop ()
         end
       end
@@ -150,7 +150,7 @@ module Make (F : ARITH) = struct
                 in_basis.(basis.(r)) <- false;
                 in_basis.(j) <- true;
                 basis.(r) <- j;
-                F.pivot s r ~degenerate:true
+                F.pivot s r j ~degenerate:true
               end
             end
         in
@@ -217,7 +217,7 @@ module Make (F : ARITH) = struct
             in_basis.(basis.(r)) <- false;
             in_basis.(q) <- true;
             basis.(r) <- q;
-            F.pivot s r ~degenerate:false;
+            F.pivot s r q ~degenerate:false;
             loop ()
           end
         end

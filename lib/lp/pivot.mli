@@ -61,8 +61,8 @@ module type ARITH = sig
   (** Install a phase's cost vector, one entry per tableau column. *)
 
   val price : t -> int array -> unit
-  (** [price s basis]: the simplex multipliers y = c_B . B^-1, one
-      BTRAN. *)
+  (** [price s basis]: the simplex multipliers y = c_B . B^-1, by one
+      BTRAN unless the instance carried y through the last {!pivot}. *)
 
   val reduced_cost : t -> int -> sign
   (** Sign of c_j - y.A_j, after [price]; the instance keeps the value
@@ -96,10 +96,11 @@ module type ARITH = sig
   val artificial_sum : t -> int array -> art_first:int -> sign
   (** Sign of the summed basic values of the artificial columns. *)
 
-  val pivot : t -> int -> degenerate:bool -> unit
-  (** Bring the current column [d] into the basis at row [r]: step xb
-      by xb_r/d_r, which is zero when [degenerate], and append [d] to
-      the factors as an eta.
+  val pivot : t -> int -> int -> degenerate:bool -> unit
+  (** [pivot s r q]: bring the current column [d], that of column [q],
+      into the basis at row [r]: step xb by xb_r/d_r, which is zero when
+      [degenerate], and append [d] to the factors as an eta. An instance
+      may carry y through the pivot by q's reduced cost.
       The engine has already written the entering index into the
       basis. *)
 

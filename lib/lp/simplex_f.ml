@@ -129,6 +129,8 @@ end
 module LU = Factor.Make (Float_num)
 
 module Float_arith = struct
+  type ystate = Stale | Fresh | Carried
+
   type t = {
     fcols : (int * float) list array;
     (* the same columns as arrays, which loops read without allocating:
@@ -141,8 +143,11 @@ module Float_arith = struct
     mutable lu : LU.t;
     xb : float array;
     mutable c : float array;
+    (* the duals c_B . B^-1, each with its error bound, and whether they
+       are a fresh BTRAN, carried through pivots since one, or stale *)
     y : float array;
     yerr : float array;
+    mutable ystate : ystate;
     d : float array;
     derr : float array;
     mutable dresid : float;  (* [d]'s own backward error, below *)
@@ -213,12 +218,16 @@ module Float_arith = struct
     done;
     !acc
 
+  (* rho = e_r . B^-1 by one BTRAN, without its error term *)
+  let unit_btran s r =
+    Array.fill s.rho 0 (Array.length s.rho) 0.0;
+    s.rho.(r) <- 1.0;
+    LU.btran s.lu s.rho
+
   (* rho = row r of the basis inverse *)
   let inverse_row s r =
     if s.rho_row <> r then begin
-      Array.fill s.rho 0 (Array.length s.rho) 0.0;
-      s.rho.(r) <- 1.0;
-      LU.btran s.lu s.rho;
+      unit_btran s r;
       s.rho_row <- r;
       s.rho_err <- btran_back s s.rho
     end
@@ -243,6 +252,7 @@ module Float_arith = struct
         c = [||];
         y = Array.make m 0.0;
         yerr = Array.make m 0.0;
+        ystate = Stale;
         d = Array.make m 0.0;
         derr = Array.make m 0.0;
         dresid = 0.0;
@@ -281,7 +291,7 @@ module Float_arith = struct
   let warm s =
     solve_xb s;
     for r = 0 to Array.length s.rmax - 1 do
-      inverse_row s r;
+      unit_btran s r;
       s.rmax.(r) <- largest s.rho
     done;
     s.bscale <- Float.max 1.0 (largest s.rmax)
@@ -291,27 +301,35 @@ module Float_arith = struct
   let refactor s =
     s.lu <- factorize s.fcols s.basis;
     s.rho_row <- -1;
+    s.ystate <- Stale;
     Array.fill s.drift 0 (Array.length s.drift) 0.0;
     s.bscale <- Float.max 1.0 (largest s.rmax);
     solve_xb s
 
-  let set_costs s c = s.c <- Array.map Rat.to_float c
+  let set_costs s c =
+    s.c <- Array.map Rat.to_float c;
+    s.ystate <- Stale
 
   (* y = cB . B^-1 by one BTRAN; entry i sums |c_k| times an inverse
      entry of row k, each within its floor plus a relative slack, so with
      the backward-error term the bound is the same for every i *)
-  let price s basis =
+  let reprice s =
     let bfloor = drift_rel *. s.bscale in
     let err = ref 0.0 in
-    for k = 0 to Array.length basis - 1 do
-      let cb = s.c.(basis.(k)) in
+    for k = 0 to Array.length s.basis - 1 do
+      let cb = s.c.(s.basis.(k)) in
       s.y.(k) <- cb;
       err := !err +. (Float.abs cb *. (bfloor +. (eps_c *. s.rmax.(k))))
     done;
     LU.btran s.lu s.y;
-    Array.fill s.yerr 0 (Array.length s.yerr) (!err +. btran_back s s.y)
+    Array.fill s.yerr 0 (Array.length s.yerr) (!err +. btran_back s s.y);
+    s.ystate <- Fresh
 
-  let reduced_cost s j =
+  (* y carried through the last pivot (see [pivot]) needs no BTRAN *)
+  let price s _basis = if s.ystate = Stale then reprice s
+
+  (* rc_j = c_j - y . A_j, with its error bound *)
+  let reduce s j =
     let rc = ref s.c.(j) and err = ref (eps_c *. Float.abs s.c.(j)) in
     let idx = s.cidx.(j) and vals = s.cval.(j) in
     for e = 0 to Array.length idx - 1 do
@@ -321,8 +339,19 @@ module Float_arith = struct
         !err +. ((s.yerr.(i) +. (eps_c *. Float.abs s.y.(i))) *. Float.abs k)
     done;
     s.rc.(j) <- !rc;
-    s.rcerr.(j) <- !err;
-    classify !rc !err
+    s.rcerr.(j) <- !err
+
+  (* a carried y's bound is wider than a fresh one's: an answer it leaves
+     Unsure is asked again of a fresh BTRAN, so carrying never aborts a
+     run that fresh pricing would finish *)
+  let reduced_cost s j =
+    reduce s j;
+    match classify s.rc.(j) s.rcerr.(j) with
+    | Pivot.Unsure when s.ystate = Carried ->
+        reprice s;
+        reduce s j;
+        classify s.rc.(j) s.rcerr.(j)
+    | sign -> sign
 
   (* d = B^-1 . A_j by one FTRAN; d_i sums entries of row i of the
      inverse, each contributing its absolute floor plus a relative
@@ -370,9 +399,12 @@ module Float_arith = struct
     classify (s.xb.(i) -. s.xb.(l)) (2.0 *. xerr_rel *. s.xscale)
 
   (* alpha_rj = (e_r . B^-1) . A_j, bounded entry by entry like
-     [column]; row r of the inverse is kept until the next pivot *)
+     [column]; row r of the inverse is kept until the next pivot. Only
+     the dual phase asks, and it prices afresh after each of its pivots:
+     carried through them, y's bound made two of JOB's warm runs abort *)
   let row_entry s r j =
     inverse_row s r;
+    s.ystate <- Stale;
     let bfloor = drift_rel *. s.bscale +. s.rho_err in
     let a = ref 0.0 and err = ref 0.0 in
     let idx = s.cidx.(j) and vals = s.cval.(j) in
@@ -422,7 +454,36 @@ module Float_arith = struct
     s.rmax.(r) <- mr;
     bump_bscale s mr
 
-  let pivot s r ~degenerate =
+  (* The duals after the pivot bringing column q in at row r: y' = y +
+     theta rho, theta = d_q / d_r, with rho the old inverse's row r, as
+     [update_rmax] left it. Entry i's bound grows by the error of theta
+     rho_i (rho_i's bound as in [row_entry]) and the update's roundoff.
+     A refactorization resets the bound: y is then stale and repriced. *)
+  let carry_duals s r q =
+    reduce s q;
+    let dr = s.d.(r) and drerr = s.derr.(r) in
+    match classify dr drerr with
+    | Pivot.Zero | Pivot.Unsure -> s.ystate <- Stale
+    | Pivot.Pos | Pivot.Neg ->
+        let theta = s.rc.(q) /. dr in
+        let at = Float.abs theta in
+        let terr =
+          ((s.rcerr.(q) +. (at *. drerr)) /. Float.abs dr) +. (eps_c *. at)
+        in
+        let rfloor = (drift_rel *. s.bscale) +. s.rho_err in
+        for i = 0 to Array.length s.y - 1 do
+          let ri = s.rho.(i) in
+          let yi = s.y.(i) +. (theta *. ri) in
+          s.y.(i) <- yi;
+          s.yerr.(i) <-
+            s.yerr.(i)
+            +. (at *. (rfloor +. (eps_c *. Float.abs ri)))
+            +. (terr *. Float.abs ri)
+            +. (eps_c *. Float.abs yi)
+        done;
+        s.ystate <- Carried
+
+  let pivot s r q ~degenerate =
     (* the exact step is xb_r / d_r, zero exactly when xb_r is: pin the
        float step to 0 on degenerate pivots so xb mirrors the exact
        updates bit-for-bit in that case *)
@@ -432,6 +493,7 @@ module Float_arith = struct
     done;
     s.xb.(r) <- step;
     update_rmax s r;
+    if s.ystate <> Stale then carry_duals s r q;
     (* the eta represents the entering column as B d, off the true one
        by d's own backward error; what d inherited from earlier etas'
        drift is left out, since summing it in magnitudes compounds

@@ -3,7 +3,11 @@
 
     Runs the engine in double precision over the same tableau, with the
     basis held as sparse LU factors plus eta updates
-    ({!Factor.Make}): pricing is one BTRAN, a column one FTRAN. Every
+    ({!Factor.Make}): a column is one FTRAN, and the duals are carried
+    through each primal pivot by the inverse row its bound update
+    computes, so pricing runs a BTRAN only after new costs, a
+    refactorization, a warm start or a dual-phase pivot, or to ask a
+    reduced cost again that the carried duals left [Unsure]. Every
     sign question carries a first-order forward error bound: a relative
     slack plus an absolute drift floor, both scaled by per-row upper
     bounds on the basis inverse's entries that each pivot carries

@@ -35,6 +35,12 @@
 # twice to assert the sweep itself is byte-deterministic. The
 # nightly-sized sweep is `dune build @fuzz` (100 workloads).
 #
+# The path gate runs one traced hbench `job` sample and requires its
+# lp.float_pivots, lp.iterations, lp.degenerate_pivots,
+# lp.verify_repairs, lp.bnb_nodes and lp.bland_fallbacks to read
+# 2369/2409/0/0/20/0 exactly: a change of any of them is a change of
+# the pivot path.
+#
 # Last, scripts/loc.sh prints the program's size (lib/ + bin/), the
 # measure ROADMAP tracks from change to change.
 set -eu
@@ -166,6 +172,28 @@ grep -q '^fuzz: 25/25 workload(s) passed' "$obs_tmp/fuzz.a" \
   || { echo "fuzz smoke: sweep did not pass clean" >&2; cat "$obs_tmp/fuzz.a" >&2; exit 1; }
 
 echo "fuzz smoke: 25/25 workloads passed, sweep deterministic"
+
+# ---- deterministic path gate ----
+# one traced hbench `job` sample, built the way hbench/run.py builds it:
+# its pivot-path counts repeat exactly, so any change to them is a
+# change of the solver's path
+
+DUNE_CACHE=disabled dune build --root . --display quiet ./hbench/hbench.exe
+mkdir "$obs_tmp/hbench"
+_build/default/hbench/hbench.exe sample --workload job --seed 1 --trace 1 \
+  --dir "$obs_tmp/hbench" > "$obs_tmp/hbench.json"
+python3 - "$obs_tmp/hbench.json" <<'PY'
+import json, sys
+metrics = json.load(open(sys.argv[1]))["metrics"]
+want = {"lp.float_pivots": 2369, "lp.iterations": 2409,
+        "lp.degenerate_pivots": 0, "lp.verify_repairs": 0,
+        "lp.bnb_nodes": 20, "lp.bland_fallbacks": 0}
+off = {k: (metrics.get(k), v) for k, v in want.items() if metrics.get(k) != v}
+if off:
+    sys.exit("path gate: job counts (got, want) %s" % off)
+PY
+
+echo "path gate: job lp.* counts 2369/2409/0/0/20/0"
 
 # ---- program size ----
 

@@ -76,16 +76,17 @@ let column_gen m =
 
 let vector_gen m = QCheck.Gen.(array_size (return m) (map Rat.of_int (int_range (-5) 5)))
 
-(* a sparse triangular chain: column k holds 3 on the diagonal and -+4
-   in the two rows above, so the inverse's entries grow about twofold
-   per row, in thirds; float rounding error then outgrows an absolute
-   floor that ignores how large the inverse is *)
-let chain_gen m =
+(* a sparse triangular chain: column k holds [diag] on the diagonal and
+   -+4 in the two rows above. With 3 on the diagonal the inverse's
+   entries grow about twofold per row, in thirds; float rounding error
+   then outgrows an absolute floor that ignores how large the inverse
+   is. With 1 they grow about sixfold. *)
+let chain_gen ~diag m =
   let open QCheck.Gen in
   let+ signs = array_size (return (2 * m)) bool in
   Array.init m (fun k ->
       let off d = if k >= d then [ (k - d, Rat.of_int (if signs.((2 * k) + d - 1) then 4 else -4)) ] else [] in
-      ((k, Rat.of_int 3) :: off 1) @ off 2)
+      ((k, Rat.of_int diag) :: off 1) @ off 2)
 
 (* a nonsingular basis: random columns, retried until nonsingular, with
    the identity as the last resort *)
@@ -106,14 +107,14 @@ type case = {
   cols : (int * Rat.t) list array;  (* the basis columns, then the pool *)
   a : Rat.t array;
   c : Rat.t array;
-  moves : (int * int) list;  (* (pool column, leaving-row seed) *)
+  moves : (int * int) list;  (* (nonbasic column, leaving-row seed) *)
 }
 
 let case_gen ~max_moves =
   let open QCheck.Gen in
   let* chain = bool in
   let* m = if chain then int_range 10 20 else int_range 1 12 in
-  let* basis = if chain then chain_gen m else basis_gen m in
+  let* basis = if chain then chain_gen ~diag:3 m else basis_gen m in
   let* pool = array_size (int_range 1 8) (column_gen m) in
   let* a = vector_gen m and* c = vector_gen m in
   let* moves =
@@ -154,25 +155,28 @@ let column c q =
   a
 
 (* Walk the moves over [basis], the first m columns to begin with: each
-   brings a pool column q in at the first row, from the seed on, where
-   [d q] (its FTRAN) is nonzero, as a simplex pivot does, and [pivot r q]
-   then updates the basis. [check] runs before every move and at the
-   end. *)
+   brings the j-th column q that is not basic (there are as many as pool
+   columns) in at the first row, from the seed on, where [d q] (its
+   FTRAN) is nonzero, as a simplex pivot does, and [pivot r q] then
+   updates the basis. Every move pivots: a nonzero column has a nonzero
+   FTRAN. [check] runs before every move and at the end. *)
 let walk c basis ~d ~check ~pivot =
   List.iter
     (fun (j, seed) ->
       check ();
-      let q = c.m + j in
-      if not (Array.mem q basis) then begin
-        let dq = d q in
-        match
-          List.find_opt
-            (fun r -> not (Rat.is_zero dq.(r)))
-            (List.init c.m (fun k -> (seed + k) mod c.m))
-        with
-        | None -> ()
-        | Some r -> pivot r q dq
-      end)
+      let nonbasic =
+        List.filter
+          (fun q -> not (Array.mem q basis))
+          (List.init (Array.length c.cols) Fun.id)
+      in
+      let q = List.nth nonbasic (j mod List.length nonbasic) in
+      let dq = d q in
+      let r =
+        List.find
+          (fun r -> not (Rat.is_zero dq.(r)))
+          (List.init c.m (fun k -> (seed + k) mod c.m))
+      in
+      pivot r q dq)
     c.moves;
   check ()
 
@@ -249,24 +253,32 @@ let within (x, err) exact =
   || Rat.compare (Rat.abs (Rat.sub (Rat.of_float x) exact)) (Rat.of_float err) <= 0
 
 (* After warm-starting the float instance on the basis, and after every
-   pivot of the walk, FTRAN of every pool column and BTRAN of the costs
-   stay within the instance's error bounds on every entry. The exact
+   pivot of the walk, FTRAN of every pool column and the duals c_B B^-1
+   stay within the instance's error bounds on every entry. The costs are
+   set once, so the duals are carried through the pivots, and repriced
+   only after a refactorization: walks reach twice
+   [Factor.refactor_every] pivots, covering both bounds. The exact
    results come from Rat factors walked alongside (checked against the
    reference above). FTRAN of each basis column must give its unit
    vector: a small result out of large intermediate terms, whose
    rounding error only the bounds' scaling by the inverse's size
-   covers. *)
+   covers.
+
+   A twin instance, walked alongside with its costs reset before every
+   check, prices afresh from the same factors: no reduced cost may be
+   [Unsure] from the carried duals where the fresh ones decide it. *)
 let prop_float_bounds =
   QCheck.Test.make ~name:"float error bounds cover the exact results"
-    ~count:400 (arb ~max_moves:80) (fun c ->
+    ~count:400 (arb ~max_moves:(2 * Factor.refactor_every)) (fun c ->
       let m = c.m and n = Array.length c.cols in
       let t =
         { Pivot.m; n; cols = c.cols; b = Array.map Rat.abs c.a; art_first = n }
       in
-      (* the instance reads this array as the engine's basis *)
+      (* each instance reads this array as the engine's basis *)
       let basis = Array.init m Fun.id in
-      let s = F.create t basis in
+      let s = F.create t basis and twin = F.create t basis in
       F.warm s;
+      F.warm twin;
       let ex = Exact.factorize ~m c.cols basis in
       let costs = Array.init n (fun j -> c.c.(j mod m)) in
       F.set_costs s costs;
@@ -288,19 +300,68 @@ let prop_float_bounds =
             cover F.column_entry (ftran ex (column c q))
           done;
           F.price s basis;
-          cover F.price_entry (btran ex (Array.map (fun b -> costs.(b)) basis)))
+          cover F.price_entry (btran ex (Array.map (fun b -> costs.(b)) basis));
+          F.set_costs twin costs;
+          F.price twin basis;
+          for j = 0 to n - 1 do
+            if F.reduced_cost s j = Pivot.Unsure && F.reduced_cost twin j <> Pivot.Unsure
+            then ok := false
+          done)
         ~pivot:(fun r q d ->
           Exact.update ex r d;
           F.column s q;
+          F.column twin q;
           basis.(r) <- q;
-          F.pivot s r ~degenerate:true);
+          F.pivot s r q ~degenerate:true;
+          F.pivot twin r q ~degenerate:true);
       !ok)
+
+(* The duals carried through pivots that grow the basis inverse fast:
+   from B = I, the columns of a chain with 1 on the diagonal enter one
+   by one, in order or in reverse, until the basis is the chain. The
+   costs are
+   c_j = y*.A_j for a y* in thirds, so every reduced cost is exactly 0,
+   the exact duals stay y* throughout, and each pivot's theta is float
+   noise. What keeps the carried bound ahead of the noise, which the
+   growing inverse amplifies, is theta's own error term. *)
+let prop_carried_duals =
+  QCheck.Test.make ~name:"carried duals stay within their bounds" ~count:100
+    QCheck.(
+      make
+        Gen.(
+          let* m = int_range 8 20 in
+          triple bool (chain_gen ~diag:1 m)
+            (array_size (return m) (int_range (-5) 5))))
+    (fun (reverse, chain, ys) ->
+      let m = Array.length chain and n = 2 * Array.length chain in
+      let cols = Array.append (Array.init m (fun i -> [ (i, Rat.one) ])) chain in
+      let t = { Pivot.m; n; cols; b = Array.make m Rat.one; art_first = n } in
+      let basis = Array.init m Fun.id in
+      let s = F.create t basis in
+      let ystar = Array.map (fun v -> Rat.div (Rat.of_int v) (Rat.of_int 3)) ys in
+      F.set_costs s
+        (Array.map
+           (List.fold_left (fun acc (i, v) -> Rat.add acc (Rat.mul v ystar.(i))) Rat.zero)
+           cols);
+      F.price s basis;
+      let order = List.init m Fun.id in
+      List.for_all
+        (fun k ->
+          F.column s (m + k);
+          basis.(k) <- m + k;
+          F.pivot s k (m + k) ~degenerate:true;
+          F.price s basis;
+          List.for_all (fun i -> within (F.price_entry s i) ystar.(i)) order)
+        (if reverse then List.rev order else order))
 
 let suite =
   [
     ( "factor",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_exact_solves; prop_exact_updates; prop_singular; prop_float_bounds ] );
+        [
+          prop_exact_solves; prop_exact_updates; prop_singular; prop_float_bounds;
+          prop_carried_duals;
+        ] );
   ]
 
 let () = Alcotest.run "factor" suite
