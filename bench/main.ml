@@ -1258,147 +1258,6 @@ let validate_smoke_artifact path =
     "%s ok: phase spans, solver counters and engine cardinalities present\n"
     path
 
-(* ---- driver: every target runs in a span and leaves an artifact ---- *)
-
-(* ---- Serve: live telemetry endpoint overhead and scrape latency ---- *)
-
-let serve_bench () =
-  header "Serve: live endpoint attached to a run, priced"
-    "not in the paper: the hydra.net telemetry endpoint — a run scraped \
-     over HTTP while it executes must cost a bounded factor, answer \
-     scrapes fast, and change no output byte";
-  let module Serve = Hydra_obs.Serve in
-  let module Resource = Hydra_obs.Resource in
-  let module Server = Hydra_net.Server in
-  let module Client = Hydra_net.Client in
-  let ccs = Lazy.force wls_ccs in
-  let sizes = Lazy.force tpcds_sizes in
-  let summary_bytes s =
-    let path = Filename.temp_file "hydra_bench_serve" ".summary" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        Summary.save path s;
-        slurp path)
-  in
-  let run () = Pipeline.regenerate ~sizes T.schema ccs in
-  let best f =
-    let t = ref infinity and v = ref None in
-    for _ = 1 to 2 do
-      let x, dt = time f in
-      v := Some x;
-      if dt < !t then t := dt
-    done;
-    (Option.get !v, !t)
-  in
-  (* baseline: registry on (run_target enabled it) but no endpoint, so
-     the ratio prices the server + sampler + scraper alone *)
-  let off, off_t = best run in
-  let srv =
-    let t0 = Mclock.now () in
-    let current () = Hydra_obs.Ledger.current ~seconds:(Mclock.now () -. t0) () in
-    match Server.start ~port:0 (Serve.handler ~current ()) with
-    | Ok s -> s
-    | Error m ->
-        Printf.eprintf "serve bench: %s\n" m;
-        exit 1
-  in
-  let port = Server.port srv in
-  let sampler = Resource.start ~period_s:0.05 () in
-  let scraping = Atomic.make true in
-  let bad = Atomic.make 0 in
-  let scraper =
-    Domain.spawn (fun () ->
-        let rec loop n =
-          if Atomic.get scraping then begin
-            (match Client.get ~port "/metrics" with
-            | Ok (200, _) -> ()
-            | _ -> Atomic.incr bad);
-            (match Client.get ~port "/progress" with
-            | Ok (200, _) -> ()
-            | _ -> Atomic.incr bad);
-            loop (n + 2)
-          end
-          else n
-        in
-        loop 0)
-  in
-  let on, on_t = best run in
-  Atomic.set scraping false;
-  let scrapes = Domain.join scraper in
-  Resource.stop sampler;
-  (* steady-state scrape latency against the final registry *)
-  let lat =
-    Array.init 40 (fun _ ->
-        let t0 = Mclock.now () in
-        (match Client.get ~port "/metrics" with
-        | Ok (200, _) -> ()
-        | _ -> Atomic.incr bad);
-        Mclock.now () -. t0)
-  in
-  Array.sort compare lat;
-  let pct p =
-    lat.(min
-           (Array.length lat - 1)
-           (int_of_float (p *. float_of_int (Array.length lat))))
-  in
-  let p50 = pct 0.50 and p95 = pct 0.95 in
-  let healthz_ok =
-    match Client.get ~port "/healthz" with
-    | Ok (200, "ok\n") -> true
-    | _ -> false
-  in
-  let metrics_ok =
-    match Client.get ~port "/metrics" with
-    | Ok (200, body) ->
-        String.length body > 7 && String.sub body 0 7 = "# TYPE "
-    | _ -> false
-  in
-  Server.stop srv;
-  let scrapes_ok = Atomic.get bad = 0 && scrapes > 0 in
-  let identical =
-    summary_bytes off.Pipeline.summary = summary_bytes on.Pipeline.summary
-  in
-  let ratio = on_t /. Float.max off_t 1e-9 in
-  let rss =
-    match
-      List.assoc_opt "process.rss_bytes" (Obs.flatten (Obs.snapshot ()))
-    with
-    | Some v -> v
-    | None -> 0.0
-  in
-  Printf.printf "unattached: %.3fs   serve-attached (scraped): %.3fs\n" off_t
-    on_t;
-  Printf.printf "overhead: %.2fx   %d scrape(s) mid-run   summary %s\n" ratio
-    scrapes
-    (if identical then "byte-identical" else "DIVERGED");
-  Printf.printf "scrape latency: p50 %.4fs  p95 %.4fs   rss %.0f bytes\n" p50
-    p95 rss;
-  if not identical then begin
-    Printf.eprintf
-      "serve: attaching the endpoint changed the summary — \
-       observation-is-pure contract broken\n";
-    exit 1
-  end;
-  if not (healthz_ok && metrics_ok && scrapes_ok) then begin
-    Printf.eprintf "serve: endpoint misbehaved under load\n";
-    exit 1
-  end;
-  (* ratio, latencies and gauges are resource keys (bounded, not exact);
-     the purity/route booleans must match the baseline exactly *)
-  [
-    ("unattached", Json.Obj [ ("seconds", Json.Float off_t) ]);
-    ("attached", Json.Obj [ ("seconds", Json.Float on_t) ]);
-    ("overhead_ratio", Json.Float ratio);
-    ("scrape_p50_seconds", Json.Float p50);
-    ("scrape_p95_seconds", Json.Float p95);
-    ("rss_bytes", Json.Float rss);
-    ("identical", Json.Bool identical);
-    ("healthz_ok", Json.Bool healthz_ok);
-    ("metrics_ok", Json.Bool metrics_ok);
-    ("scrapes_ok", Json.Bool scrapes_ok);
-  ]
-
 (* ---- Solve: float-first simplex vs all-exact LP engine ---- *)
 
 (* A WLc-style kitchen-sink filter template: one fact relation with five
@@ -1590,6 +1449,8 @@ let solve_bench () =
     ("float_first_within_half", Json.Bool within_half);
   ]
 
+(* ---- targets: each runs in a span and leaves an artifact ---- *)
+
 (* most targets only print; `par` also contributes extra artifact fields
    (its speedup curve), so every target returns a field list *)
 let plain f () =
@@ -1605,7 +1466,7 @@ let targets =
     ("correlation", plain correlation); ("robust", robust);
     ("par", par); ("micro", plain micro); ("smoke", plain smoke);
     ("audit", audit); ("cache", cache_bench); ("obs", obs_bench);
-    ("synth", synth_bench); ("serve", serve_bench); ("solve", solve_bench);
+    ("synth", synth_bench); ("solve", solve_bench);
   ]
 
 (* ---- regression gate: compare fresh artifacts against baselines ---- *)

@@ -13,7 +13,6 @@ module Flame = Hydra_obs.Flame
 module Ledger = Hydra_obs.Ledger
 module Progress = Hydra_obs.Progress
 module Resource = Hydra_obs.Resource
-module Serve = Hydra_obs.Serve
 module Pool = Hydra_par.Pool
 module Chaos = Hydra_chaos.Chaos
 
@@ -23,7 +22,7 @@ module Chaos = Hydra_chaos.Chaos
    [exit_with], and [Cmd.info ~exits] renders the table into --help. *)
 type outcome =
   | Usage_error | Validation_failed | Relaxed_views | Fallback_views
-  | Obs_regression | Fuzz_failure | Http_status | Scrub_found_bad
+  | Obs_regression | Fuzz_failure | Scrub_found_bad
   | Task_failed | Corrupt_summary | Chaos_crash
 
 let exit_table =
@@ -34,7 +33,6 @@ let exit_table =
     (Fallback_views, 4, "$(b,summary): some views are Fallback (metadata-only).");
     (Obs_regression, 5, "$(b,obs diff): a gated metric regressed.");
     (Fuzz_failure, 6, "$(b,fuzz): an invariant failed (reproducer written).");
-    (Http_status, 7, "$(b,obs get): the endpoint answered non-2xx.");
     (Scrub_found_bad, 8, "$(b,cache scrub): corrupt entries were left in place.");
     (Task_failed, 9, "a task or an injected transient fault outlived its retries.");
     (Corrupt_summary, 12, "a summary file is corrupt (torn, garbled, bad digest).");
@@ -69,7 +67,7 @@ let cmd_info name ~doc = Cmd.info name ~doc ~exits
 
    Every export is a rendering of one run record (Ledger.run). One span
    collector exists per process, created as soon as any telemetry is on
-   (a flag, or a HYDRA_OBS token, the endpoint included). *)
+   (a flag, or a HYDRA_OBS token). *)
 
 let collector : Flame.collector option ref = ref None
 
@@ -85,8 +83,8 @@ let collected_spans () =
   match !collector with Some c -> Flame.spans c | None -> []
 
 (* The process's run record: [final_record] once the subcommand built
-   one, else the live registry. The live endpoint serves it as
-   /runs/current; the exports render it once it is final. *)
+   one, else the live registry. The exports render it once it is
+   final. *)
 let final_record : Ledger.entry option ref = ref None
 let started = Mclock.now ()
 
@@ -128,10 +126,9 @@ type telemetry = {
   trace : string option;
   export : (Ledger.format * string) list;
   progress : float option;
-  serve : int option;
 }
 
-let no_telemetry = { trace = None; export = []; progress = None; serve = None }
+let no_telemetry = { trace = None; export = []; progress = None }
 
 let export_conv =
   Arg.conv'
@@ -143,8 +140,6 @@ let export_conv =
 
 let progress_conv =
   Arg.conv' (Progress.period_of_string, Format.pp_print_float)
-
-let port_conv = Arg.conv' (Serve.port_of_string, Format.pp_print_int)
 
 let seconds_conv =
   Arg.conv'
@@ -160,15 +155,6 @@ let at_least lo =
         match int_of_string_opt v with
         | Some n when n >= lo -> Ok n
         | _ -> Error (Printf.sprintf "expected an integer >= %d, got %S" lo v)),
-      Format.pp_print_int )
-
-(* port 0 asks a server for an ephemeral port; a client cannot dial it *)
-let client_port_conv =
-  Arg.conv'
-    ( (fun v ->
-        match int_of_string_opt v with
-        | Some p when p >= 1 && p <= 65535 -> Ok p
-        | _ -> Error (Printf.sprintf "expected a port in 1..65535, got %S" v)),
       Format.pp_print_int )
 
 (* shared parallelism knob: --jobs beats HYDRA_JOBS beats the machine's
@@ -240,20 +226,11 @@ let progress_arg =
            $(i,metrics.prom) (in --obs-dir if given, else the working \
            directory). A final tick fires at exit.")
 
-(* the resource sampler rides along with every live-observation mode
-   (--progress, --serve): its gauges (process.rss_bytes, gc.*_words)
-   are what make a mid-run scrape worth taking *)
-let resource_sampler : Resource.t option ref = ref None
-
-let start_resource_sampler () =
-  if Option.is_none !resource_sampler then begin
-    let t = Resource.start () in
-    resource_sampler := Some t;
-    at_exit (fun () -> Resource.stop t)
-  end
-
 let start_progress ?obs_dir period =
-  start_resource_sampler ();
+  (* the resource sampler rides along: its gauges (process.rss_bytes,
+     gc.*_words) are what make a mid-run metrics.prom worth reading *)
+  let sampler = Resource.start () in
+  at_exit (fun () -> Resource.stop sampler);
   let prom_out =
     match obs_dir with
     | Some d ->
@@ -316,75 +293,13 @@ let read_spec path =
       Error (Printf.sprintf "schema error in %s: %s" path m)
   | Sys_error m -> Error m
 
-(* ---- live telemetry endpoint (hydra.net / Hydra_obs.Serve) ---- *)
-
-let serve_arg =
-  Arg.(
-    value
-    & opt (some port_conv) None
-    & info [ "serve" ] ~docv:"PORT"
-        ~doc:
-          "Serve live telemetry on http://127.0.0.1:$(docv) while the run \
-           executes: $(b,/healthz), $(b,/metrics) (Prometheus text), \
-           $(b,/progress), $(b,/runs), $(b,/runs/current/trace). Port 0 \
-           picks an ephemeral port (printed on stderr). After the run \
-           completes the final state stays up until SIGTERM/SIGINT. \
-           Scraping never changes the output — summaries are \
-           byte-identical with or without a scraper attached.")
-
-let live_server : Serve.t option ref = ref None
-
-let start_live_serve ?obs_dir port =
-  start_resource_sampler ();
-  match
-    Serve.start ?obs_dir
-      ~current:(fun () -> (current_entry ()).Ledger.e_run)
-      ~port ()
-  with
-  | Ok s ->
-      live_server := Some s;
-      Printf.eprintf "obs serve: listening on http://127.0.0.1:%d\n%!"
-        (Serve.port s)
-  | Error m -> or_die (Error ("serve: " ^ m))
-
-(* block until SIGTERM/SIGINT; exit stays clean (the caller's exit code,
-   not a signal death), so `kill && wait` in scripts sees 0 *)
-let wait_for_shutdown () =
-  let stop = Atomic.make false in
-  let handle = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
-  (try Sys.set_signal Sys.sigterm handle with Invalid_argument _ -> ());
-  (try Sys.set_signal Sys.sigint handle with Invalid_argument _ -> ());
-  while not (Atomic.get stop) do
-    try Unix.sleepf 0.05 with Unix.Unix_error (EINTR, _, _) -> ()
-  done
-
-(* the "final state served until shutdown" half of --serve/serve=PORT;
-   called after the run (and its ledger record) completes, and again as
-   a no-op from the main wrapper for non-summary subcommands *)
-let serve_linger () =
-  match !live_server with
-  | None -> ()
-  | Some s ->
-      live_server := None;
-      Printf.eprintf
-        "obs serve: run complete; serving final state on \
-         http://127.0.0.1:%d until SIGTERM\n\
-         %!"
-        (Serve.port s);
-      wait_for_shutdown ();
-      Serve.stop s
-
 (* ---- telemetry settings: a subcommand's flags over HYDRA_OBS ---- *)
 
-(* --progress and --serve are the live modes, only on [summary] *)
+(* --progress is the live mode, only on [summary] *)
 let telemetry_args ~live =
-  let settings trace export progress serve =
-    { trace; export; progress; serve }
-  in
+  let settings trace export progress = { trace; export; progress } in
   let live_only arg = if live then arg else Term.const None in
-  Term.(
-    const settings $ trace_arg $ export_arg $ live_only progress_arg
-    $ live_only serve_arg)
+  Term.(const settings $ trace_arg $ export_arg $ live_only progress_arg)
 
 (* HYDRA_OBS, parsed once at startup. [on], [text] and [level=] have no
    flag and act at once; a bad value or an unknown token is a usage
@@ -417,12 +332,11 @@ let parse_env_telemetry () =
     | "trace", Some _ -> { t with trace = Some (arg Arg.string) }
     | "export", Some _ -> { t with export = t.export @ [ arg export_conv ] }
     | "progress", Some _ -> { t with progress = Some (arg progress_conv) }
-    | "serve", Some _ -> { t with serve = Some (arg port_conv) }
     | _ ->
         die Usage_error
           (Printf.sprintf
              "HYDRA_OBS: unknown token %S (expected on, text, level=, trace=, \
-              export=, progress= or serve=)"
+              export= or progress=)"
              (name ^ Option.fold ~none:"" ~some:(( ^ ) "=") value))
   in
   let spec = Option.value ~default:"" (Sys.getenv_opt "HYDRA_OBS") in
@@ -438,14 +352,12 @@ let start_telemetry ?obs_dir flags =
       trace = either flags.trace env.trace;
       export = env.export @ flags.export;
       progress = either flags.progress env.progress;
-      serve = either flags.serve env.serve;
     }
   in
   if t <> no_telemetry then telemetry_on ();
   Option.iter (fun path -> Obs.add_sink (Obs.jsonl_sink path)) t.trace;
   exports := t.export;
-  Option.iter (start_progress ?obs_dir) t.progress;
-  Option.iter (start_live_serve ?obs_dir) t.serve
+  Option.iter (start_progress ?obs_dir) t.progress
 
 (* Every subcommand runs through here: its telemetry settings start
    first (HYDRA_OBS alone for subcommands without telemetry flags), and
@@ -718,9 +630,6 @@ let summary_cmd =
             e
         | None -> Ledger.live record);
     write_exports ();
-    (* with --serve attached, keep the final state scrapeable until the
-       operator (or the test harness) sends SIGTERM *)
-    serve_linger ();
     Option.iter exit_with outcome
   in
   let doc = "Build a database summary from a schema + CC spec." in
@@ -1208,81 +1117,11 @@ let obs_prune_cmd =
       const (fun a b c -> protecting (run a b) c)
       $ obs_dir_arg $ keep $ before)
 
-let obs_serve_cmd =
-  let port =
-    Arg.(
-      value & opt port_conv 0
-      & info [ "port" ] ~docv:"PORT"
-          ~doc:
-            "TCP port on 127.0.0.1; $(b,0) (the default) picks an \
-             ephemeral port. The bound port is printed on startup.")
-  in
-  let run obs_dir port =
-    let dir = require_obs_dir obs_dir in
-    match Serve.start ~obs_dir:dir ~port () with
-    | Error m -> or_die (Error ("obs serve: " ^ m))
-    | Ok s ->
-        Printf.printf "obs serve: listening on http://127.0.0.1:%d (ledger %s)\n%!"
-          (Serve.port s) dir;
-        wait_for_shutdown ();
-        Serve.stop s
-  in
-  let doc =
-    "Serve an archived run ledger over HTTP: $(b,/healthz), \
-     $(b,/metrics) (latest run as Prometheus text), $(b,/progress), \
-     $(b,/runs), $(b,/runs/ID). Runs until SIGTERM/SIGINT; a busy port \
-     is a clean error (exit 1), not a backtrace."
-  in
-  Cmd.v (cmd_info "serve" ~doc)
-    Term.(const (fun a b -> protecting (run a) b) $ obs_dir_arg $ port)
-
-let obs_get_cmd =
-  let port =
-    Arg.(
-      required
-      & opt (some client_port_conv) None
-      & info [ "port" ] ~docv:"PORT" ~doc:"TCP port of the endpoint.")
-  in
-  let host =
-    Arg.(
-      value & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"HOST" ~doc:"Endpoint host.")
-  in
-  let path =
-    Arg.(
-      value & pos 0 string "/healthz"
-      & info [] ~docv:"PATH" ~doc:"Request path (default /healthz).")
-  in
-  let run host port path =
-    match Hydra_net.Client.get ~host ~port path with
-    | Error m -> or_die (Error ("obs get: " ^ m))
-    | Ok (status, body) ->
-        print_string body;
-        if status < 200 || status > 299 then begin
-          flush stdout;
-          Printf.eprintf "hydra: obs get %s: HTTP %d %s\n%!" path status
-            (Hydra_net.Http.reason status);
-          exit_with Http_status
-        end
-  in
-  let doc =
-    "Scrape one path from a telemetry endpoint (a $(b,--serve) run or \
-     $(b,hydra obs serve)) and print the body — a built-in, \
-     curl-independent client for tests and CI. Non-2xx responses print \
-     the body, report the status on stderr and exit 7."
-  in
-  Cmd.v (cmd_info "get" ~doc)
-    Term.(const (fun a b c -> protecting (run a b) c) $ host $ port $ path)
-
 let obs_cmd =
-  let doc =
-    "Analyze the run telemetry ledger (list, show, diff, top, prune) or \
-     serve it live (serve, get)."
-  in
+  let doc = "Analyze the run telemetry ledger (list, show, diff, top, prune)." in
   Cmd.group (cmd_info "obs" ~doc)
     [
       obs_list_cmd; obs_show_cmd; obs_diff_cmd; obs_top_cmd; obs_prune_cmd;
-      obs_serve_cmd; obs_get_cmd;
     ]
 
 (* ---- fuzz ---- *)
@@ -1400,8 +1239,4 @@ let () =
       (* drop what a closed stdout could not take, so the runtime's own
          exit flush does not raise the EPIPE again *)
       try flush stdout with Sys_error _ -> close_out_noerr stdout);
-  let code = Cmd.eval main in
-  (* env-attached endpoints on subcommands without their own linger
-     call (everything but summary) keep the final state up here *)
-  serve_linger ();
-  exit code
+  exit (Cmd.eval main)

@@ -55,8 +55,8 @@ type run = {
       (** every span the collector held, [[]] when none ran (and for
           records written before spans were archived) *)
 }
-(** The one record of a run. Every telemetry export — the ledger file,
-    the endpoint's routes and every {!format} — is a rendering of it. *)
+(** The one record of a run. Every telemetry export — the ledger file
+    and every {!format} — is a rendering of it. *)
 
 val current : ?spans:Obs.span list -> ?seconds:float -> unit -> run
 (** The live registry as a record with no run outcome yet: metrics
@@ -70,7 +70,7 @@ val config_digest : subcommand:string -> string list -> string
 
 val run_json : id:string -> seq:int -> run -> Json.t
 (** The record as archived: a [hydra-ledger/1] document, and the one
-    encoder of a run report (the [json] export, [/runs/ID]).
+    encoder of a run report (the [json] export, [obs show --format json]).
     Reading it back ({!runs}, {!find}) is exact. Fields added after the
     first records (spans, the per-view profile, notes, summary, paths)
     load empty when absent. *)

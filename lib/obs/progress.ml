@@ -11,16 +11,6 @@ type t = {
   p_stopped : bool Atomic.t;
 }
 
-type stats = {
-  hb_done : int;
-  hb_total : int;
-  hb_exact : int;
-  hb_relaxed : int;
-  hb_fallback : int;
-  hb_cache_hits : int;
-  hb_retries : int;
-}
-
 let counter_of snap name =
   match List.assoc_opt name (Obs.snapshot_counters snap) with
   | Some v -> v
@@ -31,43 +21,27 @@ let gauge_of snap name =
   | Some v -> v
   | None -> 0.0
 
-let stats_of_snapshot snap =
+let heartbeat_line ?elapsed_s snap =
   let c = counter_of snap in
-  {
-    hb_done = c "pipeline.progress.done_views";
-    hb_total = int_of_float (gauge_of snap "pipeline.progress.total_views");
-    hb_exact = c "pipeline.views.exact";
-    hb_relaxed = c "pipeline.views.relaxed";
-    hb_fallback = c "pipeline.views.fallback";
-    hb_cache_hits = c "cache.hit";
-    hb_retries = c "par.supervisor.retries";
-  }
-
-(* Rate and ETA are only estimable mid-run: some views done (so the
-   rate is grounded) but not all (so an ETA means anything), with
-   elapsed wall time to divide by. *)
-let rate_eta ?elapsed_s st =
-  match elapsed_s with
-  | Some e when e > 0.0 && st.hb_done > 0 && st.hb_done < st.hb_total ->
-      let rate = float_of_int st.hb_done /. e in
-      let eta = float_of_int (st.hb_total - st.hb_done) /. rate in
-      (Some rate, Some eta)
-  | _ -> (None, None)
-
-let render ?elapsed_s st =
+  let finished = c "pipeline.progress.done_views"
+  and total = int_of_float (gauge_of snap "pipeline.progress.total_views") in
   let base =
     Printf.sprintf
       "[hydra] views %d/%d exact %d relaxed %d fallback %d | cache hits %d | \
        retries %d"
-      st.hb_done st.hb_total st.hb_exact st.hb_relaxed st.hb_fallback
-      st.hb_cache_hits st.hb_retries
+      finished total (c "pipeline.views.exact") (c "pipeline.views.relaxed")
+      (c "pipeline.views.fallback") (c "cache.hit")
+      (c "par.supervisor.retries")
   in
-  match rate_eta ?elapsed_s st with
-  | Some rate, Some eta ->
-      Printf.sprintf "%s | %.2f views/s | eta %.1fs" base rate eta
+  (* Rate and ETA are only estimable mid-run: some views done (so the
+     rate is grounded) but not all (so an ETA means anything), with
+     elapsed wall time to divide by. *)
+  match elapsed_s with
+  | Some e when e > 0.0 && finished > 0 && finished < total ->
+      let rate = float_of_int finished /. e in
+      Printf.sprintf "%s | %.2f views/s | eta %.1fs" base rate
+        (float_of_int (total - finished) /. rate)
   | _ -> base
-
-let heartbeat_line ?elapsed_s snap = render ?elapsed_s (stats_of_snapshot snap)
 
 let start ?heartbeat ?prom_out ~period_s () =
   let period_s = Float.max 0.01 period_s in

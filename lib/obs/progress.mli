@@ -1,7 +1,7 @@
 (** Live progress exporter: a background domain that periodically
     renders the current metrics snapshot as a Prometheus-text file
-    (atomic rewrite through {!Prom.write}, so scrapers never see a torn
-    file) and emits a one-line heartbeat — views done/total with the
+    (atomic rewrite through {!Prom.write}, so a textfile collector
+    never sees a torn file) and emits a one-line heartbeat — views done/total with the
     exact/relaxed/fallback split, cache hits, supervisor retries — to a
     channel (normally [stderr]).
 
@@ -22,34 +22,12 @@ val stop : t -> unit
     exported file and the last heartbeat reflect the completed run.
     Idempotent. *)
 
-type stats = {
-  hb_done : int;
-  hb_total : int;
-  hb_exact : int;
-  hb_relaxed : int;
-  hb_fallback : int;
-  hb_cache_hits : int;
-  hb_retries : int;
-}
-(** The progress counters behind a heartbeat, decoupled from their
-    source so archived runs (ledger metric lists) render through the
-    same code path as live snapshots. *)
-
-val stats_of_snapshot : Obs.snapshot -> stats
-
-val rate_eta : ?elapsed_s:float -> stats -> float option * float option
-(** [(views_per_sec, eta_seconds)]. Only estimable mid-run: requires
-    positive [elapsed_s] and [0 < done < total]; [(None, None)]
-    otherwise — in particular on the final heartbeat of a completed
-    run, which therefore renders identically to pre-rate versions. *)
-
-val render : ?elapsed_s:float -> stats -> string
-
 val heartbeat_line : ?elapsed_s:float -> Obs.snapshot -> string
 (** The heartbeat rendering, exposed for tests:
     [[hydra] views D/T exact E relaxed R fallback F | cache hits H | retries N],
-    with [ | X.XX views/s | eta Y.Ys] appended when {!rate_eta} has an
-    estimate. *)
+    with [ | X.XX views/s | eta Y.Ys] appended mid-run: only with a
+    positive [elapsed_s] and [0 < D < T], so the final heartbeat of a
+    completed run carries no rate tail. *)
 
 val period_of_string : string -> (float, string) result
 (** Parse a tick period for [--progress] and a [progress=] token in

@@ -14,6 +14,6 @@ val render : Obs.snapshot -> string
 
 val write : ?fsync:bool -> string -> Obs.snapshot -> unit
 (** Atomically replace [path] with {!render} of the snapshot
-    (temp + rename via [hydra.durable]), so a scraper never reads a torn
-    file. [?fsync] defaults to [false]: the file is a live export that
+    (temp + rename via [hydra.durable]), so a reader such as
+    node_exporter's textfile collector never reads a torn file. [?fsync] defaults to [false]: the file is a live export that
     the next tick rewrites, not a durable artifact. *)

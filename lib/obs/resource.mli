@@ -1,8 +1,8 @@
 (** Background process-resource sampler.
 
-    Feeds four gauges into the metric registry so live scrapes, the
-    text report, metrics snapshots and ledger records carry a
-    memory/GC profile of the run:
+    Feeds four gauges into the metric registry so [--progress]'s
+    [metrics.prom], the text report, metrics snapshots and ledger
+    records carry a memory/GC profile of the run:
 
     - [process.rss_bytes] — resident set size from
       [/proc/self/status] ([0] where procfs is unavailable, so the

@@ -11,7 +11,7 @@
 # --state-dir store).
 #
 # The gate re-runs the cheap bench targets (smoke, audit, cache,
-# robust, obs, synth, serve, solve) and compares their fresh
+# robust, obs, synth, solve) and compares their fresh
 # BENCH_<target>.json artifacts
 # against bench/baselines/. robust asserts the crash-safety invariants
 # end to end: retried_tasks, replayed_views, retry_identical and
@@ -25,12 +25,11 @@
 # The tail is a run-ledger smoke (two archived regenerations of the
 # same spec, listed and diffed — the diff must pass clean under the
 # strictest deterministic gate and fail (exit 5) under an impossible
-# injected threshold — and the first run's trace served back from the
-# ledger byte-equal to its chrome export, and its json export on
+# injected threshold — and the first run's trace rendered back from
+# the ledger byte-equal to its chrome export, and its json export on
 # stdout byte-equal to the archived record), a --state-dir smoke (the
 # state dir scrubs clean as a cache directory and a second run replays
-# every view), a live
-# endpoint smoke, and a fixed-seed `hydra fuzz` smoke:
+# every view), and a fixed-seed `hydra fuzz` smoke:
 # 25 synthesized workloads through the full invariant battery, run
 # twice to assert the sweep itself is byte-deterministic. The
 # nightly-sized sweep is `dune build @fuzz` (100 workloads).
@@ -87,19 +86,10 @@ else
   [ "$rc" -eq 5 ] || { echo "obs smoke: expected exit 5, got $rc" >&2; exit 1; }
 fi
 
-# the archived run renders back post hoc: the ledger endpoint's trace
-# of run 1 is byte-equal to the run's own chrome export
-"$hydra" obs serve --obs-dir "$obs_tmp/ledger" --port 0 > "$obs_tmp/ledger.serve" 2>&1 &
-ledger_pid=$!
-for _ in $(seq 1 150); do
-  grep -q 'listening on' "$obs_tmp/ledger.serve" 2>/dev/null && break
-  sleep 0.1
-done
-ledger_port=$(sed -n 's|.*http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$obs_tmp/ledger.serve")
-"$hydra" obs get --port "$ledger_port" /runs/1/trace > "$obs_tmp/a.trace.served"
-kill "$ledger_pid"
-wait "$ledger_pid" || { echo "obs smoke: ledger server did not exit clean" >&2; exit 1; }
-cmp "$obs_tmp/a.trace.json" "$obs_tmp/a.trace.served" \
+# the archived run renders back post hoc: run 1's chrome trace from
+# the ledger is byte-equal to the run's own chrome export
+"$hydra" obs show --obs-dir "$obs_tmp/ledger" 1 --format chrome \
+  | cmp - "$obs_tmp/a.trace.json" \
   || { echo "obs smoke: archived trace differs from its export" >&2; exit 1; }
 
 # --export json=- prints the run record itself: byte-equal to the
@@ -128,37 +118,6 @@ replayed=$(grep -c '^  view .* \[replayed\]' "$obs_tmp/state.out" || true)
 cmp "$obs_tmp/state1.summary" "$obs_tmp/state2.summary"
 
 echo "state smoke: state dir scrubs clean, $views/$views views replayed"
-
-# ---- live telemetry endpoint smoke ----
-# a --serve run scraped with the built-in client while it executes,
-# then shut down with SIGTERM; the scraped run's summary must stay
-# byte-identical to an unobserved one (observation is pure)
-
-"$hydra" summary "$obs_tmp/ci.hydra" -o "$obs_tmp/served.summary" \
-  --serve 0 > /dev/null 2> "$obs_tmp/serve.err" &
-serve_pid=$!
-for _ in $(seq 1 300); do
-  grep -q 'listening on' "$obs_tmp/serve.err" 2>/dev/null && break
-  sleep 0.1
-done
-port=$(sed -n 's|.*http://127\.0\.0\.1:\([0-9]*\)$|\1|p' "$obs_tmp/serve.err" | head -1)
-[ -n "$port" ] || { echo "serve smoke: no listening line" >&2; exit 1; }
-
-health=$("$hydra" obs get --port "$port" /healthz)
-[ "$health" = "ok" ] || { echo "serve smoke: /healthz said '$health'" >&2; exit 1; }
-"$hydra" obs get --port "$port" /metrics | grep -q '^# TYPE hydra_' \
-  || { echo "serve smoke: /metrics is not Prometheus text" >&2; exit 1; }
-"$hydra" obs get --port "$port" /progress | grep -q '"done_views"' \
-  || { echo "serve smoke: /progress missing counters" >&2; exit 1; }
-
-kill "$serve_pid"
-wait "$serve_pid" || { echo "serve smoke: server did not exit clean" >&2; exit 1; }
-
-"$hydra" summary "$obs_tmp/ci.hydra" -o "$obs_tmp/plain.summary" > /dev/null
-cmp "$obs_tmp/served.summary" "$obs_tmp/plain.summary" \
-  || { echo "serve smoke: scraping changed the summary" >&2; exit 1; }
-
-echo "serve smoke: live endpoint scraped, clean shutdown, summary pure"
 
 # ---- hydra fuzz fixed-seed smoke ----
 

@@ -15,10 +15,6 @@ module Trace_event = Hydra_obs.Trace_event
 module Ledger = Hydra_obs.Ledger
 module Progress = Hydra_obs.Progress
 module Resource = Hydra_obs.Resource
-module Serve = Hydra_obs.Serve
-module Http = Hydra_net.Http
-module Server = Hydra_net.Server
-module Client = Hydra_net.Client
 module Pipeline = Hydra_core.Pipeline
 
 (* every test leaves the global registry disabled and zeroed *)
@@ -477,6 +473,7 @@ let test_heartbeat_rate_eta () =
   scrub ();
   Obs.set_enabled true;
   Obs.set_gauge (Obs.gauge "pipeline.progress.total_views") 5.0;
+  let start = Obs.snapshot () in
   Obs.incr (Obs.counter "pipeline.progress.done_views") 3;
   Obs.incr (Obs.counter "pipeline.views.exact") 3;
   let snap = Obs.snapshot () in
@@ -487,6 +484,9 @@ let test_heartbeat_rate_eta () =
   Alcotest.(check string) "no elapsed time, no estimate"
     "[hydra] views 3/5 exact 3 relaxed 0 fallback 0 | cache hits 0 | retries 0"
     (Progress.heartbeat_line snap);
+  Alcotest.(check string) "no estimate before the first view lands"
+    "[hydra] views 0/5 exact 0 relaxed 0 fallback 0 | cache hits 0 | retries 0"
+    (Progress.heartbeat_line ~elapsed_s:4.0 start);
   (* a completed run renders identically to pre-rate versions *)
   Obs.incr (Obs.counter "pipeline.progress.done_views") 2;
   Obs.incr (Obs.counter "pipeline.views.exact") 2;
@@ -494,29 +494,7 @@ let test_heartbeat_rate_eta () =
   scrub ();
   Alcotest.(check string) "final heartbeat has no rate tail"
     "[hydra] views 5/5 exact 5 relaxed 0 fallback 0 | cache hits 0 | retries 0"
-    (Progress.heartbeat_line ~elapsed_s:9.0 final);
-  let st =
-    {
-      Progress.hb_done = 3;
-      hb_total = 5;
-      hb_exact = 3;
-      hb_relaxed = 0;
-      hb_fallback = 0;
-      hb_cache_hits = 0;
-      hb_retries = 0;
-    }
-  in
-  (match Progress.rate_eta ~elapsed_s:4.0 st with
-  | Some rate, Some eta ->
-      Alcotest.(check (float 1e-9)) "rate" 0.75 rate;
-      Alcotest.(check (float 1e-6)) "eta" (2.0 /. 0.75) eta
-  | _ -> Alcotest.fail "estimate expected mid-run");
-  (match Progress.rate_eta st with
-  | None, None -> ()
-  | _ -> Alcotest.fail "no estimate without elapsed time");
-  match Progress.rate_eta ~elapsed_s:4.0 { st with Progress.hb_done = 0 } with
-  | None, None -> ()
-  | _ -> Alcotest.fail "no estimate before the first view lands"
+    (Progress.heartbeat_line ~elapsed_s:9.0 final)
 
 (* HYDRA_OBS tokens and the converter --progress shares with them *)
 let test_progress_spec_parsing () =
@@ -846,216 +824,6 @@ let prop_folded_insensitive =
           | [] -> false)
         (Flame.folded spans))
 
-(* ---- hydra.net: bounded HTTP parsing, server, client ---- *)
-
-let expect_bad label head =
-  match Http.parse_request head with
-  | exception Http.Bad_request _ -> ()
-  | _ -> Alcotest.failf "%s: expected Bad_request" label
-
-let test_http_parse () =
-  let req =
-    Http.parse_request
-      "GET /runs/1?verbose=1 HTTP/1.1\r\nHost: localhost\r\nX-Pad:  v  "
-  in
-  Alcotest.(check string) "method" "GET" req.Http.meth;
-  Alcotest.(check string) "raw target" "/runs/1?verbose=1" req.Http.target;
-  Alcotest.(check string) "query stripped from path" "/runs/1" req.Http.path;
-  Alcotest.(check (option string))
-    "header names lowercased, lookup case-insensitive" (Some "localhost")
-    (Http.header req "HOST");
-  Alcotest.(check (option string))
-    "header values trimmed" (Some "v") (Http.header req "x-pad");
-  (* bare-LF line endings are tolerated *)
-  let lf = Http.parse_request "GET / HTTP/1.0\nHost: x" in
-  Alcotest.(check string) "bare LF accepted" "/" lf.Http.path;
-  expect_bad "empty" "";
-  expect_bad "not http at all" "NOT_A_REQUEST";
-  expect_bad "lowercase method" "get / HTTP/1.1";
-  expect_bad "relative target" "GET runs HTTP/1.1";
-  expect_bad "wrong protocol" "GET / SPDY/3";
-  expect_bad "oversized target"
-    (Printf.sprintf "GET /%s HTTP/1.1" (String.make Http.max_target_bytes 'a'));
-  expect_bad "colonless header" "GET / HTTP/1.1\r\nbroken header";
-  expect_bad "too many headers"
-    ("GET / HTTP/1.1"
-    ^ String.concat ""
-        (List.init (Http.max_headers + 1) (fun i ->
-             Printf.sprintf "\r\nh%d: v" i)))
-
-let test_http_render () =
-  let s = Http.render_response (Http.json ~status:404 "{}") in
-  Alcotest.(check bool) "status line" true
-    (String.starts_with ~prefix:"HTTP/1.1 404 Not Found\r\n" s);
-  Alcotest.(check bool) "content length" true
-    (let sub = "Content-Length: 2\r\n" in
-     let rec has i =
-       i + String.length sub <= String.length s
-       && (String.sub s i (String.length sub) = sub || has (i + 1))
-     in
-     has 0);
-  Alcotest.(check bool) "one request per connection" true
-    (let sub = "Connection: close\r\n" in
-     let rec has i =
-       i + String.length sub <= String.length s
-       && (String.sub s i (String.length sub) = sub || has (i + 1))
-     in
-     has 0);
-  Alcotest.(check bool) "body after blank line" true
-    (String.ends_with ~suffix:"\r\n\r\n{}" s)
-
-(* raw exchange for the malformed-request path the Client cannot send *)
-let raw_exchange ~port payload =
-  let sock = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect sock
-        (ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
-      ignore (Unix.write_substring sock payload 0 (String.length payload));
-      let buf = Bytes.create 4096 in
-      let rec read_all acc =
-        match Unix.read sock buf 0 (Bytes.length buf) with
-        | 0 -> acc
-        | n -> read_all (acc ^ Bytes.sub_string buf 0 n)
-      in
-      read_all "")
-
-let test_server_roundtrip () =
-  let handler (req : Http.request) =
-    match req.Http.path with
-    | "/hello" -> Http.text "world"
-    | "/boom" -> failwith "handler bug"
-    | p -> Http.not_found ("no route for " ^ p)
-  in
-  match Server.start ~port:0 handler with
-  | Error m -> Alcotest.failf "start failed: %s" m
-  | Ok srv ->
-      let port = Server.port srv in
-      Alcotest.(check bool) "ephemeral port resolved" true (port > 0);
-      (match Client.get ~port "/hello" with
-      | Ok (200, body) -> Alcotest.(check string) "body" "world" body
-      | r ->
-          Alcotest.failf "GET /hello: %s"
-            (match r with
-            | Ok (s, _) -> string_of_int s
-            | Error m -> m));
-      (match Client.get ~port "/nope" with
-      | Ok (404, _) -> ()
-      | _ -> Alcotest.fail "unknown route must 404");
-      (match Client.get ~port "/boom" with
-      | Ok (500, _) -> ()
-      | _ -> Alcotest.fail "handler exception must 500");
-      let raw = raw_exchange ~port "NOT_A_REQUEST\r\n\r\n" in
-      Alcotest.(check bool) "garbage gets a 400" true
-        (String.starts_with ~prefix:"HTTP/1.1 400" raw);
-      (* the bound port is busy while the server lives *)
-      (match Server.start ~port handler with
-      | Error _ -> ()
-      | Ok other ->
-          Server.stop other;
-          Alcotest.fail "second bind on a busy port must fail");
-      Server.stop srv;
-      Server.stop srv;
-      (* idempotent *)
-      (match Client.get ~port "/hello" with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "stopped server must refuse connections")
-
-(* ---- Hydra_obs.Serve route table ---- *)
-
-let contains hay needle =
-  let n = String.length needle in
-  let rec go i =
-    i + n <= String.length hay
-    && (String.sub hay i n = needle || go (i + 1))
-  in
-  go 0
-
-let get_route h path =
-  h { Http.meth = "GET"; target = path; path; headers = [] }
-
-let test_serve_routes () =
-  with_tmp_dir @@ fun dir ->
-  scrub ();
-  Obs.set_enabled true;
-  Obs.incr (Obs.counter "pipeline.progress.done_views") 2;
-  Obs.set_gauge (Obs.gauge "pipeline.progress.total_views") 2.0;
-  ignore (Ledger.record ~dir (mk_run ()));
-  let spans () =
-    [
-      {
-        Obs.sp_id = 1;
-        sp_parent = -1;
-        sp_name = "root";
-        sp_start = 0.0;
-        sp_end = 1.0;
-        sp_attrs = [];
-      };
-    ]
-  in
-  let h = Serve.handler ~obs_dir:dir
-      ~current:(fun () -> Ledger.current ~spans:(spans ()) ())
-      () in
-  let ok path =
-    let r = get_route h path in
-    Alcotest.(check int) (path ^ " status") 200 r.Http.status;
-    r.Http.body
-  in
-  Alcotest.(check string) "healthz" "ok\n" (ok "/healthz");
-  Alcotest.(check bool) "live metrics from the registry" true
-    (contains (ok "/metrics") "hydra_pipeline_progress_done_views_total 2");
-  let progress = ok "/progress" in
-  Alcotest.(check bool) "progress carries the heartbeat" true
-    (contains progress "[hydra] views 2/2");
-  Alcotest.(check bool) "progress counters" true
-    (contains progress "\"done_views\": 2");
-  Alcotest.(check bool) "runs listing" true
-    (contains (ok "/runs") "run-000001");
-  Alcotest.(check bool) "run document by seq" true
-    (contains (ok "/runs/1") "hydra-ledger/1");
-  Alcotest.(check bool) "live current run" true
-    (contains (ok "/runs/current") "\"live\": true");
-  Alcotest.(check bool) "live trace" true
-    (contains (ok "/runs/current/trace") "traceEvents");
-  Alcotest.(check bool) "archived trace" true
-    (contains (ok "/runs/1/trace") "traceEvents");
-  Alcotest.(check int) "unknown run is 404" 404
-    (get_route h "/runs/nope").Http.status;
-  Alcotest.(check int) "unknown route is 404" 404
-    (get_route h "/not/a/route").Http.status;
-  Alcotest.(check int) "non-GET is 405" 405
-    (h
-       {
-         Http.meth = "POST";
-         target = "/healthz";
-         path = "/healthz";
-         headers = [];
-       })
-      .Http.status;
-  scrub ()
-
-let test_serve_archive_mode () =
-  with_tmp_dir @@ fun dir ->
-  scrub ();
-  let h = Serve.handler ~obs_dir:dir () in
-  (* no runs archived yet: idle /metrics is a clean 404 *)
-  Alcotest.(check int) "no runs yet" 404 (get_route h "/metrics").Http.status;
-  Obs.set_enabled true;
-  Obs.incr (Obs.counter "simplex.solves") 3;
-  ignore (Ledger.record ~dir (mk_run ()));
-  scrub ();
-  let m = get_route h "/metrics" in
-  Alcotest.(check int) "latest run served" 200 m.Http.status;
-  Alcotest.(check bool) "ledger metrics render typed" true
-    (contains m.Http.body "# TYPE hydra_simplex_solves_total counter");
-  Alcotest.(check bool) "values survive the archive" true
-    (contains m.Http.body "hydra_simplex_solves_total 3");
-  Alcotest.(check int) "archive mode has no current run" 404
-    (get_route h "/runs/current").Http.status;
-  let p = get_route h "/progress" in
-  Alcotest.(check int) "archive progress from latest run" 200 p.Http.status
-
 (* ---- resource sampler ---- *)
 
 let test_resource_sampler () =
@@ -1074,27 +842,6 @@ let test_resource_sampler () =
   Alcotest.(check bool) "minor words counted" true (v "gc.minor_words" > 0.0);
   Alcotest.(check bool) "major words present" true (v "gc.major_words" >= 0.0);
   Alcotest.(check bool) "heap words present" true (v "gc.heap_words" >= 0.0)
-
-(* the converter --serve shares with HYDRA_OBS serve= tokens *)
-let test_serve_spec_parsing () =
-  let port spec =
-    List.filter_map
-      (function "serve", Some v -> Some (Serve.port_of_string v) | _ -> None)
-      (Obs.spec_tokens spec)
-  in
-  let res = Alcotest.(result int string) in
-  let bad v = Error (Printf.sprintf "expected a port in 0..65535, got %S" v) in
-  Alcotest.(check (list res)) "plain token" [ Ok 9100 ] (port "serve=9100");
-  Alcotest.(check (list res))
-    "ephemeral port, other tokens around" [ Ok 0 ]
-    (port "progress=2,serve=0,level=warn");
-  Alcotest.(check (list res)) "absent" [] (port "on");
-  Alcotest.(check (list res))
-    "negative rejected" [ bad "-1" ] (port "serve=-1");
-  Alcotest.(check (list res))
-    "out of range rejected" [ bad "70000" ] (port "serve=70000");
-  Alcotest.(check (list res))
-    "garbage rejected" [ bad "http" ] (port "serve=http")
 
 (* ---- property: observation never changes what is computed ---- *)
 
@@ -1115,6 +862,15 @@ let one_rel_schema =
   Schema.create
     [ { Schema.rname = "r"; pk = "r_pk"; fks = []; attrs = [ attr "a" ] } ]
 
+let obs_ccs total specs =
+  Cc.size_cc "r" total
+  :: List.map
+       (fun (lo, w, card) ->
+         Cc.make [ "r" ]
+           (Predicate.atom (Schema.qualify "r" "a") (Interval.make lo (lo + w)))
+           card)
+       specs
+
 (* the deterministic face of a result: everything except wall times and
    the metrics payload *)
 let fingerprint (r : Pipeline.result) =
@@ -1132,16 +888,7 @@ let prop_observation_is_pure =
     ~name:"enabling tracing never changes regeneration output" ~count:40
     (QCheck.make obs_env_gen)
     (fun (total, specs) ->
-      let ccs =
-        Cc.size_cc "r" total
-        :: List.map
-             (fun (lo, w, card) ->
-               Cc.make [ "r" ]
-                 (Predicate.atom (Schema.qualify "r" "a")
-                    (Interval.make lo (lo + w)))
-                 card)
-             specs
-      in
+      let ccs = obs_ccs total specs in
       scrub ();
       let plain = Pipeline.regenerate one_rel_schema ccs in
       Obs.set_enabled true;
@@ -1149,64 +896,60 @@ let prop_observation_is_pure =
       scrub ();
       fingerprint plain = fingerprint traced)
 
-let prop_serve_scrape_is_pure =
+(* The live readers --progress starts: a ticker rendering the heartbeat
+   and metrics.prom from snapshots, and the resource sampler. Back-to-back
+   runs span several ticker periods, so their reads land mid-run. The
+   readers write no counter (the sampler writes only its gauges): every
+   run matches the plain one, and the counters are the plain run's times
+   the number of runs. *)
+let prop_live_readers_are_pure =
   QCheck.Test.make
-    ~name:"a live scrape mid-run never changes regeneration output" ~count:12
+    ~name:"live progress readers mid-run never change regeneration output"
+    ~count:12
     (QCheck.make obs_env_gen)
     (fun (total, specs) ->
-      let ccs =
-        Cc.size_cc "r" total
-        :: List.map
-             (fun (lo, w, card) ->
-               Cc.make [ "r" ]
-                 (Predicate.atom (Schema.qualify "r" "a")
-                    (Interval.make lo (lo + w)))
-                 card)
-             specs
+      let ccs = obs_ccs total specs in
+      let run jobs = fingerprint (Pipeline.regenerate ~jobs one_rel_schema ccs) in
+      let counters () = Obs.snapshot_counters (Obs.snapshot ()) in
+      let pure jobs =
+        with_tmp_dir @@ fun dir ->
+        scrub ();
+        Obs.set_enabled true;
+        let plain = run jobs in
+        let once = counters () in
+        scrub ();
+        Obs.set_enabled true;
+        let heartbeat = open_out Filename.null in
+        let sampler = Resource.start ~period_s:0.01 () in
+        let ticker =
+          Progress.start ~heartbeat ~prom_out:(Filename.concat dir "metrics.prom")
+            ~period_s:0.01 ()
+        in
+        let t0 = Mclock.now () in
+        let rec watch runs same =
+          let same = run jobs = plain && same in
+          if Mclock.now () -. t0 < 0.05 then watch (runs + 1) same
+          else (runs + 1, same)
+        in
+        let runs, same = watch 0 true in
+        Progress.stop ticker;
+        Resource.stop sampler;
+        close_out heartbeat;
+        let watched = counters () in
+        scrub ();
+        same && watched = List.map (fun (k, v) -> (k, runs * v)) once
       in
-      scrub ();
-      Obs.set_enabled true;
-      let plain = Pipeline.regenerate one_rel_schema ccs in
-      scrub ();
-      Obs.set_enabled true;
-      let srv =
-        match
-          Server.start ~port:0 (Serve.handler ~current:(fun () -> Ledger.current ()) ())
-        with
-        | Ok s -> s
-        | Error m -> QCheck.Test.fail_reportf "serve start: %s" m
-      in
-      let port = Server.port srv in
-      let running = Atomic.make true in
-      let scraper =
-        Domain.spawn (fun () ->
-            let rec loop n =
-              if Atomic.get running then begin
-                ignore (Client.get ~port "/metrics");
-                ignore (Client.get ~port "/progress");
-                loop (n + 1)
-              end
-              else n
-            in
-            loop 0)
-      in
-      let served = Pipeline.regenerate one_rel_schema ccs in
-      Atomic.set running false;
-      let scrapes = Domain.join scraper in
-      (* the server stays answerable after the run finishes *)
-      let post =
-        match Client.get ~port "/metrics" with
-        | Ok (200, _) -> true
-        | _ -> false
-      in
-      Server.stop srv;
-      scrub ();
-      if not post then
-        QCheck.Test.fail_report "post-run scrape did not answer 200";
-      ignore scrapes;
-      fingerprint plain = fingerprint served)
+      pure 1 && pure 4)
 
 (* ---- one record, many renderings ---- *)
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay
+    && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
 
 (* finite floats of every magnitude (raw bit patterns cover subnormals
    and the extremes), plus values %.12g used to lose *)
@@ -1570,6 +1313,8 @@ let suite =
           test_heartbeat_rate_eta;
         Alcotest.test_case "HYDRA_OBS progress parsing" `Quick
           test_progress_spec_parsing;
+        Alcotest.test_case "resource sampler gauges" `Quick
+          test_resource_sampler;
         Alcotest.test_case "chrome trace JSON well-formedness" `Quick
           test_trace_event_json;
         Alcotest.test_case "chrome trace from a live run" `Quick
@@ -1595,23 +1340,11 @@ let suite =
         QCheck_alcotest.to_alcotest prop_json_float_roundtrip;
         QCheck_alcotest.to_alcotest prop_snapshot_codec;
       ] );
-    ( "obs-serve",
-      [
-        Alcotest.test_case "http request parsing" `Quick test_http_parse;
-        Alcotest.test_case "http response rendering" `Quick test_http_render;
-        Alcotest.test_case "server round trip" `Quick test_server_roundtrip;
-        Alcotest.test_case "serve route table" `Quick test_serve_routes;
-        Alcotest.test_case "serve archive mode" `Quick test_serve_archive_mode;
-        Alcotest.test_case "resource sampler gauges" `Quick
-          test_resource_sampler;
-        Alcotest.test_case "HYDRA_OBS serve parsing" `Quick
-          test_serve_spec_parsing;
-      ] );
     ( "obs-properties",
       [
         QCheck_alcotest.to_alcotest prop_folded_insensitive;
         QCheck_alcotest.to_alcotest prop_observation_is_pure;
-        QCheck_alcotest.to_alcotest prop_serve_scrape_is_pure;
+        QCheck_alcotest.to_alcotest prop_live_readers_are_pure;
       ] );
   ]
 
