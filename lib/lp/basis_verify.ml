@@ -15,35 +15,52 @@ module Rat_num = struct
 
   let zero = Rat.zero
   let one = Rat.one
-  let is_zero = Rat.is_zero
   let add = Rat.add
-  let sub = Rat.sub
-  let mul = Rat.mul
-  let div = Rat.div
-  let magnitude q = Float.abs (Rat.to_float q)
-  let divide x d = if Rat.equal d Rat.one then x else Rat.div x d
+  let zero_at a i = Rat.is_zero a.(i)
+  let magnitude_at a i = Float.abs (Rat.to_float a.(i))
+  let divide_by x d = if Rat.equal d Rat.one then x else Rat.div x d
 
-  let col_op w p idx vals =
-    if not (Rat.is_zero w.(p)) then begin
-      let x = divide w.(p) vals.(0) in
-      w.(p) <- x;
-      Array.iteri
-        (fun k i -> w.(i) <- Rat.sub w.(i) (Rat.mul vals.(k + 1) x))
-        idx
-    end
+  let divide a lo hi d =
+    for k = lo to hi - 1 do
+      a.(k) <- divide_by a.(k) d
+    done
 
-  let row_op w p idx vals =
+  let schur v rows lo hi l a =
+    for e = lo to hi - 1 do
+      let x = l.(rows.(e)) in
+      if not (Rat.is_zero x) then v.(e) <- Rat.sub v.(e) (Rat.mul x a)
+    done
+
+  let scatter w idx vals lo hi =
+    for k = lo to hi - 1 do
+      w.(idx.(k)) <- vals.(k)
+    done
+
+  let gather src idx dst = Array.iteri (fun k i -> dst.(k) <- src.(i)) idx
+
+  let col_ops ~rev w idx vals start n =
+    for e' = 0 to n - 1 do
+      let e = if rev then n - 1 - e' else e' in
+      let lo = start.(e) in
+      let p = idx.(lo) in
+      if not (Rat.is_zero w.(p)) then begin
+        let x = divide_by w.(p) vals.(lo) in
+        w.(p) <- x;
+        for k = lo + 1 to start.(e + 1) - 1 do
+          let i = idx.(k) in
+          w.(i) <- Rat.sub w.(i) (Rat.mul vals.(k) x)
+        done
+      end
+    done
+
+  let row_op w idx vals lo hi =
+    let p = idx.(lo) in
     let s = ref w.(p) in
-    Array.iteri
-      (fun k i ->
-        if not (Rat.is_zero w.(i)) then
-          s := Rat.sub !s (Rat.mul vals.(k + 1) w.(i)))
-      idx;
-    w.(p) <- (if Rat.is_zero !s then !s else divide !s vals.(0))
-
-  let permute w perm scratch =
-    Array.iteri (fun i pi -> scratch.(i) <- w.(pi)) perm;
-    Array.blit scratch 0 w 0 (Array.length w)
+    for k = lo + 1 to hi - 1 do
+      let i = idx.(k) in
+      if not (Rat.is_zero w.(i)) then s := Rat.sub !s (Rat.mul vals.(k) w.(i))
+    done;
+    w.(p) <- (if Rat.is_zero !s then !s else divide_by !s vals.(lo))
 
   let eta_of d r =
     let idx =
@@ -51,7 +68,7 @@ module Rat_num = struct
         (fun i -> i <> r && not (Rat.is_zero d.(i)))
         (List.init (Array.length d) Fun.id)
     in
-    (Array.of_list idx, Array.of_list (d.(r) :: List.map (Array.get d) idx))
+    (Array.of_list (r :: idx), Array.of_list (d.(r) :: List.map (Array.get d) idx))
 end
 
 module LU = Factor.Make (Rat_num)
@@ -59,7 +76,8 @@ module LU = Factor.Make (Rat_num)
 (* The exact arithmetic: every sign question is decided, never Unsure. *)
 module Exact_arith = struct
   type t = {
-    cols : (int * Rat.t) list array;
+    cidx : int array array;
+    cval : Rat.t array array;
     basis : int array;  (* the engine's basis, read when refactorizing *)
     mutable lu : LU.t;
     xb : Rat.t array;
@@ -83,19 +101,24 @@ module Exact_arith = struct
     Array.iteri (fun k bk -> s.y.(k) <- s.c.(bk)) basis;
     LU.btran s.lu s.y
 
+  (* w . A_j *)
+  let dot s w j =
+    let idx = s.cidx.(j) and vals = s.cval.(j) and acc = ref Rat.zero in
+    for e = 0 to Array.length idx - 1 do
+      let wi = w.(idx.(e)) in
+      if not (Rat.is_zero wi) then acc := Rat.add !acc (Rat.mul wi vals.(e))
+    done;
+    !acc
+
   let reduced_cost s j =
-    let rc =
-      List.fold_left
-        (fun acc (i, k) -> Rat.sub acc (Rat.mul s.y.(i) k))
-        s.c.(j) s.cols.(j)
-    in
+    let rc = Rat.sub s.c.(j) (dot s s.y j) in
     s.rc.(j) <- rc;
     sign rc
 
   (* d = B^-1 . A_j by one FTRAN *)
   let column s j =
     Array.fill s.d 0 (Array.length s.d) Rat.zero;
-    List.iter (fun (r, k) -> s.d.(r) <- k) s.cols.(j);
+    Array.iteri (fun e r -> s.d.(r) <- s.cval.(j).(e)) s.cidx.(j);
     LU.ftran s.lu s.d
 
   let column_sign s i = sign s.d.(i)
@@ -116,11 +139,7 @@ module Exact_arith = struct
       LU.btran s.lu s.rho;
       s.rho_row <- r
     end;
-    let a =
-      List.fold_left
-        (fun acc (i, k) -> Rat.add acc (Rat.mul s.rho.(i) k))
-        Rat.zero s.cols.(j)
-    in
+    let a = dot s s.rho j in
     s.alpha.(j) <- a;
     sign a
 
@@ -153,7 +172,7 @@ module Exact_arith = struct
     (* exact etas never drift, but the file grows: refactor to keep
        FTRAN and BTRAN short *)
     if LU.etas s.lu >= Factor.refactor_every then
-      s.lu <- LU.factorize ~m:(Array.length s.basis) s.cols s.basis
+      s.lu <- LU.factorize ~m:(Array.length s.basis) s.cidx s.cval s.basis
 
   let count = function
     | Pivot.Pivot -> Obs.incr m_pivots 1
@@ -174,7 +193,8 @@ let run_phases ?pivots ?repair ~budget (t : Pivot.tableau) lu basis xb
   let m = t.Pivot.m and n = t.Pivot.n in
   let s =
     {
-      Exact_arith.cols = t.Pivot.cols;
+      Exact_arith.cidx = t.Pivot.cidx;
+      cval = t.Pivot.cval;
       basis;
       lu;
       xb;
@@ -193,7 +213,7 @@ let run_phases ?pivots ?repair ~budget (t : Pivot.tableau) lu basis xb
   { outcome; basis; xb }
 
 let factorize t basis =
-  try Some (LU.factorize ~m:t.Pivot.m t.Pivot.cols basis)
+  try Some (LU.factorize ~m:t.Pivot.m t.Pivot.cidx t.Pivot.cval basis)
   with LU.Singular -> None
 
 let cold ~budget (t : Pivot.tableau) basis ~objective iter_count =

@@ -7,9 +7,24 @@
     (column singletons, then row singletons, then the fewest-fill
     entry among the sparsest columns, under threshold pivoting). A
     pivot that replaces the column at position r appends one
-    product-form eta, the FTRAN'd entering column. FTRAN (solve
-    B x = a) applies them in order and BTRAN (solve y B = c) in
-    reverse, each over a dense work vector of length m.
+    product-form eta, the FTRAN'd entering column.
+
+    Storage. Columns come as index and value arrays, the tableau's own.
+    The active submatrix is kept by column in arrays, each column's U
+    entries in a prefix and its active entries after them. Each row
+    holds a count of its active entries and a list of the columns that
+    have or had one there, pruned when read. Active columns sit in
+    buckets by count, so a column singleton, and the sparsest columns
+    for the Markowitz search, come without a scan; the threshold test
+    is one pass for the largest magnitude of a column.
+
+    Solves. FTRAN (solve B x = a) applies L's and U's column etas, then
+    the updates in order. L and U are also kept by row, so BTRAN
+    (solve y B = c) runs the updates in reverse as row operations and
+    then U's and L's row etas as column operations, each skipping a
+    step whose entry is zero: a sparse right-hand side such as e_r
+    touches only the steps it reaches. Both work over a dense vector of
+    length m.
 
     The arithmetic [N] runs the inner loops over whole vectors, so an
     instance over [float] keeps its numbers unboxed. There are two
@@ -21,29 +36,46 @@ module type NUM = sig
 
   val zero : t
   val one : t
-  val is_zero : t -> bool
   val add : t -> t -> t
-  val sub : t -> t -> t
-  val mul : t -> t -> t
-  val div : t -> t -> t
 
-  val magnitude : t -> float
-  (** |q|, for threshold pivoting *)
+  val zero_at : t array -> int -> bool
+  (** [zero_at a i]: a_i = 0 *)
 
-  val col_op : t array -> int -> int array -> t array -> unit
-  (** [col_op w p idx vals]: w_p <- w_p / vals_0, then
-      w_(idx_k) <- w_(idx_k) - vals_(k+1) * w_p for every k. *)
+  val magnitude_at : t array -> int -> float
+  (** [magnitude_at a i]: |a_i|, for threshold pivoting *)
 
-  val row_op : t array -> int -> int array -> t array -> unit
-  (** [row_op w p idx vals]:
-      w_p <- (w_p - sum_k vals_(k+1) * w_(idx_k)) / vals_0. *)
+  val divide : t array -> int -> int -> t -> unit
+  (** [divide a lo hi d]: a_k <- a_k / d for lo <= k < hi. *)
 
-  val permute : t array -> int array -> t array -> unit
-  (** [permute w perm scratch]: w_i <- w_(perm_i) for every i. *)
+  val schur : t array -> int array -> int -> int -> t array -> t -> unit
+  (** [schur v rows lo hi l x]: v_k <- v_k - l_(rows_k) * x for every
+      lo <= k < hi with l_(rows_k) <> 0. *)
+
+  val scatter : t array -> int array -> t array -> int -> int -> unit
+  (** [scatter w idx vals lo hi]: w_(idx_k) <- vals_k for lo <= k < hi. *)
+
+  val gather : t array -> int array -> t array -> unit
+  (** [gather src idx dst]: dst_k <- src_(idx_k) for every k of [idx]. *)
+
+  (** An eta spans positions lo .. hi - 1 of an index and a value
+      array: its pivot p = idx_lo and divisor vals_lo, then its
+      entries. A file of n etas lays them out one after the other, eta
+      e from start_e to start_(e+1) - 1. *)
+
+  val col_ops :
+    rev:bool -> t array -> int array -> t array -> int array -> int -> unit
+  (** [col_ops ~rev w idx vals start n] applies the file's etas 0 .. n - 1
+      in order, or in reverse order when [rev], each as a column
+      operation: w_p <- w_p / vals_lo, then, unless w_p is zero,
+      w_(idx_k) <- w_(idx_k) - vals_k * w_p for lo < k < hi. *)
+
+  val row_op : t array -> int array -> t array -> int -> int -> unit
+  (** [row_op w idx vals lo hi]:
+      w_p <- (w_p - sum_(lo < k < hi) vals_k * w_(idx_k)) / vals_lo. *)
 
   val eta_of : t array -> int -> int array * t array
-  (** [eta_of d r]: the positions i <> r with d_i <> 0, and the values
-      d_r followed by those d_i. *)
+  (** [eta_of d r]: the eta with pivot r, divisor d_r and an entry d_i
+      for every i <> r with d_i <> 0. *)
 end
 
 val refactor_every : int
@@ -54,9 +86,11 @@ module Make (N : NUM) : sig
 
   exception Singular
 
-  val factorize : m:int -> (int * N.t) list array -> int array -> t
-  (** [factorize ~m cols basis] factors the m x m basis whose column k
-      is [cols.(basis.(k))], within an [lp.factor] span.
+  val factorize : m:int -> int array array -> N.t array array -> int array -> t
+  (** [factorize ~m idx vals basis] factors the m x m basis whose column
+      k has rows [idx.(basis.(k))] and values [vals.(basis.(k))], within
+      an [lp.factor] span. A column's entries in one row are summed,
+      and zeros dropped.
       @raise Singular when it is singular. *)
 
   val ftran : t -> N.t array -> unit

@@ -14,7 +14,8 @@ let m_dual_pivots = Obs.counter "simplex.dual_pivots"
 type tableau = {
   m : int;
   n : int;
-  cols : (int * Rat.t) list array;
+  cidx : int array array;
+  cval : Rat.t array array;
   b : Rat.t array;
   art_first : int;
 }

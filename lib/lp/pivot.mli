@@ -24,13 +24,15 @@
 open Hydra_arith
 
 (** The problem in computational form: minimize c.x s.t. A x = b,
-    x >= 0, b >= 0. Columns are sparse; instances keep the basis as
+    x >= 0, b >= 0. Columns are sparse: index and value arrays, one
+    entry per row, every value nonzero. Instances keep the basis as
     sparse LU factors plus eta updates ({!Factor}), never an explicit
     inverse. *)
 type tableau = {
   m : int;  (** rows *)
   n : int;  (** columns, incl. slacks and artificials *)
-  cols : (int * Rat.t) list array;  (** col -> (row, coef) list *)
+  cidx : int array array;  (** col -> its rows *)
+  cval : Rat.t array array;  (** col -> its coefficients, as [cidx] *)
   b : Rat.t array;
   art_first : int;  (** first artificial column index; [n] if none *)
 }

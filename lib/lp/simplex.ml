@@ -17,6 +17,7 @@ type mode = Exact | Float_first
 let mode_to_string = function Exact -> "exact" | Float_first -> "float-first"
 
 let build_tableau lp =
+  Obs.with_span "lp.tableau" @@ fun () ->
   let constrs = Array.of_list (Lp.constraints lp) in
   let m = Array.length constrs in
   let nstruct = Lp.num_vars lp in
@@ -33,6 +34,27 @@ let build_tableau lp =
         else (c.Lp.terms, c.Lp.rel, c.Lp.rhs))
       constrs
   in
+  (* each row's variables once, their mentions summed in a scatter
+     array; a variable whose sum is zero is dropped *)
+  let sum = Array.make nstruct Rat.zero and last = Array.make nstruct (-1) in
+  let entries =
+    Array.mapi
+      (fun i (terms, _, _) ->
+        let vars = ref [] in
+        List.iter
+          (fun (v, k) ->
+            if last.(v) = i then sum.(v) <- Rat.add sum.(v) k
+            else begin
+              last.(v) <- i;
+              sum.(v) <- k;
+              vars := v :: !vars
+            end)
+          terms;
+        List.filter_map
+          (fun v -> if Rat.is_zero sum.(v) then None else Some (v, sum.(v)))
+          !vars)
+      rows
+  in
   (* count slacks *)
   let nslack =
     Array.fold_left
@@ -47,41 +69,41 @@ let build_tableau lp =
       0 rows
   in
   let n = art_first + nart in
-  let cols = Array.make n [] in
+  let len = Array.make n 1 in
+  Array.fill len 0 nstruct 0;
+  Array.iter (List.iter (fun (v, _) -> len.(v) <- len.(v) + 1)) entries;
+  let cidx = Array.map (fun k -> Array.make k 0) len in
+  let cval = Array.map (fun k -> Array.make k Rat.zero) len in
+  (* a column's entries run from its last row up *)
+  let put j i k =
+    len.(j) <- len.(j) - 1;
+    cidx.(j).(len.(j)) <- i;
+    cval.(j).(len.(j)) <- k
+  in
   let b = Array.make m Rat.zero in
   let basis = Array.make m (-1) in
   let slack = ref nstruct and art = ref art_first in
   Array.iteri
-    (fun i (terms, rel, rhs) ->
+    (fun i (_, rel, rhs) ->
       b.(i) <- rhs;
-      (* accumulate duplicate variable mentions within a row *)
-      let tbl = Hashtbl.create (List.length terms) in
-      List.iter
-        (fun (v, k) ->
-          let prev = try Hashtbl.find tbl v with Not_found -> Rat.zero in
-          Hashtbl.replace tbl v (Rat.add prev k))
-        terms;
-      Hashtbl.iter
-        (fun v k ->
-          if not (Rat.is_zero k) then cols.(v) <- (i, k) :: cols.(v))
-        tbl;
+      List.iter (fun (v, k) -> put v i k) entries.(i);
       (match rel with
       | Lp.Le ->
-          cols.(!slack) <- [ (i, Rat.one) ];
+          put !slack i Rat.one;
           basis.(i) <- !slack;
           incr slack
       | Lp.Ge ->
-          cols.(!slack) <- [ (i, Rat.minus_one) ];
+          put !slack i Rat.minus_one;
           incr slack
       | Lp.Eq -> ());
       match rel with
       | Lp.Le -> ()
       | Lp.Eq | Lp.Ge ->
-          cols.(!art) <- [ (i, Rat.one) ];
+          put !art i Rat.one;
           basis.(i) <- !art;
           incr art)
     rows;
-  ({ Pivot.m; n; cols; b; art_first }, basis)
+  ({ Pivot.m; n; cidx; cval; b; art_first }, basis)
 
 (* The ladder: a rung that delivers a verified run is the answer, and
    every other way down ends in the cold exact run. The rungs are the

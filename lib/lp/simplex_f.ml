@@ -80,46 +80,67 @@ module Float_num = struct
 
   let zero = 0.0
   let one = 1.0
-  let is_zero x = x = 0.0
   let add = ( +. )
-  let sub = ( -. )
-  let mul = ( *. )
-  let div = ( /. )
-  let magnitude = Float.abs
+  let zero_at (a : float array) i = a.(i) = 0.0
+  let magnitude_at (a : float array) i = Float.abs a.(i)
 
-  let col_op (w : float array) p (idx : int array) (vals : float array) =
-    let x = w.(p) /. vals.(0) in
-    w.(p) <- x;
-    if x <> 0.0 then
-      for k = 0 to Array.length idx - 1 do
-        let i = idx.(k) in
-        w.(i) <- w.(i) -. (vals.(k + 1) *. x)
-      done
+  let divide (a : float array) lo hi d =
+    for k = lo to hi - 1 do
+      a.(k) <- a.(k) /. d
+    done
 
-  let row_op (w : float array) p (idx : int array) (vals : float array) =
-    let s = ref w.(p) in
+  let schur (v : float array) (rows : int array) lo hi (l : float array) a =
+    for e = lo to hi - 1 do
+      let x = l.(rows.(e)) in
+      if x <> 0.0 then v.(e) <- v.(e) -. (x *. a)
+    done
+
+  let scatter (w : float array) (idx : int array) (vals : float array) lo hi =
+    for k = lo to hi - 1 do
+      w.(idx.(k)) <- vals.(k)
+    done
+
+  let gather (src : float array) (idx : int array) (dst : float array) =
     for k = 0 to Array.length idx - 1 do
-      s := !s -. (vals.(k + 1) *. w.(idx.(k)))
-    done;
-    w.(p) <- !s /. vals.(0)
+      dst.(k) <- src.(idx.(k))
+    done
 
-  let permute (w : float array) perm (scratch : float array) =
-    for i = 0 to Array.length w - 1 do
-      scratch.(i) <- w.(perm.(i))
+  let col_ops ~rev (w : float array) (idx : int array) (vals : float array)
+      (start : int array) n =
+    for e' = 0 to n - 1 do
+      let e = if rev then n - 1 - e' else e' in
+      let lo = start.(e) in
+      let p = idx.(lo) in
+      let x = w.(p) in
+      if x <> 0.0 then begin
+        let x = x /. vals.(lo) in
+        w.(p) <- x;
+        for k = lo + 1 to start.(e + 1) - 1 do
+          let i = idx.(k) in
+          w.(i) <- w.(i) -. (vals.(k) *. x)
+        done
+      end
+    done
+
+  let row_op (w : float array) (idx : int array) (vals : float array) lo hi =
+    let p = idx.(lo) in
+    let s = ref w.(p) in
+    for k = lo + 1 to hi - 1 do
+      s := !s -. (vals.(k) *. w.(idx.(k)))
     done;
-    Array.blit scratch 0 w 0 (Array.length w)
+    w.(p) <- !s /. vals.(lo)
 
   let eta_of (d : float array) r =
-    let n = ref 0 in
+    let n = ref 1 in
     for i = 0 to Array.length d - 1 do
       if i <> r && d.(i) <> 0.0 then incr n
     done;
-    let idx = Array.make !n 0 and vals = Array.make (!n + 1) d.(r) in
-    let k = ref 0 in
+    let idx = Array.make !n r and vals = Array.make !n d.(r) in
+    let k = ref 1 in
     for i = 0 to Array.length d - 1 do
       if i <> r && d.(i) <> 0.0 then begin
         idx.(!k) <- i;
-        vals.(!k + 1) <- d.(i);
+        vals.(!k) <- d.(i);
         incr k
       end
     done;
@@ -132,9 +153,8 @@ module Float_arith = struct
   type ystate = Stale | Fresh | Carried
 
   type t = {
-    fcols : (int * float) list array;
-    (* the same columns as arrays, which loops read without allocating:
-       rows, values, and the sum of |values| *)
+    (* the tableau's columns in doubles: rows, values, and the sum of
+       |values| *)
     cidx : int array array;
     cval : float array array;
     fnorm : float array;
@@ -186,10 +206,10 @@ module Float_arith = struct
     done;
     s.xscale <- !sc
 
-  let factorize fcols basis =
+  let factorize cidx cval basis =
     (* a singular float basis means the shadow lost the plot, or a warm
        start's basis is singular: either way exact arithmetic decides *)
-    try LU.factorize ~m:(Array.length basis) fcols basis
+    try LU.factorize ~m:(Array.length basis) cidx cval basis
     with LU.Singular -> raise Pivot.Undecided
 
   let largest (v : float array) =
@@ -237,17 +257,15 @@ module Float_arith = struct
   let create (t : Pivot.tableau) basis =
     let m = t.Pivot.m and n = t.Pivot.n in
     let fb = Array.map Rat.to_float t.Pivot.b in
-    let fcols = Array.map (List.map (fun (i, k) -> (i, Rat.to_float k))) t.cols in
+    let cval = Array.map (Array.map Rat.to_float) t.Pivot.cval in
     let s =
       {
-        fcols;
-        cidx = Array.map (fun c -> Array.of_list (List.map fst c)) fcols;
-        cval = Array.map (fun c -> Array.of_list (List.map snd c)) fcols;
-        fnorm =
-          Array.map (List.fold_left (fun a (_, v) -> a +. Float.abs v) 0.0) fcols;
+        cidx = t.Pivot.cidx;
+        cval;
+        fnorm = Array.map (Array.fold_left (fun a v -> a +. Float.abs v) 0.0) cval;
         fb;
         basis;
-        lu = factorize fcols basis;
+        lu = factorize t.Pivot.cidx cval basis;
         xb = Array.copy fb;
         c = [||];
         y = Array.make m 0.0;
@@ -299,7 +317,7 @@ module Float_arith = struct
   (* drift control: factor the basis afresh from the original (exactly
      representable) column data, then recompute xb *)
   let refactor s =
-    s.lu <- factorize s.fcols s.basis;
+    s.lu <- factorize s.cidx s.cval s.basis;
     s.rho_row <- -1;
     s.ystate <- Stale;
     Array.fill s.drift 0 (Array.length s.drift) 0.0;

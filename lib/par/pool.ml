@@ -59,9 +59,14 @@ let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 let default_jobs () =
   match Sys.getenv_opt "HYDRA_JOBS" with
   | Some s -> (
-      match int_of_string_opt (String.trim s) with
+      match int_of_string_opt s with
       | Some n when n >= 1 -> n
-      | _ -> Domain.recommended_domain_count ())
+      | _ ->
+          invalid_arg
+            (Printf.sprintf
+               "environment variable 'HYDRA_JOBS': expected an integer >= 1, \
+                got %S"
+               s))
   | None -> Domain.recommended_domain_count ()
 
 let jobs t = t.width

@@ -46,8 +46,9 @@ val jobs : t -> int
 (** The parallelism width this pool was created with. *)
 
 val default_jobs : unit -> int
-(** [HYDRA_JOBS] when set to a positive integer, otherwise
-    [Domain.recommended_domain_count ()]. *)
+(** [HYDRA_JOBS] when set, otherwise [Domain.recommended_domain_count ()].
+    @raise Invalid_argument when [HYDRA_JOBS] is set to anything but an
+    integer >= 1, with the message the CLI's [--jobs] gives for it. *)
 
 val map_range : t -> int -> (int -> 'a) -> 'a array
 (** [map_range pool n f] computes [f i] for [0 <= i < n], each index

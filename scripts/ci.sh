@@ -38,7 +38,9 @@
 # lp.float_pivots, lp.iterations, lp.degenerate_pivots,
 # lp.verify_repairs, lp.bnb_nodes and lp.bland_fallbacks to read
 # 2369/2409/0/0/20/0 exactly: a change of any of them is a change of
-# the pivot path.
+# the pivot path. One traced `supply` sample must read 746/792/0/0/23/0
+# the same way. The `job` sample's lp.minor_words, which repeat exactly
+# at --jobs 1, must stay within 1.05x of 12,098,643.
 #
 # Last, scripts/loc.sh prints the program's size (lib/ + bin/), the
 # measure ROADMAP tracks from change to change.
@@ -153,6 +155,25 @@ if off:
 PY
 
 echo "path gate: job lp.* counts 2369/2409/0/0/20/0"
+
+_build/default/hbench/hbench.exe sample --workload supply --seed 1 --trace 1 \
+  --dir "$obs_tmp/hbench" > "$obs_tmp/hbench-supply.json"
+python3 - "$obs_tmp/hbench.json" "$obs_tmp/hbench-supply.json" <<'PY'
+import json, sys
+job, supply = (json.load(open(p))["metrics"] for p in sys.argv[1:3])
+want = {"lp.float_pivots": 746, "lp.iterations": 792,
+        "lp.degenerate_pivots": 0, "lp.verify_repairs": 0,
+        "lp.bnb_nodes": 23, "lp.bland_fallbacks": 0}
+off = {k: (supply.get(k), v) for k, v in want.items() if supply.get(k) != v}
+if off:
+    sys.exit("path gate: supply counts (got, want) %s" % off)
+ceiling = 1.05 * 12098643
+if job["lp.minor_words"] > ceiling:
+    sys.exit("allocation gate: job lp.minor_words %d > %d"
+             % (job["lp.minor_words"], ceiling))
+PY
+
+echo "path gate: supply lp.* counts 746/792/0/0/23/0, job lp.minor_words within 1.05x"
 
 # ---- program size ----
 

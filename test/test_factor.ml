@@ -7,7 +7,10 @@
    emits: unit slack/artificial columns and count rows with 0/+-1
    entries, plus small integers so that inverses hold fractions. Every
    float result is compared, entry by entry, against exact rational
-   arithmetic. *)
+   arithmetic. The corner families below drive the factorization's
+   bookkeeping: duplicate and zero entries, a dense row, exact
+   cancellation, fill-in, row-singleton chains, singular bases and tiny
+   pivots. *)
 
 module Rat = Hydra_arith.Rat
 module Exact = Factor.Make (Basis_verify.Rat_num)
@@ -50,6 +53,21 @@ let ref_solve a rhs =
     done;
     Some (Array.init m (fun i -> Rat.div x.(i) a.(i).(i)))
   with Exit -> None
+
+(* columns as (row, value) lists, in the index and value arrays the
+   factorization and the tableau take *)
+let split cols =
+  ( Array.map (fun c -> Array.of_list (List.map fst c)) cols,
+    Array.map (fun c -> Array.of_list (List.map snd c)) cols )
+
+let factorize m cols basis =
+  let idx, vals = split cols in
+  Exact.factorize ~m idx vals basis
+
+let tableau m cols b =
+  let cidx, cval = split cols in
+  let n = Array.length cols in
+  { Pivot.m; n; cidx; cval; b; art_first = n }
 
 let transpose a =
   Array.init (Array.length a) (fun i -> Array.map (fun row -> row.(i)) a)
@@ -151,7 +169,7 @@ let equal x y = Array.for_all2 Rat.equal x y
 
 let column c q =
   let a = Array.make c.m Rat.zero in
-  List.iter (fun (i, v) -> a.(i) <- v) c.cols.(q);
+  List.iter (fun (i, v) -> a.(i) <- Rat.add a.(i) v) c.cols.(q);
   a
 
 (* Walk the moves over [basis], the first m columns to begin with: each
@@ -182,29 +200,33 @@ let walk c basis ~d ~check ~pivot =
 
 (* ---- exact factors ---- *)
 
-let prop_exact_solves =
-  QCheck.Test.make ~name:"Rat FTRAN/BTRAN equal a reference solve" ~count:300
-    (arb ~max_moves:0) (fun c ->
+let exact_solves name arb =
+  QCheck.Test.make ~name ~count:300 arb (fun c ->
       let basis = Array.init c.m Fun.id in
-      let f = Exact.factorize ~m:c.m c.cols basis in
+      let f = factorize c.m c.cols basis in
       equal (ftran f c.a) (Option.get (solve_ref c.cols basis c.a))
       && equal (btran f c.c) (Option.get (solve_ref_t c.cols basis c.c)))
 
-let prop_exact_updates =
-  QCheck.Test.make ~name:"eta updates equal a fresh factorization" ~count:300
-    (arb ~max_moves:80) (fun c ->
+let exact_updates name arb =
+  QCheck.Test.make ~name ~count:300 arb (fun c ->
       let basis = Array.init c.m Fun.id in
-      let f = Exact.factorize ~m:c.m c.cols basis in
+      let f = factorize c.m c.cols basis in
       walk c basis
         ~d:(fun q -> ftran f (column c q))
         ~check:ignore
         ~pivot:(fun r q d ->
           Exact.update f r d;
           basis.(r) <- q);
-      let fresh = Exact.factorize ~m:c.m c.cols basis in
+      let fresh = factorize c.m c.cols basis in
       equal (ftran f c.a) (ftran fresh c.a)
       && equal (btran f c.c) (btran fresh c.c)
       && equal (ftran f c.a) (Option.get (solve_ref c.cols basis c.a)))
+
+let prop_exact_solves =
+  exact_solves "Rat FTRAN/BTRAN equal a reference solve" (arb ~max_moves:0)
+
+let prop_exact_updates =
+  exact_updates "eta updates equal a fresh factorization" (arb ~max_moves:80)
 
 (* singular variants of a nonsingular basis: a column repeated, a zero
    column, a column that is the sum of two others *)
@@ -228,16 +250,16 @@ let prop_singular =
               (List.init m Fun.id));
       let basis = Array.init m Fun.id in
       let exact_singular =
-        match Exact.factorize ~m cols basis with
+        match factorize m cols basis with
         | exception Exact.Singular -> true
         | _ -> false
       in
-      let float_cols = Array.map (List.map (fun (i, v) -> (i, Rat.to_float v))) cols in
+      let idx, vals = split cols in
       (* floats see an empty column exactly *)
       let float_singular =
         kind <> 1
         ||
-        match Approx.factorize ~m float_cols basis with
+        match Approx.factorize ~m idx (Array.map (Array.map Rat.to_float) vals) basis with
         | exception Approx.Singular -> true
         | _ -> false
       in
@@ -271,15 +293,13 @@ let prop_float_bounds =
   QCheck.Test.make ~name:"float error bounds cover the exact results"
     ~count:400 (arb ~max_moves:(2 * Factor.refactor_every)) (fun c ->
       let m = c.m and n = Array.length c.cols in
-      let t =
-        { Pivot.m; n; cols = c.cols; b = Array.map Rat.abs c.a; art_first = n }
-      in
+      let t = tableau m c.cols (Array.map Rat.abs c.a) in
       (* each instance reads this array as the engine's basis *)
       let basis = Array.init m Fun.id in
       let s = F.create t basis and twin = F.create t basis in
       F.warm s;
       F.warm twin;
-      let ex = Exact.factorize ~m c.cols basis in
+      let ex = factorize m c.cols basis in
       let costs = Array.init n (fun j -> c.c.(j mod m)) in
       F.set_costs s costs;
       let ok = ref true in
@@ -333,9 +353,9 @@ let prop_carried_duals =
           triple bool (chain_gen ~diag:1 m)
             (array_size (return m) (int_range (-5) 5))))
     (fun (reverse, chain, ys) ->
-      let m = Array.length chain and n = 2 * Array.length chain in
+      let m = Array.length chain in
       let cols = Array.append (Array.init m (fun i -> [ (i, Rat.one) ])) chain in
-      let t = { Pivot.m; n; cols; b = Array.make m Rat.one; art_first = n } in
+      let t = tableau m cols (Array.make m Rat.one) in
       let basis = Array.init m Fun.id in
       let s = F.create t basis in
       let ystar = Array.map (fun v -> Rat.div (Rat.of_int v) (Rat.of_int 3)) ys in
@@ -354,13 +374,220 @@ let prop_carried_duals =
           List.for_all (fun i -> within (F.price_entry s i) ystar.(i)) order)
         (if reverse then List.rev order else order))
 
+(* ---- the factorization's corners ---- *)
+
+let nonsingular m cols = ref_solve (dense m cols) (Array.make m Rat.zero) <> None
+
+(* [gen m] retried until nonsingular, with the identity as the last
+   resort *)
+let retry gen m =
+  let open QCheck.Gen in
+  let rec attempt k =
+    if k = 0 then return (Array.init m (fun i -> [ (i, Rat.one) ]))
+    else
+      let* cols = gen m in
+      if nonsingular m cols then return cols else attempt (k - 1)
+  in
+  attempt 50
+
+(* the same basis with rows relabelled and columns reordered *)
+let shuffled cols =
+  let open QCheck.Gen in
+  let m = Array.length cols in
+  let perm = map Array.of_list (shuffle_l (List.init m Fun.id)) in
+  let* rows = perm and* order = perm in
+  return (Array.map (fun k -> List.map (fun (i, v) -> (rows.(i), v)) cols.(k)) order)
+
+let pm k = QCheck.Gen.(map (fun neg -> Rat.of_int (if neg then -k else k)) bool)
+
+(* Duplicate entries in one column and explicit zeros: some entries of
+   a nonsingular basis are split in two, the parts summing to the
+   entry, and zeros are added at random rows; the matrix is the same. *)
+let messy_gen m =
+  let open QCheck.Gen in
+  let* cols = basis_gen m in
+  let entry (i, v) =
+    frequency
+      [
+        (2, return [ (i, v) ]);
+        (1, map (fun k -> [ (i, Rat.sub v (Rat.of_int k)); (i, Rat.of_int k) ]) (int_range (-2) 2));
+        (1, map (fun j -> [ (i, v); (j, Rat.zero) ]) (int_range 0 (m - 1)));
+      ]
+  in
+  let column l = map List.concat (flatten_l (List.map entry l)) >>= shuffle_l in
+  flatten_a (Array.map column cols)
+
+(* one dense row, shared by every column, as the relation-total row of
+   a HYDRA LP *)
+let dense_row_gen m =
+  let open QCheck.Gen in
+  let* d = int_range 0 (m - 1) in
+  let column =
+    let* col = column_gen m and* v = pm 1 in
+    return (if List.mem_assoc d col then col else (d, v) :: col)
+  in
+  array_size (return m) column
+
+(* Exact cancellation in the Schur update: every column is one of a few
+   +-1 templates plus a +-1 entry of its own, so eliminating on one
+   template entry cancels its rows in the columns sharing it. *)
+let cancel_gen m =
+  let open QCheck.Gen in
+  let template =
+    let* rows = list_size (int_range 2 (min m 3)) (int_range 0 (m - 1)) in
+    flatten_l (List.map (fun i -> map (fun v -> (i, v)) (pm 1)) (List.sort_uniq compare rows))
+  in
+  let* templates = array_size (int_range 1 3) template in
+  let column =
+    let* t = oneofa templates and* i = int_range 0 (m - 1) and* v = pm 1 in
+    return ((i, v) :: t)
+  in
+  array_size (return m) column
+
+(* fill-in: every column holds 2 to 4 entries, so no column is a
+   singleton *)
+let fill_gen m =
+  let open QCheck.Gen in
+  let column =
+    let* rows = list_size (int_range 2 (min m 4)) (int_range 0 (m - 1)) in
+    flatten_l
+      (List.map (fun i -> map (fun v -> (i, Rat.of_int v)) coef_gen) (List.sort_uniq compare rows))
+  in
+  array_size (return m) column
+
+(* A row-singleton chain: lower triangular, every column but the last
+   with an entry below the diagonal, and the last column with one above
+   it, so no column is a singleton until the end and each pivot leaves
+   the next row a singleton. *)
+let row_chain_gen m =
+  let open QCheck.Gen in
+  let column j =
+    let* d = oneofl [ 1; -1; 2; -2 ] and* below = list_size (int_range 1 3) (int_range (j + 1) (m - 1)) in
+    let* vs = list_size (return (List.length below)) (oneofl [ 1; -1; 2; -3 ]) in
+    let below = List.sort_uniq (fun (a, _) (b, _) -> compare a b) (List.combine below vs) in
+    return ((j, Rat.of_int d) :: List.map (fun (i, v) -> (i, Rat.of_int v)) below)
+  in
+  let* cols = flatten_a (Array.init (m - 1) column) and* d = pm 1 and* x = pm 2 in
+  return (Array.append cols [| [ (m - 1, d); (m - 2, x) ] |])
+
+(* A tiny pivot with the best sparsity: 2 x 2 blocks [e 1; 1 1], e
+   about 1e-20, which pivoting on e would wreck in floats. *)
+let tiny_gen m =
+  let open QCheck.Gen in
+  let m = 2 * (m / 2) in
+  let block k =
+    let* e = int_range 1 3 and* s = pm 1 in
+    let e = Rat.mul s (Rat.of_float (float_of_int e *. 1e-20)) in
+    return [| [ (2 * k, e); ((2 * k) + 1, Rat.one) ]; [ (2 * k, Rat.one); ((2 * k) + 1, s) ] |]
+  in
+  map Array.concat (flatten_l (List.init (m / 2) block))
+
+let corners =
+  [ ("messy", messy_gen); ("dense row", dense_row_gen); ("cancel", cancel_gen); ("fill", fill_gen);
+    ("row chain", row_chain_gen) ]
+
+(* a case over a corner family's basis *)
+let corner_case ?(families = corners) ~max_moves () =
+  let open QCheck.Gen in
+  let* _, family = oneofl families and* m = int_range 2 12 in
+  let* basis = retry family m >>= shuffled in
+  let m = Array.length basis in
+  let* pool = array_size (int_range 1 8) (column_gen m) in
+  let* a = vector_gen m and* c = vector_gen m in
+  let* moves =
+    list_size (int_range 0 max_moves)
+      (pair (int_range 0 (Array.length pool - 1)) (int_range 0 (m - 1)))
+  in
+  return { m; cols = Array.append basis pool; a; c; moves }
+
+let corner_arb ?families ~max_moves () =
+  QCheck.make ~print:print_case (corner_case ?families ~max_moves ())
+
+let prop_corner_solves =
+  exact_solves "corners: Rat FTRAN/BTRAN equal a reference solve" (corner_arb ~max_moves:0 ())
+
+let prop_corner_updates =
+  exact_updates "corners: eta updates equal a fresh factorization" (corner_arb ~max_moves:80 ())
+
+(* Singular corners. Structural: an empty row, or three columns within
+   two rows. Numerical: one row the sum of two others, which
+   elimination cancels; or a row singleton's row plus another row, so
+   that one cancellation and the row singleton's pivot empty the third
+   row while no column is a singleton. Floats must see the structural
+   ones too. *)
+let prop_corner_singular =
+  QCheck.Test.make ~name:"corners: singular bases are reported as singular" ~count:300
+    QCheck.(pair (corner_arb ~max_moves:0 ()) (int_bound 3))
+    (fun (c, kind) ->
+      QCheck.assume (c.m >= 3);
+      let m = c.m in
+      let cols = Array.sub c.cols 0 m in
+      let a = dense m cols in
+      let column k = List.filter_map (fun i -> if Rat.is_zero a.(i).(k) then None else Some (i, a.(i).(k))) (List.init m Fun.id) in
+      let cols =
+        match kind with
+        | 0 -> Array.map (List.filter (fun (i, _) -> i <> m - 1)) cols
+        | 1 ->
+            Array.mapi
+              (fun k col -> if k < 3 then List.filter (fun (i, _) -> i < 2) col @ [ (k mod 2, Rat.one) ] else col)
+              cols
+        | 2 ->
+            for k = 0 to m - 1 do
+              a.(m - 1).(k) <- Rat.add a.(0).(k) a.(1).(k)
+            done;
+            Array.init m column
+        | _ ->
+            (* rows 0 (a), 1 (p) and 2 (r = a + p) over columns X = 0,
+               Z = 1, Y = 2, and the rest dense in rows 3.. *)
+            Array.init m (fun k ->
+                match k with
+                | 0 -> [ (0, Rat.one); (2, Rat.one) ]
+                | 1 -> [ (1, Rat.one); (2, Rat.one) ]
+                | 2 -> (0, Rat.one) :: (2, Rat.one) :: List.init (m - 3) (fun i -> (i + 3, Rat.one))
+                | _ -> List.init (m - 3) (fun i -> (i + 3, Rat.of_int (1 + (i * k mod 5)))))
+      in
+      let basis = Array.init m Fun.id in
+      let exact_singular =
+        match factorize m cols basis with exception Exact.Singular -> true | _ -> false
+      in
+      let idx, vals = split cols in
+      let float_singular =
+        kind >= 2
+        ||
+        match Approx.factorize ~m idx (Array.map (Array.map Rat.to_float) vals) basis with
+        | exception Approx.Singular -> true
+        | _ -> false
+      in
+      exact_singular && float_singular)
+
+(* Threshold pivoting: float FTRAN and BTRAN stay within 1e-9 of the
+   exact solve, relative to its largest entry, on bases whose sparsest
+   pivots are tiny. *)
+let prop_tiny_pivots =
+  QCheck.Test.make ~name:"corners: float solves stay accurate past tiny pivots" ~count:200
+    (corner_arb ~families:[ ("tiny", tiny_gen) ] ~max_moves:0 ())
+    (fun c ->
+      let m = c.m and basis = Array.init c.m Fun.id in
+      let idx, vals = split (Array.sub c.cols 0 m) in
+      let f = Approx.factorize ~m idx (Array.map (Array.map Rat.to_float) vals) basis in
+      let close solve exact rhs =
+        let w = Array.map Rat.to_float rhs in
+        solve f w;
+        let exact = Array.map Rat.to_float (Option.get exact) in
+        let scale = Array.fold_left (fun a x -> Float.max a (Float.abs x)) 1.0 exact in
+        Array.for_all2 (fun x e -> Float.abs (x -. e) <= 1e-9 *. scale) w exact
+      in
+      close Approx.ftran (solve_ref c.cols basis c.a) c.a
+      && close Approx.btran (solve_ref_t c.cols basis c.c) c.c)
+
 let suite =
   [
     ( "factor",
       List.map QCheck_alcotest.to_alcotest
         [
           prop_exact_solves; prop_exact_updates; prop_singular; prop_float_bounds;
-          prop_carried_duals;
+          prop_carried_duals; prop_corner_solves; prop_corner_updates; prop_corner_singular;
+          prop_tiny_pivots;
         ] );
   ]
 

@@ -108,14 +108,19 @@ let test_default_jobs_env () =
   in
   with_env "3" (fun () ->
       Alcotest.(check int) "HYDRA_JOBS=3" 3 (Pool.default_jobs ()));
-  with_env "0" (fun () ->
-      Alcotest.(check int) "HYDRA_JOBS=0 falls back"
-        (Domain.recommended_domain_count ())
-        (Pool.default_jobs ()));
-  with_env "banana" (fun () ->
-      Alcotest.(check int) "junk falls back"
-        (Domain.recommended_domain_count ())
-        (Pool.default_jobs ()))
+  let rejected v =
+    with_env v (fun () ->
+        Alcotest.check_raises
+          (Printf.sprintf "HYDRA_JOBS=%S is rejected" v)
+          (Invalid_argument
+             (Printf.sprintf
+                "environment variable 'HYDRA_JOBS': expected an integer >= \
+                 1, got %S"
+                v))
+          (fun () -> ignore (Pool.default_jobs ())))
+  in
+  rejected "0";
+  rejected "banana"
 
 (* ---- random pipeline environments (as in test_pipeline_prop) ---- *)
 
