@@ -329,66 +329,64 @@ let consistency_weight = Hydra_arith.Rat.of_int 1024
 
 let fingerprint_version = 1
 
-(* The view signature both keys render: relation, attributes, domains,
-   CCs, grouping CCs and clique tree. [cards] adds the right-hand sides
-   (the view total and every cardinality); the warm key elides them. *)
-let render_signature buf ~cards (view : Preprocess.view) =
-  let add fmt = Printf.bprintf buf fmt in
-  let card n = if cards then Printf.sprintf " = %d" n else "" in
-  add "view %s\n" view.Preprocess.vrel;
-  add "attrs %s\n" (String.concat "," view.Preprocess.vattrs);
+(* The view signature, written to both keys' texts: relation,
+   attributes, domains, CCs, grouping CCs and clique tree. Only the
+   solve key's text gets the right-hand sides (the view total and every
+   cardinality); the warm key elides them. *)
+let render_signature (view : Preprocess.view) ~full ~structure =
+  let both s =
+    Buffer.add_string full s;
+    Buffer.add_string structure s
+  in
+  let line s =
+    both s;
+    both "\n"
+  in
+  let card_line s n =
+    both s;
+    Printf.bprintf full " = %d" n;
+    both "\n"
+  in
+  line ("view " ^ view.Preprocess.vrel);
+  line ("attrs " ^ String.concat "," view.Preprocess.vattrs);
   List.iter
     (fun (a, (iv : Interval.t)) ->
-      add "domain %s [%d,%d)\n" a iv.Interval.lo iv.Interval.hi)
+      line
+        (Printf.sprintf "domain %s [%d,%d)" a iv.Interval.lo iv.Interval.hi))
     view.Preprocess.domains;
-  if cards then add "total %d\n" view.Preprocess.total;
+  Printf.bprintf full "total %d\n" view.Preprocess.total;
   List.iter
     (fun (vc : Preprocess.view_cc) ->
-      add "cc %s%s\n" (Predicate.to_string vc.Preprocess.pred)
-        (card vc.Preprocess.card))
+      card_line
+        ("cc " ^ Predicate.to_string vc.Preprocess.pred)
+        vc.Preprocess.card)
     view.Preprocess.view_ccs;
   List.iter
     (fun (gc : Preprocess.group_cc) ->
-      add "group %s / %s%s\n"
-        (String.concat "," gc.Preprocess.g_attrs)
-        (Predicate.to_string gc.Preprocess.g_pred)
-        (card gc.Preprocess.g_card))
+      card_line
+        (Printf.sprintf "group %s / %s"
+           (String.concat "," gc.Preprocess.g_attrs)
+           (Predicate.to_string gc.Preprocess.g_pred))
+        gc.Preprocess.g_card)
     view.Preprocess.group_ccs;
   List.iter
     (fun (n : Viewgraph.tree_node) ->
-      add "clique %s sep %s parent %s\n"
-        (String.concat "," n.Viewgraph.clique)
-        (String.concat "," n.Viewgraph.separator)
-        (match n.Viewgraph.parent with
-        | Some p -> string_of_int p
-        | None -> "-"))
+      line
+        (Printf.sprintf "clique %s sep %s parent %s"
+           (String.concat "," n.Viewgraph.clique)
+           (String.concat "," n.Viewgraph.separator)
+           (match n.Viewgraph.parent with
+           | Some p -> string_of_int p
+           | None -> "-")))
     view.Preprocess.subviews
 
 let digest buf = Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let fingerprint_of_lp ~max_nodes ~retries view lp n_cc_constraints =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "hydra-fingerprint %d\n" fingerprint_version;
-  render_signature buf ~cards:true view;
-  add "budget max_nodes=%d retries=%d\n" max_nodes retries;
-  add "lp vars=%d constraints=%d cc_constraints=%d\n" (Lp.num_vars lp)
-    (Lp.num_constraints lp) n_cc_constraints;
-  add "%s" (Format.asprintf "%a" Lp.pp lp);
-  digest buf
-
-let fingerprint ?(max_nodes = 2000) ?(retries = 1) (view : Preprocess.view) =
-  if view.Preprocess.subviews = [] then
-    fingerprint_of_lp ~max_nodes ~retries view (Lp.create ()) 0
-  else
-    let _, lp, n_cc = formulate view in
-    fingerprint_of_lp ~max_nodes ~retries view lp n_cc
-
 (* ---- structural (warm-start) fingerprint ----
 
-   The exact fingerprint above keys replayable solutions, so it must
-   cover every number in the problem. A warm-start basis only requires
-   the tableau SHAPE to match: same view identity, same region/variable
+   The exact fingerprint keys replayable solutions, so it must cover
+   every number in the problem. A warm-start basis only requires the
+   tableau SHAPE to match: same view identity, same region/variable
    layout, same constraint rows and relations — with every right-hand
    side (the view total, CC cardinalities, LP rhs) elided. Two views
    that differ only in edited CC totals — the incremental-regeneration
@@ -398,14 +396,31 @@ let fingerprint ?(max_nodes = 2000) ?(retries = 1) (view : Preprocess.view) =
 
 let warm_fingerprint_version = 1
 
-let warm_fingerprint_of_lp view lp =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.bprintf buf fmt in
-  add "hydra-warm-fingerprint %d\n" warm_fingerprint_version;
-  render_signature buf ~cards:false view;
-  add "lp vars=%d constraints=%d\n" (Lp.num_vars lp) (Lp.num_constraints lp);
-  add "%s" (Format.asprintf "%a" Lp.pp_structure lp);
-  digest buf
+(* Both keys, (exact, structural), from one pass over the LP's rows
+   (Lp.render). The texts are frozen: the keys are content addresses
+   already on disk. *)
+let keys ~max_nodes ~retries view lp n_cc_constraints =
+  let full = Buffer.create 4096 and structure = Buffer.create 4096 in
+  let vars = Lp.num_vars lp and rows = Lp.num_constraints lp in
+  Printf.bprintf full "hydra-fingerprint %d\n" fingerprint_version;
+  Printf.bprintf structure "hydra-warm-fingerprint %d\n"
+    warm_fingerprint_version;
+  render_signature view ~full ~structure;
+  Printf.bprintf full "budget max_nodes=%d retries=%d\n" max_nodes retries;
+  Printf.bprintf full "lp vars=%d constraints=%d cc_constraints=%d\n" vars
+    rows n_cc_constraints;
+  Printf.bprintf structure "lp vars=%d constraints=%d\n" vars rows;
+  Lp.render lp ~full ~structure;
+  (digest full, digest structure)
+
+let fingerprint ?(max_nodes = 2000) ?(retries = 1) (view : Preprocess.view) =
+  let lp, n_cc =
+    if view.Preprocess.subviews = [] then (Lp.create (), 0)
+    else
+      let _, lp, n_cc = formulate view in
+      (lp, n_cc)
+  in
+  fst (keys ~max_nodes ~retries view lp n_cc)
 
 (* a terminal basis, one tableau column index per row *)
 let basis_to_string b =
@@ -513,8 +528,8 @@ let solve_view_robust ?(max_nodes = 2000) ?(retries = 1) ?deadline ?cache
       in
       (* the content address is reported in every provenance (the run
          ledger archives it), not just when a store consumes it *)
-      let key =
-        fingerprint_of_lp ~max_nodes ~retries view lp n_cc_constraints
+      let key, warm_key =
+        keys ~max_nodes ~retries view lp n_cc_constraints
       in
       let relax reason =
         let weight i =
@@ -534,35 +549,18 @@ let solve_view_robust ?(max_nodes = 2000) ?(retries = 1) ?deadline ?cache
       (* the root LP's terminal basis, captured for the warm-start hint;
          [attempt] overwrites it on each escalation, keeping the last *)
       let root_basis = ref None in
-      (* in float-first mode a structurally identical earlier solve —
-         same view and LP shape, edited right-hand sides — hands the
-         solver its terminal basis: a float run starts from it (a dual
-         phase repairs it when the edits left it primal infeasible) and
-         only its terminal basis is verified, instead of solving cold *)
-      let warm_key = lazy (warm_fingerprint_of_lp view lp) in
-      (* lazy so replayed (state/cache-hit) solves never touch the
-         hint store; forced at most once across budget escalations *)
-      let warm_basis =
-        lazy
-          (match (solve_mode, cache) with
-          | Simplex.Float_first, Some c ->
-              Option.bind
-                (Cache.find_hint c ~key:(Lazy.force warm_key))
-                decode_warm
-          | _ -> None)
-      in
-      let rec attempt budget tries_left =
+      let rec attempt ~warm_basis budget tries_left =
         match
           Obs.with_span "view.solve" (fun () ->
               Chaos.tap "solve";
               Int_feasible.solve ~max_nodes:budget ?deadline ~mode:solve_mode
-                ?warm_basis:(Lazy.force warm_basis) ~root_basis lp)
+                ?warm_basis ~root_basis lp)
         with
         | Int_feasible.Solution x -> Raw_exact x
         | Int_feasible.Gave_up when tries_left > 0 ->
             (* escalate before degrading: a budget that was merely tight
                often succeeds with a modest multiplier *)
-            attempt (Stdlib.max 1 budget * 4) (tries_left - 1)
+            attempt ~warm_basis (Stdlib.max 1 budget * 4) (tries_left - 1)
         | Int_feasible.Gave_up ->
             relax
               (Printf.sprintf "integer search budget exhausted (%d nodes)"
@@ -570,10 +568,26 @@ let solve_view_robust ?(max_nodes = 2000) ?(retries = 1) ?deadline ?cache
         | Int_feasible.Timeout -> relax "solve deadline exceeded"
         | Int_feasible.Infeasible -> relax "infeasible cardinality constraints"
       in
+      (* in float-first mode a structurally identical earlier solve —
+         same view and LP shape, edited right-hand sides — hands the
+         solver its terminal basis: a float run starts from it (a dual
+         phase repairs it when the edits left it primal infeasible) and
+         only its terminal basis is verified, instead of solving cold.
+         Lazy so replayed (state/cache-hit) solves never touch the hint
+         store; forced before the solve's span opens *)
+      let warm_basis =
+        lazy
+          (match (solve_mode, cache) with
+          | Simplex.Float_first, Some c ->
+              Option.bind (Cache.find_hint c ~key:warm_key) decode_warm
+          | _ -> None)
+      in
+      (* a solve that ended on the basis it was handed leaves the hint
+         as it is: its file already holds that basis *)
       let store_warm () =
         match (cache, !root_basis) with
-        | Some c, Some b ->
-            Cache.store_hint c ~key:(Lazy.force warm_key) (encode_warm b)
+        | Some c, Some b when Some b <> Lazy.force warm_basis ->
+            Cache.store_hint c ~key:warm_key (encode_warm b)
         | _ -> ()
       in
       let finish raw =
@@ -606,7 +620,9 @@ let solve_view_robust ?(max_nodes = 2000) ?(retries = 1) ?deadline ?cache
         | None -> (
             match lookup cache ~failures:false with
             | Some raw -> (Cache, raw)
-            | None -> (Solve, attempt max_nodes retries))
+            | None ->
+                let warm_basis = Lazy.force warm_basis in
+                (Solve, attempt ~warm_basis max_nodes retries))
       in
       (* a state dir that missed records the outcome, failures and
          shared-cache hits included, so a later resume depends on

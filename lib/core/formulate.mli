@@ -80,7 +80,9 @@ val fingerprint :
     reordered but equivalent workloads fingerprint identically, while any
     change to a CC, the schema, or the budgets changes the digest —
     cache invalidation is by construction. The wall-clock [deadline] is
-    deliberately not part of the key.
+    deliberately not part of the key. The LP's part of the text is
+    {!Hydra_lp.Lp.render}'s, written in the same pass as the structural
+    warm-start key's.
     @raise Formulation_error if the view cannot be formulated. *)
 
 val solve_view_robust :
@@ -127,7 +129,10 @@ val solve_view_robust :
     LP with right-hand sides elided), so a later solve of the same view
     shape with edited CC totals starts from the stored terminal basis
     (repairing it with a dual phase when the edits left it primal
-    infeasible) instead of solving cold. Hints are advisory:
+    infeasible) instead of solving cold. A hint is rewritten only when
+    the solve's terminal basis differs from the one it was handed. Both
+    keys and the hint lookup run before the [view.solve] span opens, so
+    the span holds the solve alone. Hints are advisory:
     they are validated before use, never counted against the cache's
     hit/miss statistics, and cannot change results — only pivot
     counts. *)

@@ -10,33 +10,24 @@ type constr = {
 
 type t = {
   mutable nvars : int;
-  mutable names : string list;  (* reversed *)
   mutable constrs : constr list;  (* reversed *)
   mutable nconstrs : int;
 }
 
-let create () = { nvars = 0; names = []; constrs = []; nconstrs = 0 }
+let create () = { nvars = 0; constrs = []; nconstrs = 0 }
 
-let add_var lp ?name () =
+let add_var lp () =
   let i = lp.nvars in
-  let name = match name with Some n -> n | None -> Printf.sprintf "x%d" i in
   lp.nvars <- i + 1;
-  lp.names <- name :: lp.names;
   i
 
 let add_vars lp n =
   let first = lp.nvars in
-  for _ = 1 to n do
-    ignore (add_var lp ())
-  done;
+  lp.nvars <- first + max 0 n;
   first
 
 let num_vars lp = lp.nvars
 let num_constraints lp = lp.nconstrs
-
-let var_name lp i =
-  if i < 0 || i >= lp.nvars then invalid_arg "Lp.var_name";
-  List.nth lp.names (lp.nvars - 1 - i)
 
 let add_constraint lp terms rel rhs =
   List.iter
@@ -98,32 +89,33 @@ let vector_of_string s =
             try Some (Array.of_list (List.map Bigint.of_string rest))
             with Invalid_argument _ | Failure _ -> None))
 
-let pp_rel fmt = function
-  | Eq -> Format.pp_print_string fmt "="
-  | Le -> Format.pp_print_string fmt "<="
-  | Ge -> Format.pp_print_string fmt ">="
-
-let pp_with ~rhs fmt lp =
-  Format.fprintf fmt "@[<v>LP with %d vars, %d constraints@," lp.nvars
-    lp.nconstrs;
+(* Each row's left-hand side is rendered once, into [row], and copied
+   to both outputs; only the right-hand side differs between them. *)
+let render lp ~full ~structure =
+  let header =
+    Printf.sprintf "LP with %d vars, %d constraints\n" lp.nvars lp.nconstrs
+  in
+  Buffer.add_string full header;
+  Buffer.add_string structure header;
+  let row = Buffer.create 256 in
   List.iter
     (fun c ->
+      Buffer.clear row;
       List.iteri
         (fun i (v, coef) ->
-          if i > 0 then Format.fprintf fmt " + ";
-          if Rat.equal coef Rat.one then Format.fprintf fmt "x%d" v
-          else Format.fprintf fmt "%a*x%d" Rat.pp coef v)
+          if i > 0 then Buffer.add_string row " + ";
+          if not (Rat.equal coef Rat.one) then begin
+            Buffer.add_string row (Rat.to_string coef);
+            Buffer.add_char row '*'
+          end;
+          Buffer.add_char row 'x';
+          Buffer.add_string row (string_of_int v))
         c.terms;
-      Format.fprintf fmt " %a " pp_rel c.rel;
-      if rhs then Format.fprintf fmt "%a@," Rat.pp c.rhs
-      else Format.fprintf fmt "_@,")
-    (constraints lp);
-  Format.fprintf fmt "@]"
-
-let pp fmt lp = pp_with ~rhs:true fmt lp
-
-(* Same rendering with every right-hand side elided: two LPs print
-   identically here exactly when they differ only in constraint
-   right-hand sides — the "edited CC totals" shape that basis
-   warm-starting keys on. *)
-let pp_structure fmt lp = pp_with ~rhs:false fmt lp
+      Buffer.add_string row
+        (match c.rel with Eq -> " = " | Le -> " <= " | Ge -> " >= ");
+      Buffer.add_buffer full row;
+      Buffer.add_string full (Rat.to_string c.rhs);
+      Buffer.add_char full '\n';
+      Buffer.add_buffer structure row;
+      Buffer.add_string structure "_\n")
+    (constraints lp)

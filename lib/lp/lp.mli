@@ -20,7 +20,7 @@ type t
 
 val create : unit -> t
 
-val add_var : t -> ?name:string -> unit -> int
+val add_var : t -> unit -> int
 (** Registers a fresh non-negative variable and returns its index. *)
 
 val add_vars : t -> int -> int
@@ -29,7 +29,6 @@ val add_vars : t -> int -> int
 
 val num_vars : t -> int
 val num_constraints : t -> int
-val var_name : t -> int -> string
 
 val add_constraint : t -> (int * Rat.t) list -> relation -> Rat.t -> unit
 (** @raise Invalid_argument when a term references an unknown variable. *)
@@ -59,10 +58,14 @@ val vector_of_string : string -> Bigint.t array option
     (wrong length prefix, non-numeric component, trailing garbage):
     corrupt cache entries must read as misses, never raise. *)
 
-val pp : Format.formatter -> t -> unit
-
-val pp_structure : Format.formatter -> t -> unit
-(** {!pp} with every constraint right-hand side elided (rendered as
-    [_]). Two systems print identically here exactly when they differ
-    only in right-hand sides — the near-miss shape that basis
-    warm-starting keys on. *)
+val render : t -> full:Buffer.t -> structure:Buffer.t -> unit
+(** [render lp ~full ~structure] appends the system's canonical text to
+    [full], and the same text with every constraint right-hand side
+    written as [_] to [structure], in one pass over the constraints. The
+    text is a header line ["LP with N vars, M constraints"], then one
+    line per constraint in insertion order, [x3 + 2*x5 <= 7] (a unit
+    coefficient is left out). Two systems render identically into
+    [structure] exactly when they differ only in right-hand sides — the
+    near-miss shape that basis warm-starting keys on. Both texts are the
+    bodies of the solve cache's content addresses, so their bytes are
+    frozen. *)

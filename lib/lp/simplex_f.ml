@@ -3,6 +3,11 @@ module Obs = Hydra_obs.Obs
 
 let m_float_pivots = Obs.counter "simplex.float_pivots"
 
+(* the same names as the exact instance's: a degenerate pivot or a
+   Bland fallback means one thing in either arithmetic *)
+let m_degenerate = Obs.counter "simplex.degenerate_pivots"
+let m_bland = Obs.counter "simplex.bland_fallbacks"
+
 (* The float arithmetic of the one simplex engine (Pivot.Make; its
    interface states the path-identity contract): every Rat replaced by
    a double, so pivots cost nanoseconds instead of Bigint allocations.
@@ -524,7 +529,8 @@ module Float_arith = struct
 
   let count = function
     | Pivot.Pivot -> Obs.incr m_float_pivots 1
-    | Pivot.Degenerate | Pivot.Bland_fallback -> ()
+    | Pivot.Degenerate -> Obs.incr m_degenerate 1
+    | Pivot.Bland_fallback -> Obs.incr m_bland 1
 end
 
 module Engine = Pivot.Make (Float_arith)

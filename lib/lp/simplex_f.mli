@@ -43,7 +43,9 @@ val run :
     the dual phase repairs any primal infeasibility first. Shares the
     caller's iteration count, so the budget contract matches the exact
     solver's. Float pivots, dual ones included, are counted on the
-    [simplex.float_pivots] obs counter. *)
+    [simplex.float_pivots] obs counter, and degenerate pivots and Bland
+    fallbacks on [simplex.degenerate_pivots] and
+    [simplex.bland_fallbacks], the exact instance's counters. *)
 
 (** {2 The instance, for white-box tests} *)
 

@@ -31,8 +31,7 @@ let split_at iv p = (inter iv (make min_int p), inter iv (make p max_int))
 let compare a b =
   match compare a.lo b.lo with 0 -> compare a.hi b.hi | c -> c
 
-let pp fmt iv =
-  if is_empty iv then Format.pp_print_string fmt "[)"
-  else Format.fprintf fmt "[%d,%d)" iv.lo iv.hi
+let to_string iv =
+  if is_empty iv then "[)" else Printf.sprintf "[%d,%d)" iv.lo iv.hi
 
-let to_string iv = Format.asprintf "%a" pp iv
+let pp fmt iv = Format.pp_print_string fmt (to_string iv)

@@ -77,24 +77,27 @@ let clamp domain_of (p : t) : t =
 let compare_t (a : t) (b : t) = compare a b
 let equal (a : t) (b : t) = compare a b = 0
 
-let pp fmt (p : t) =
+let to_string (p : t) =
   match p with
-  | [] -> Format.pp_print_string fmt "FALSE"
-  | [ [] ] -> Format.pp_print_string fmt "TRUE"
+  | [] -> "FALSE"
+  | [ [] ] -> "TRUE"
   | _ ->
-      let pp_conjunct fmt c =
-        if c = [] then Format.pp_print_string fmt "TRUE"
-        else
-          List.iteri
-            (fun i (a, iv) ->
-              if i > 0 then Format.pp_print_string fmt " AND ";
-              Format.fprintf fmt "%s IN %a" a Interval.pp iv)
-            c
-      in
+      let buf = Buffer.create 64 in
       List.iteri
         (fun i c ->
-          if i > 0 then Format.pp_print_string fmt " OR ";
-          Format.fprintf fmt "(%a)" pp_conjunct c)
-        p
+          if i > 0 then Buffer.add_string buf " OR ";
+          Buffer.add_char buf '(';
+          if c = [] then Buffer.add_string buf "TRUE"
+          else
+            List.iteri
+              (fun j (a, iv) ->
+                if j > 0 then Buffer.add_string buf " AND ";
+                Buffer.add_string buf a;
+                Buffer.add_string buf " IN ";
+                Buffer.add_string buf (Interval.to_string iv))
+              c;
+          Buffer.add_char buf ')')
+        p;
+      Buffer.contents buf
 
-let to_string p = Format.asprintf "%a" pp p
+let pp fmt p = Format.pp_print_string fmt (to_string p)

@@ -394,6 +394,91 @@ let prop_integer_witnessed_systems =
       | Int_feasible.Infeasible -> false
       | Int_feasible.Timeout -> false (* no deadline was given *))
 
+(* ---- the key renderer ----
+
+   [Lp.render] writes the text the solve cache's keys digest. The keys
+   are content addresses already on disk, so its bytes must stay those
+   of the Format renderer it replaced, kept here as the reference. *)
+let reference_pp ~rhs fmt lp =
+  let pp_rel fmt = function
+    | Lp.Eq -> Format.pp_print_string fmt "="
+    | Lp.Le -> Format.pp_print_string fmt "<="
+    | Lp.Ge -> Format.pp_print_string fmt ">="
+  in
+  Format.fprintf fmt "@[<v>LP with %d vars, %d constraints@,"
+    (Lp.num_vars lp) (Lp.num_constraints lp);
+  List.iter
+    (fun (c : Lp.constr) ->
+      List.iteri
+        (fun i (v, coef) ->
+          if i > 0 then Format.fprintf fmt " + ";
+          if Rat.equal coef Rat.one then Format.fprintf fmt "x%d" v
+          else Format.fprintf fmt "%a*x%d" Rat.pp coef v)
+        c.Lp.terms;
+      Format.fprintf fmt " %a " pp_rel c.Lp.rel;
+      if rhs then Format.fprintf fmt "%a@," Rat.pp c.Lp.rhs
+      else Format.fprintf fmt "_@,")
+    (Lp.constraints lp);
+  Format.fprintf fmt "@]"
+
+(* Empty systems, all three relations, negative, fractional and large
+   coefficients, and rows from empty to far past Format's 78-column
+   margin. *)
+let render_gen =
+  let open QCheck.Gen in
+  let rat_gen =
+    frequency
+      [
+        (4, return Rat.one);
+        (3, map rat (int_range (-20) 20));
+        ( 3,
+          map2
+            (fun p q -> Rat.div (rat p) (rat q))
+            (int_range (-99) 99) (int_range 1 12) );
+        ( 1,
+          map
+            (fun k -> Rat.mul (rat k) (Rat.of_string "123456789012345678901"))
+            (int_range (-3) 3) );
+      ]
+  in
+  let* nvars = frequency [ (1, return 0); (6, int_range 1 400) ] in
+  let row =
+    let* terms =
+      if nvars = 0 then return []
+      else
+        list_size
+          (frequency [ (1, return 0); (4, int_range 1 6); (3, int_range 7 60) ])
+          (pair (int_range 0 (nvars - 1)) rat_gen)
+    in
+    let* rel = oneofl [ Lp.Eq; Lp.Le; Lp.Ge ] in
+    let* rhs = rat_gen in
+    return (terms, rel, rhs)
+  in
+  let* nrows = frequency [ (1, return 0); (6, int_range 1 12) ] in
+  let* rows = list_size (return nrows) row in
+  return (nvars, rows)
+
+let prop_render_matches_format =
+  QCheck.Test.make ~name:"Lp.render equals the Format rendering, both keys"
+    ~count:400
+    (QCheck.make render_gen) (fun (nvars, rows) ->
+      let lp = Lp.create () in
+      ignore (Lp.add_vars lp nvars);
+      List.iter
+        (fun (terms, rel, rhs) -> Lp.add_constraint lp terms rel rhs)
+        rows;
+      let full = Buffer.create 256 and structure = Buffer.create 256 in
+      Lp.render lp ~full ~structure;
+      let expect rhs = Format.asprintf "%a" (reference_pp ~rhs) lp in
+      let check what want got =
+        if want <> got then
+          QCheck.Test.fail_reportf "%s rendering differs:@.want %S@.got  %S"
+            what want got
+      in
+      check "full" (expect true) (Buffer.contents full);
+      check "structural" (expect false) (Buffer.contents structure);
+      true)
+
 let suite =
   [
     ( "simplex",
@@ -425,6 +510,8 @@ let suite =
       ]
       @ List.map QCheck_alcotest.to_alcotest [ prop_integer_witnessed_systems ]
     );
+    ( "render",
+      List.map QCheck_alcotest.to_alcotest [ prop_render_matches_format ] );
     ( "relax",
       [
         Alcotest.test_case "conflicting equalities" `Quick

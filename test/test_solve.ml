@@ -551,6 +551,64 @@ let test_drifted_hint_end_to_end () =
       Alcotest.(check bool) "the dual phase repaired the hint" true
         (Obs.counter_value m_dual_pivots > dual0))
 
+(* Hint files by name, with each one's inode and bytes. A rewrite goes
+   through a temp file and a rename, so it gives the name a new inode. *)
+let hint_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter_map (fun name ->
+         let path = Filename.concat dir name in
+         let bytes = In_channel.with_open_bin path In_channel.input_all in
+         let is_hint =
+           match String.split_on_char '\n' bytes with
+           | _ :: _ :: payload :: _ ->
+               String.starts_with ~prefix:"hydra-warm " payload
+           | _ -> false
+         in
+         if is_hint then Some (name, (Unix.stat path).Unix.st_ino, bytes)
+         else None)
+
+(* A warm re-run whose views end on their hints leaves every hint file
+   as it was; a drifted run whose dual phase moved the basis replaces
+   the hint it moved. *)
+let test_unchanged_hint_not_rewritten () =
+  Obs.set_enabled true;
+  let regen cache text =
+    let spec = Cc_parser.parse text in
+    ignore
+      (Pipeline.regenerate ~cache ~solve_mode:Simplex.Float_first
+         spec.Cc_parser.schema spec.Cc_parser.ccs)
+  in
+  with_tmp_cache (fun cache ->
+      regen cache spec_base;
+      let before = hint_files (Cache.dir cache) in
+      Alcotest.(check bool) "the base run stored hints" true (before <> []);
+      let hits0 = Obs.counter_value m_warm_hit in
+      regen cache spec_nudged;
+      Alcotest.(check bool) "the nudged run consumed a hint" true
+        (Obs.counter_value m_warm_hit > hits0);
+      Alcotest.(check (list (pair string int)))
+        "every hint keeps its inode"
+        (List.map (fun (n, ino, _) -> (n, ino)) before)
+        (List.map (fun (n, ino, _) -> (n, ino)) (hint_files (Cache.dir cache))));
+  with_tmp_cache (fun cache ->
+      regen cache (spec_overlap 400 600);
+      let before = hint_files (Cache.dir cache) in
+      let dual0 = Obs.counter_value m_dual_pivots in
+      regen cache (spec_overlap 300 100);
+      Alcotest.(check bool) "the dual phase moved a hint" true
+        (Obs.counter_value m_dual_pivots > dual0);
+      let after = hint_files (Cache.dir cache) in
+      Alcotest.(check (list string))
+        "the same hint names" (List.map (fun (n, _, _) -> n) before)
+        (List.map (fun (n, _, _) -> n) after);
+      let replaced =
+        List.filter
+          (fun ((_, ino, bytes), (_, ino', bytes')) ->
+            ino <> ino' && bytes <> bytes')
+          (List.combine before after)
+      in
+      Alcotest.(check bool) "the moved hint was replaced" true (replaced <> []))
+
 (* ---- cache scrub: stale vs corrupt (satellite) ---- *)
 
 let test_scrub_stale_vs_corrupt () =
@@ -638,6 +696,8 @@ let () =
             `Quick test_drifted_hint_end_to_end;
           Alcotest.test_case "drifted hints match hint-free solves" `Quick
             test_drifted_hints;
+          Alcotest.test_case "a hint the solve ended on is not rewritten"
+            `Quick test_unchanged_hint_not_rewritten;
           Alcotest.test_case "aborted float warm run: exact dual repair"
             `Quick test_exact_dual_repair;
           Alcotest.test_case "corrupt hint payloads are tolerated" `Quick
