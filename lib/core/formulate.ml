@@ -529,7 +529,8 @@ let solve_view_robust ?(max_nodes = 2000) ?(retries = 1) ?deadline ?cache
       (* the content address is reported in every provenance (the run
          ledger archives it), not just when a store consumes it *)
       let key, warm_key =
-        keys ~max_nodes ~retries view lp n_cc_constraints
+        Obs.with_span "view.keys" (fun () ->
+            keys ~max_nodes ~retries view lp n_cc_constraints)
       in
       let relax reason =
         let weight i =
@@ -614,26 +615,34 @@ let solve_view_robust ?(max_nodes = 2000) ?(retries = 1) ?deadline ?cache
                 | Some (Raw_failed _) when not failures -> None
                 | d -> d))
       in
+      let found =
+        Obs.with_span "view.lookup" (fun () ->
+            match lookup state ~failures:true with
+            | Some raw -> Some (State, raw)
+            | None -> (
+                match lookup cache ~failures:false with
+                | Some raw -> Some (Cache, raw)
+                | None ->
+                    ignore (Lazy.force warm_basis);
+                    None))
+      in
       let tier, raw =
-        match lookup state ~failures:true with
-        | Some raw -> (State, raw)
-        | None -> (
-            match lookup cache ~failures:false with
-            | Some raw -> (Cache, raw)
-            | None ->
-                let warm_basis = Lazy.force warm_basis in
-                (Solve, attempt ~warm_basis max_nodes retries))
+        match found with
+        | Some hit -> hit
+        | None ->
+            (Solve, attempt ~warm_basis:(Lazy.force warm_basis) max_nodes retries)
       in
       (* a state dir that missed records the outcome, failures and
          shared-cache hits included, so a later resume depends on
          neither the budget nor the shared cache still holding the
          entry; the shared cache records only a fresh usable solve *)
-      let record = Option.iter (fun c -> Cache.store c ~key (encode_entry raw)) in
-      if tier <> State then record state;
-      (match (tier, raw) with
-      | Solve, (Raw_exact _ | Raw_relaxed _) -> record cache
-      | _ -> ());
-      store_warm ();
+      Obs.with_span "view.store" (fun () ->
+          let record = Option.iter (fun c -> Cache.store c ~key (encode_entry raw)) in
+          if tier <> State then record state;
+          (match (tier, raw) with
+          | Solve, (Raw_exact _ | Raw_relaxed _) -> record cache
+          | _ -> ());
+          store_warm ());
       (finish raw, { tier; fingerprint = key })
     end
   with

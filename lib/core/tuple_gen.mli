@@ -26,8 +26,9 @@ val materialize : ?jobs:int -> Summary.t -> Database.t
     for any jobs count. *)
 
 val generated_relation : Schema.t -> Summary.relation_summary -> Database.generated
-(** Column accessors over the summary: sequential scans advance a cursor,
-    random access binary-searches the cumulative boundaries. *)
+(** The summary's row-groups as a generated source's runs: the groups'
+    cumulative boundaries ({!group_starts}) and each column's value per
+    group. *)
 
 val dynamic : Summary.t -> Database.t
 (** All relations generated on demand; nothing is materialized. *)

@@ -76,6 +76,8 @@ let column t cname =
   let pos = col_pos t cname in
   Array.sub t.cols.(pos) 0 t.nrows
 
+let column_view t cname = t.cols.(col_pos t cname)
+
 let iter_rows t f =
   for r = 0 to t.nrows - 1 do
     f r

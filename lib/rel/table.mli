@@ -35,6 +35,11 @@ val row : t -> int -> int array
 val column : t -> string -> int array
 (** Copy of a column's live prefix. *)
 
+val column_view : t -> string -> int array
+(** The column's backing array itself, not a copy: its first {!length}
+    entries are the column, and it may be longer. Read it only; a write
+    changes the table, and a later {!add_row} may replace it. *)
+
 val iter_rows : t -> (int -> unit) -> unit
 val reserve : t -> int -> unit
 val pp : Format.formatter -> t -> unit

@@ -44,6 +44,11 @@
 # and a second traced `job` sample, whose --dir has another length,
 # must read the same lp.minor_words: the view.solve span holds the
 # solve alone, not the cache's path-dependent key and hint work.
+# Both samples also pin the executor's output cardinalities, which
+# hbench's own checks cannot: they compare two executions through the
+# same kernels. engine.datagen/join/filter.rows_out must read
+# 4007398/962090/563564 on `job` and 15848019/6791205/2572995 on
+# `supply`.
 #
 # Last, scripts/loc.sh prints the program's size (lib/ + bin/), the
 # measure ROADMAP tracks from change to change.
@@ -151,13 +156,15 @@ import json, sys
 metrics = json.load(open(sys.argv[1]))["metrics"]
 want = {"lp.float_pivots": 2369, "lp.iterations": 2409,
         "lp.degenerate_pivots": 1470, "lp.verify_repairs": 0,
-        "lp.bnb_nodes": 20, "lp.bland_fallbacks": 5}
+        "lp.bnb_nodes": 20, "lp.bland_fallbacks": 5,
+        "engine.datagen.rows_out": 4007398, "engine.join.rows_out": 962090,
+        "engine.filter.rows_out": 563564}
 off = {k: (metrics.get(k), v) for k, v in want.items() if metrics.get(k) != v}
 if off:
     sys.exit("path gate: job counts (got, want) %s" % off)
 PY
 
-echo "path gate: job lp.* counts 2369/2409/1470/0/20/5"
+echo "path gate: job lp.* counts 2369/2409/1470/0/20/5, engine rows 4007398/962090/563564"
 
 _build/default/hbench/hbench.exe sample --workload supply --seed 1 --trace 1 \
   --dir "$obs_tmp/hbench" > "$obs_tmp/hbench-supply.json"
@@ -169,7 +176,9 @@ import json, sys
 job, supply, job2 = (json.load(open(p))["metrics"] for p in sys.argv[1:4])
 want = {"lp.float_pivots": 746, "lp.iterations": 792,
         "lp.degenerate_pivots": 521, "lp.verify_repairs": 0,
-        "lp.bnb_nodes": 23, "lp.bland_fallbacks": 3}
+        "lp.bnb_nodes": 23, "lp.bland_fallbacks": 3,
+        "engine.datagen.rows_out": 15848019, "engine.join.rows_out": 6791205,
+        "engine.filter.rows_out": 2572995}
 off = {k: (supply.get(k), v) for k, v in want.items() if supply.get(k) != v}
 if off:
     sys.exit("path gate: supply counts (got, want) %s" % off)
@@ -182,7 +191,7 @@ if job2["lp.minor_words"] != job["lp.minor_words"]:
              % (job["lp.minor_words"], job2["lp.minor_words"]))
 PY
 
-echo "path gate: supply lp.* counts 746/792/521/0/23/3, job lp.minor_words within 1.05x and independent of --dir"
+echo "path gate: supply lp.* counts 746/792/521/0/23/3, engine rows 15848019/6791205/2572995, job lp.minor_words within 1.05x and independent of --dir"
 
 # ---- program size ----
 
