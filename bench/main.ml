@@ -1006,8 +1006,8 @@ let obs_bench () =
         Printf.eprintf "obs: exporter stack did not produce its artifacts\n";
         exit 1
       end;
-      (* the ratio is a resource key: `bench check` bounds it against the
-         committed baseline instead of demanding an exact match *)
+      (* the ratio is timing: `bench check` holds it under a ceiling over
+         the committed baseline instead of demanding an exact match *)
       [
         ("disabled", Json.Obj [ ("seconds", Json.Float off_t) ]);
         ("enabled", Json.Obj [ ("seconds", Json.Float on_t) ]);
@@ -1471,26 +1471,26 @@ let targets =
 
 (* ---- regression gate: compare fresh artifacts against baselines ---- *)
 
-(* resource measurements vary run to run; everything else (cardinalities,
-   fidelity, audit roll-ups, speedup shapes are excluded -- see below) is
-   deterministic and must match the baseline exactly *)
-let resource_key k =
-  let suffix s =
-    String.length k > String.length s
-    && String.sub k (String.length k - String.length s) (String.length s) = s
-  in
-  match k with
-  | "seconds" | "minor_words" | "major_words" | "speedup"
-  | "overhead_ratio" | "float_exact_ratio" -> true
-  | _ ->
-      (* p50_seconds, total_seconds — any wall-clock field; rss_bytes,
-         gc.minor_words — any sampled memory gauge *)
-      suffix "_seconds" || suffix "_bytes" || suffix "_words"
+(* A field's name sets how it is compared. Minor words repeat run to run
+   at any jobs width (they read the live allocation pointer), so they
+   stay within a two-sided [alloc_band] of the baseline. Wall time,
+   major words (a collection's promotion can land in either of two
+   spans), byte gauges and timing ratios only stay below [ceiling] *
+   (baseline + 0.05). Everything else (counts, cardinalities, fidelity,
+   audit roll-ups, booleans, strings) must match exactly. *)
+type field_class = Exact | Alloc | Ceiling
 
-let check_tolerance () =
-  match Sys.getenv_opt "BENCH_CHECK_TOLERANCE" with
-  | Some s -> ( try float_of_string s with _ -> 8.0)
-  | None -> 8.0
+let alloc_band = 1.05
+let ceiling = 8.0
+
+let field_class k =
+  let ends s = String.ends_with ~suffix:s k in
+  if ends "minor_words" then Alloc
+  else
+    match k with
+    | "seconds" | "speedup" | "overhead_ratio" | "float_exact_ratio" -> Ceiling
+    | _ when ends "_seconds" || ends "major_words" || ends "_bytes" -> Ceiling
+    | _ -> Exact
 
 let json_kind = function
   | Json.Null -> "null"
@@ -1501,9 +1501,10 @@ let json_kind = function
   | Json.List _ -> "list"
   | Json.Obj _ -> "object"
 
-(* [key] is the field name the values sit under; a resource key only has
-   to stay below tolerance * (baseline + eps), everything else is exact *)
-let rec json_diff ~tol path key base fresh errs =
+(* [key] is the field name the values sit under. A field the baseline
+   lacks goes to [fresh_only], not [errs]: it joins the baseline when the
+   baseline is next blessed. *)
+let rec json_diff path key base fresh errs fresh_only =
   let err fmt =
     Printf.ksprintf (fun m -> errs := (path ^ ": " ^ m) :: !errs) fmt
   in
@@ -1513,20 +1514,23 @@ let rec json_diff ~tol path key base fresh errs =
     | _ -> None
   in
   match (number base, number fresh) with
-  | Some b, Some f ->
-      if resource_key key then begin
-        (* a zero resource baseline carries no information — GC word
-           counts only reflect completed collections, so a span that
-           measured 0 at baseline time can measure real allocation on a
-           run with different collection timing; don't gate those *)
-        if b > 0.0 then begin
-          let ceiling = tol *. (b +. 0.05) in
-          if f > ceiling then
-            err "%g exceeds %gx baseline %g (ceiling %g)" f tol b ceiling
-        end
-      end
-      else if Float.abs (f -. b) > 1e-9 *. Float.max 1.0 (Float.abs b) then
-        err "expected %g, got %g" b f
+  | Some b, Some f -> (
+      match field_class key with
+      | Alloc ->
+          if b = 0.0 then (if f <> 0.0 then err "expected 0 words, got %.0f" f)
+          else if f > alloc_band *. b || f *. alloc_band < b then
+            err "%.0f words, %+.1f%% from baseline %.0f, outside %gx%s" f
+              (100.0 *. ((f /. b) -. 1.0))
+              b alloc_band
+              (if f < b then ": re-bless the baseline" else "")
+      | Ceiling ->
+          (* a zero baseline says nothing about the scale: not gated *)
+          let c = ceiling *. (b +. 0.05) in
+          if b > 0.0 && f > c then
+            err "%g exceeds %gx baseline %g (ceiling %g)" f ceiling b c
+      | Exact ->
+          if Float.abs (f -. b) > 1e-9 *. Float.max 1.0 (Float.abs b) then
+            err "expected %.12g, got %.12g" b f)
   | _ -> (
       match (base, fresh) with
       | Json.Null, Json.Null -> ()
@@ -1539,9 +1543,8 @@ let rec json_diff ~tol path key base fresh errs =
           else
             List.iteri
               (fun i (b, f) ->
-                json_diff ~tol
-                  (Printf.sprintf "%s[%d]" path i)
-                  key b f errs)
+                json_diff (Printf.sprintf "%s[%d]" path i) key b f errs
+                  fresh_only)
               (List.combine bs fs)
       | Json.Obj bs, Json.Obj fs ->
           List.iter
@@ -1550,15 +1553,12 @@ let rec json_diff ~tol path key base fresh errs =
               | None ->
                   errs := (path ^ "." ^ k ^ ": missing in fresh artifact")
                           :: !errs
-              | Some fv -> json_diff ~tol (path ^ "." ^ k) k bv fv errs)
+              | Some fv -> json_diff (path ^ "." ^ k) k bv fv errs fresh_only)
             bs;
           List.iter
             (fun (k, _) ->
               if not (List.mem_assoc k bs) then
-                errs :=
-                  (path ^ "." ^ k
-                  ^ ": not in baseline (regenerate baselines?)")
-                  :: !errs)
+                fresh_only := (path ^ "." ^ k) :: !fresh_only)
             fs
       | _ -> err "expected %s, got %s" (json_kind base) (json_kind fresh))
 
@@ -1569,6 +1569,16 @@ let baselines_dir () =
       if Sys.file_exists "baselines" && Sys.is_directory "baselines" then
         "baselines"
       else "bench/baselines"
+
+(* the first few names of the fields a baseline lacks, on one line *)
+let fresh_only_note = function
+  | [] -> ""
+  | names ->
+      let n = List.length names in
+      let shown = List.filteri (fun i _ -> i < 3) names in
+      Printf.sprintf "; %d field(s) not in baseline: %s%s" n
+        (String.concat ", " shown)
+        (if n > 3 then Printf.sprintf ", ... (%d more)" (n - 3) else "")
 
 let check args =
   let dir = baselines_dir () in
@@ -1589,11 +1599,10 @@ let check args =
     Printf.eprintf "bench check: no baselines in %s\n" dir;
     exit 1
   end;
-  let tol = check_tolerance () in
   let failed = ref false in
-  let target_fail name msgs =
+  let target_fail ?(note = "") name msgs =
     failed := true;
-    Printf.printf "check %s: FAIL\n" name;
+    Printf.printf "check %s: FAIL%s\n" name note;
     List.iter (fun m -> Printf.printf "  %s\n" m) msgs
   in
   List.iter
@@ -1617,14 +1626,14 @@ let check args =
         match (parse bpath, parse fpath) with
         | Error m, _ | _, Error m -> target_fail name [ m ]
         | Ok base, Ok fresh ->
-            let errs = ref [] in
-            json_diff ~tol name "" base fresh errs;
-            if !errs = [] then Printf.printf "check %s: ok\n" name
-            else target_fail name (List.rev !errs))
+            let errs = ref [] and fresh_only = ref [] in
+            json_diff name "" base fresh errs fresh_only;
+            let note = fresh_only_note (List.rev !fresh_only) in
+            if !errs = [] then Printf.printf "check %s: ok%s\n" name note
+            else target_fail ~note name (List.rev !errs))
     names;
   if !failed then exit 1;
-  Printf.printf "bench check: %d target(s) within tolerance %gx\n"
-    (List.length names) tol
+  Printf.printf "bench check: %d target(s) pass\n" (List.length names)
 
 let write_bench_artifact name seconds extra =
   let path = Printf.sprintf "BENCH_%s.json" name in

@@ -292,6 +292,43 @@ let test_no_stores_means_solve () =
        (fun (k, _) -> String.starts_with ~prefix:"cache." k)
        (Obs.diff before (Obs.snapshot ())))
 
+(* The view.solve span holds the solve alone. The warm-hint lookup,
+   whose allocation grows with the cache directory's path, runs before
+   it opens, so at jobs 1 its minor words and those of the lp.* spans
+   under it repeat exactly whatever the directory is called. *)
+let test_solve_alloc_independent_of_dir () =
+  let module Obs = Hydra_obs.Obs in
+  let spec = Cc_parser.parse spec_text in
+  let solve_words dir =
+    let was_enabled = Obs.enabled () in
+    Obs.set_enabled true;
+    Obs.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled was_enabled;
+        try rm_rf dir with _ -> ())
+      (fun () ->
+        ignore
+          (Pipeline.regenerate ~jobs:1 ~cache:(Cache.create ~dir)
+             ~solve_mode:Hydra_lp.Simplex.Float_first spec.Cc_parser.schema
+             spec.Cc_parser.ccs);
+        List.filter_map
+          (fun (k, (minor, _)) ->
+            if k = "view.solve" || String.starts_with ~prefix:"lp." k then
+              Some (k, minor)
+            else None)
+          (Obs.span_alloc (Obs.snapshot ())))
+  in
+  (* a process's first run also allocates the cell of each span name it
+     opens, inside the span's parent *)
+  ignore (solve_words (tmpdir ()));
+  let short = solve_words (tmpdir ()) in
+  let long = solve_words (tmpdir () ^ "-under-a-much-longer-name") in
+  Alcotest.(check bool) "view.solve allocates" true
+    (List.assoc "view.solve" short > 0.0);
+  Alcotest.(check (list (pair string (float 0.0))))
+    "view.solve and lp.* minor words" short long
+
 let test_corrupt_entry_resolves () =
   with_cache (fun c ->
       let spec = Cc_parser.parse spec_text in
@@ -474,6 +511,8 @@ let suite =
           `Quick test_warm_replay_identical;
         Alcotest.test_case "without stores every view is tier Solve" `Quick
           test_no_stores_means_solve;
+        Alcotest.test_case "solve allocation is independent of the cache dir"
+          `Quick test_solve_alloc_independent_of_dir;
         Alcotest.test_case "corrupt entries re-solve and repair the cache"
           `Quick test_corrupt_entry_resolves;
         Alcotest.test_case "relaxed outcomes replay with violations" `Quick
